@@ -383,10 +383,12 @@ func broadcastCompletion(b *testing.B, pes int, tree bool) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if tree {
-				p.SyncBroadcastTree(msg)
+				p.SyncBroadcast(msg)
 				p.Scheduler(pes) // serve forwarding envelopes
 			} else {
-				p.SyncBroadcast(msg)
+				for q := 1; q < pes; q++ {
+					p.SyncSend(q, msg)
+				}
 			}
 			for int(received.Load()) < (i+1)*(pes-1) {
 				p.Scheduler(1)

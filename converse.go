@@ -53,11 +53,14 @@
 // share one OS process, exchanging intra-node messages by in-memory
 // pointer handoff instead of the wire.
 //
-// Collectives are topology-aware: Proc.Broadcast, Proc.Reduce (with a
-// Combiner registered machine-wide via RegisterCombiner) and
-// Proc.Barrier all run on one two-level spanning tree — binomial across
-// nodes, then a flat fan-out inside each node. The Send sentinels
-// BroadcastOthers/BroadcastAll delegate to the same tree.
+// Collectives are topology-aware: Proc.Broadcast, Proc.Reduce and
+// Proc.AllReduce (with a Combiner registered machine-wide via
+// RegisterCombiner) and Proc.Barrier (an AllReduce of empty
+// contributions) all run on one two-level spanning tree — binomial
+// across nodes, then a flat fan-out inside each node. The Send
+// sentinels BroadcastOthers/BroadcastAll and the language layers'
+// collectives (MPI, data-parallel, PVM, NX, SM barriers) delegate to the
+// same tree.
 //
 // # Quick start
 //

@@ -29,30 +29,12 @@ import "encoding/binary"
 // its own node, and delivers the user message locally.
 const treeHdr = 12
 
-// SyncBroadcastTree sends msg to every processor except this one, with
-// delivery fanning out along the two-level spanning tree rooted here
-// (CmiSyncBroadcast implemented "at a lower level ... for the sake of
-// efficiency"). Each recipient's handler receives its own copy and owns
-// it (no GrabBuffer needed). The caller may reuse msg on return.
-func (p *Proc) SyncBroadcastTree(msg []byte) {
-	p.checkSend(0, msg)
-	p.bcastTree(msg)
-}
-
-// SyncBroadcastTreeAll is SyncBroadcastTree including this processor:
-// the local copy is enqueued in the scheduler's queue.
-func (p *Proc) SyncBroadcastTreeAll(msg []byte) {
-	p.SyncBroadcastTree(msg)
-	local := make([]byte, len(msg))
-	copy(local, msg)
-	p.Enqueue(local)
-}
-
 // bcastTree ships msg to every PE except this one: inter-node envelopes
 // first (so wire transfers start before local work), then the intra-node
-// fan-out. All broadcast entry points — Broadcast, the Send sentinels,
-// AsyncBroadcast's progress arm, SyncBroadcastTree — funnel here; this
-// is the one fan-out implementation.
+// fan-out. All broadcast entry points — Broadcast, the Send sentinels
+// and the CmiSyncBroadcast family, AsyncBroadcast's progress arm, an
+// AllReduce's result — funnel here; this is the one fan-out
+// implementation ("at a lower level ... for the sake of efficiency").
 func (p *Proc) bcastTree(msg []byte) {
 	if p.NumPes() == 1 {
 		return
@@ -70,7 +52,7 @@ func (p *Proc) forwardTreeNodes(root, lo, hi int, user []byte) {
 	for hi-lo > 1 {
 		mid := (lo + hi + 1) / 2
 		dst := p.nodeFirst[(rootNode+mid)%nn]
-		env := NewMsg(p.treeBcastHandler, treeHdr+len(user))
+		env := p.allocMsg(p.treeBcastHandler, treeHdr+len(user))
 		pl := Payload(env)
 		binary.LittleEndian.PutUint32(pl[0:], uint32(root))
 		binary.LittleEndian.PutUint32(pl[4:], uint32(mid))
@@ -108,7 +90,7 @@ func onTreeBcast(p *Proc, msg []byte) {
 	user := pl[treeHdr:]
 	p.forwardTreeNodes(root, lo, hi, user)
 	p.fanOutNode(user)
-	own := make([]byte, len(user))
+	own := p.Alloc(len(user) - HeaderSize)
 	copy(own, user)
 	p.dispatch(own)
 }

@@ -22,7 +22,7 @@ func TestTreeBroadcastAllSizesAndRoots(t *testing.T) {
 			})
 			err := cm.Run(func(p *Proc) {
 				if p.MyPe() == root {
-					p.SyncBroadcastTree(MakeMsg(h, []byte("tree-payload")))
+					p.SyncBroadcast(MakeMsg(h, []byte("tree-payload")))
 					// The root serves forwarding traffic destined to
 					// others but never its own copy.
 					p.Scheduler(pes) // bounded: returns at idle
@@ -56,7 +56,7 @@ func TestTreeBroadcastAllIncludesSelf(t *testing.T) {
 	})
 	err := cm.Run(func(p *Proc) {
 		if p.MyPe() == 2 {
-			p.SyncBroadcastTreeAll(MakeMsg(h, nil))
+			p.SyncBroadcastAll(MakeMsg(h, nil))
 		}
 		p.Scheduler(-1)
 	})
@@ -92,7 +92,7 @@ func TestTreeBroadcastLogDepth(t *testing.T) {
 			if p.MyPe() == 0 {
 				msg := MakeMsg(h, make([]byte, 1024))
 				if tree {
-					p.SyncBroadcastTree(msg)
+					p.SyncBroadcast(msg)
 					p.Scheduler(pes)
 				} else {
 					// The pre-tree flat fan-out: one serial send per

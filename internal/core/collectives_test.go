@@ -221,3 +221,143 @@ func TestSendSentinelsUseTree(t *testing.T) {
 		}
 	}
 }
+
+// TestAllReduceDeliversEverywhere: an AllReduce's merged message is
+// dispatched exactly once on every PE, PE 0 included, whatever the node
+// map, and back-to-back AllReduces keep their results apart.
+func TestAllReduceDeliversEverywhere(t *testing.T) {
+	for _, sizes := range nodeMaps {
+		pes := pesOf(sizes)
+		const rounds = 3
+		cm := NewMachine(Config{PEs: pes, NodeSizes: sizes, Watchdog: 15 * time.Second})
+		sum := cm.RegisterCombiner(func(a, b []byte) []byte {
+			binary.LittleEndian.PutUint64(a, binary.LittleEndian.Uint64(a)+binary.LittleEndian.Uint64(b))
+			return a
+		})
+		got := make([][]uint64, pes)
+		h := cm.RegisterHandler(func(p *Proc, msg []byte) {
+			got[p.MyPe()] = append(got[p.MyPe()], binary.LittleEndian.Uint64(Payload(msg)))
+		})
+		err := cm.Run(func(p *Proc) {
+			for r := 0; r < rounds; r++ {
+				msg := NewMsg(h, 8)
+				binary.LittleEndian.PutUint64(Payload(msg), uint64((r+1)*(p.MyPe()+1)))
+				p.AllReduce(sum, msg, Transfer)
+			}
+			p.ServeUntil(func() bool { return len(got[p.MyPe()]) == rounds })
+		})
+		if err != nil {
+			t.Fatalf("sizes=%v: %v", sizes, err)
+		}
+		for pe, vals := range got {
+			for r, v := range vals {
+				if want := uint64((r + 1) * pes * (pes + 1) / 2); v != want {
+					t.Errorf("sizes=%v pe %d round %d: %d, want %d", sizes, pe, r, v, want)
+				}
+			}
+		}
+	}
+}
+
+// TestSpanTreeParentMatchesReduction: SpanTreeParent describes the tree
+// reductions merge along — every PE but 0 has a parent on a lower
+// numbered PE, non-representatives hang off their own node's first PE,
+// and following parents from any PE reaches PE 0.
+func TestSpanTreeParentMatchesReduction(t *testing.T) {
+	for _, sizes := range nodeMaps {
+		pes := pesOf(sizes)
+		cm := NewMachine(Config{PEs: pes, NodeSizes: sizes})
+		p := cm.Proc(0)
+		for pe := 0; pe < pes; pe++ {
+			par := p.SpanTreeParent(pe)
+			switch {
+			case pe == 0 && par != -1:
+				t.Errorf("sizes=%v: PE 0 has parent %d", sizes, par)
+			case pe != 0 && (par < 0 || par >= pe):
+				t.Errorf("sizes=%v: PE %d has parent %d", sizes, pe, par)
+			case pe != p.NodeFirstPE(p.NodeOf(pe)) && par != p.NodeFirstPE(p.NodeOf(pe)):
+				t.Errorf("sizes=%v: PE %d hangs off %d, not its node's first PE", sizes, pe, par)
+			}
+		}
+	}
+}
+
+// TestReduceAllReduceMixPanics: a Reduce on one PE meeting an AllReduce
+// on another at the same collective position is a call-order mismatch.
+func TestReduceAllReduceMixPanics(t *testing.T) {
+	cm := NewMachine(Config{PEs: 2, Watchdog: 5 * time.Second})
+	first := cm.RegisterCombiner(func(a, _ []byte) []byte { return a })
+	var done bool // PE 0 only
+	h := cm.RegisterHandler(func(*Proc, []byte) { done = true })
+	err := cm.Run(func(p *Proc) {
+		if p.MyPe() == 0 {
+			p.Reduce(first, NewMsg(h, 0), Transfer)
+			p.ServeUntil(func() bool { return done })
+			return
+		}
+		p.AllReduce(first, NewMsg(h, 0), Transfer)
+	})
+	if err == nil {
+		t.Fatal("mixed Reduce/AllReduce at one position did not error")
+	}
+}
+
+// TestReduceKeepsMergeWhenCombinerReturnsItsArgument: a combiner may
+// return the incoming payload, which belongs to a message the CMI
+// recycles after its handler. The merge must survive that buffer being
+// handed out again by the pool before the reduction completes. On three
+// flat PEs, PE 0 merges PE 1's contribution, reuses its pool, and only
+// then lets PE 2 contribute.
+func TestReduceKeepsMergeWhenCombinerReturnsItsArgument(t *testing.T) {
+	cm := NewMachine(Config{PEs: 3, Watchdog: 15 * time.Second})
+	larger := cm.RegisterCombiner(func(a, b []byte) []byte {
+		if b[0] > a[0] {
+			return b
+		}
+		return a
+	})
+	const size = 56 // big enough for the pool to recycle its envelope
+	var got byte
+	var done, sawPE1 bool // PE 0 only
+	var goAhead atomic.Bool
+	hDone := cm.RegisterHandler(func(p *Proc, msg []byte) { got, done = Payload(msg)[0], true })
+	hPE1 := cm.RegisterHandler(func(p *Proc, msg []byte) { sawPE1 = true })
+	hGo := cm.RegisterHandler(func(p *Proc, msg []byte) { goAhead.Store(true) })
+	err := cm.Run(func(p *Proc) {
+		contribute := func(v byte) {
+			msg := NewMsg(hDone, size)
+			Payload(msg)[0] = v
+			p.Reduce(larger, msg, Transfer)
+		}
+		switch p.MyPe() {
+		case 0:
+			contribute(1)
+			p.ServeUntil(func() bool { return sawPE1 })
+			var junk [][]byte
+			for i := 0; i < 4; i++ {
+				buf := p.Alloc(size)
+				for j := range buf {
+					buf[j] = 0xee
+				}
+				junk = append(junk, buf)
+			}
+			for _, buf := range junk {
+				p.recycle(buf)
+			}
+			p.SyncSend(2, NewMsg(hGo, 0))
+			p.ServeUntil(func() bool { return done })
+		case 1:
+			contribute(5)
+			p.SyncSend(0, NewMsg(hPE1, 0)) // after the contribution (FIFO)
+		case 2:
+			p.ServeUntil(goAhead.Load)
+			contribute(3)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != 5 {
+		t.Fatalf("reduced max = %#x, want 5", got)
+	}
+}

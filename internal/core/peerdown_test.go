@@ -73,12 +73,12 @@ func TestPeerDownMsgRoundTrip(t *testing.T) {
 // TestBuiltinHandlerIndicesAligned guards the machine-wide handler
 // alignment invariant: the first user-registered handler must get the
 // same index on every processor and on a fresh proc that index must be
-// 7 (tree bcast, pack, peer-down, doorbell, reduce, barrier root and
-// barrier release come first).
+// 6 (tree bcast, pack, peer-down, doorbell, reduce and barrier release
+// come first).
 func TestBuiltinHandlerIndicesAligned(t *testing.T) {
 	cm := NewMachine(Config{PEs: 3})
 	idx := cm.RegisterHandler(func(*Proc, []byte) {})
-	if idx != 7 {
-		t.Fatalf("first user handler index = %d, want 7 (after the seven built-ins)", idx)
+	if idx != 6 {
+		t.Fatalf("first user handler index = %d, want 6 (after the six built-ins)", idx)
 	}
 }

@@ -94,6 +94,14 @@ func (p *Proc) Alloc(payloadLen int) []byte {
 	return msg
 }
 
+// allocMsg is Alloc with the handler set, for messages the runtime
+// builds itself. Unlike NewMsg's, the payload is not zeroed.
+func (p *Proc) allocMsg(handler, payloadLen int) []byte {
+	msg := p.Alloc(payloadLen)
+	SetHandler(msg, handler)
+	return msg
+}
+
 // recycle returns a buffer to the pool, dropping it when its class is
 // full or it is too small to ever serve an allocation.
 //

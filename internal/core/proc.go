@@ -140,16 +140,17 @@ type Proc struct {
 
 	// Collective state (reduce.go): the built-in reduction and barrier
 	// handlers, the combiner registry, in-flight reductions keyed by
-	// sequence number, and the barrier release watermark.
-	reduceHandler  int
-	barRootHandler int
-	barRelHandler  int
-	combiners      []Combiner
-	reds           map[uint64]*reduction
-	redSeq         uint64
-	barCombiner    int
-	barSeq         uint64
-	barDone        uint64
+	// sequence number and completed ones kept for reuse, and the barrier
+	// release watermark.
+	reduceHandler int
+	barHandler    int
+	combiners     []Combiner
+	reds          map[uint64]*reduction
+	redFree       []*reduction
+	redSeq        uint64
+	barCombiner   int
+	barSeq        uint64
+	barDone       uint64
 
 	// peerDownHandler is the built-in peer-death declaration handler
 	// (peerdown.go); deadPEs and peerDownFns are its processor-local
@@ -196,8 +197,7 @@ func newProc(pe Substrate, co CoalesceConfig) *Proc {
 	p.peerDownHandler = p.RegisterHandler(onPeerDown)
 	p.bellHandler = p.RegisterHandler(onDoorbell)
 	p.reduceHandler = p.RegisterHandler(onReduce)
-	p.barRootHandler = p.RegisterHandler(onBarrierRoot)
-	p.barRelHandler = p.RegisterHandler(onBarrierRelease)
+	p.barHandler = p.RegisterHandler(onBarrier)
 	p.barCombiner = p.RegisterCombiner(func(acc, _ []byte) []byte { return acc })
 	p.bell.done = make(chan struct{}, 1)
 	// Cache the node→first-PE map; the topology is immutable.

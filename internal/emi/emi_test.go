@@ -638,23 +638,110 @@ func TestMulticastByNonMember(t *testing.T) {
 }
 
 func TestAllGroupTopology(t *testing.T) {
-	cm := newMachine(7)
+	for _, tc := range []struct {
+		sizes   []int
+		pes     int
+		parents []int // SpanTreeParent of every PE
+	}{
+		// Flat: the binomial tree over PEs (0 → 4, 2, 1; 4 → 6, 5; 2 → 3).
+		{nil, 7, []int{-1, 0, 0, 2, 0, 4, 4}},
+		// 4 nodes × 2 PEs: members hang off their representative, and the
+		// representatives 0, 2, 4, 6 form the binomial tree over nodes.
+		{[]int{2, 2, 2, 2}, 8, []int{-1, 0, 0, 2, 0, 4, 4, 6}},
+	} {
+		cm := core.NewMachine(core.Config{PEs: tc.pes, NodeSizes: tc.sizes, Watchdog: 10 * time.Second})
+		err := cm.Run(func(p *core.Proc) {
+			s := Init(p)
+			g := s.AllGroup()
+			if g.Size() != tc.pes || g.RootPE() != 0 || g.ID != 1 {
+				t.Errorf("sizes=%v: AllGroup size=%d root=%d id=%d", tc.sizes, g.Size(), g.RootPE(), g.ID)
+			}
+			for pe, want := range tc.parents {
+				if got := g.Parent(pe); got != want || p.SpanTreeParent(pe) != want {
+					t.Errorf("sizes=%v: Parent(%d) = %d, SpanTreeParent = %d, want %d", tc.sizes, pe, got, p.SpanTreeParent(pe), want)
+				}
+			}
+			if s.AllGroup() != g {
+				t.Error("AllGroup rebuilt the descriptor")
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+func TestAllGroupRejectsAddChildren(t *testing.T) {
+	cm := newMachine(2)
 	err := cm.Run(func(p *core.Proc) {
 		s := Init(p)
-		g := s.AllGroup()
-		if g.Size() != 7 || g.RootPE() != 0 {
-			t.Errorf("AllGroup size=%d root=%d", g.Size(), g.RootPE())
+		if p.MyPe() == 0 {
+			s.AddChildren(s.AllGroup(), 0, []int{5})
 		}
-		if g.Parent(5) != 2 || g.Parent(1) != 0 {
-			t.Error("AllGroup parents wrong")
+	})
+	if err == nil {
+		t.Fatal("AddChildren on AllGroup did not error")
+	}
+}
+
+// TestAllReduceEverywhere: AllReduce returns the merged value on every
+// member, both on an explicit group's own tree and on AllGroup over
+// several node maps, for successive calls with different operators.
+func TestAllReduceEverywhere(t *testing.T) {
+	const pes = 8
+	for _, sizes := range [][]int{nil, {1, 3, 4}, {2, 2, 2, 2}} {
+		cm := core.NewMachine(core.Config{PEs: pes, NodeSizes: sizes, Watchdog: 10 * time.Second})
+		err := cm.Run(func(p *core.Proc) {
+			s := Init(p)
+			me := int64(p.MyPe())
+			for _, g := range []*Pgrp{s.AllGroup(), fullBinaryTreeGroup(s, pes)} {
+				for round := int64(0); round < 3; round++ {
+					if got, want := s.AllReduce(g, me+round, OpSum), int64(pes*(pes-1)/2)+round*int64(pes); got != want {
+						t.Errorf("sizes=%v group %d round %d: sum = %d, want %d", sizes, g.ID, round, got, want)
+					}
+					if got := s.AllReduce(g, me*round, OpMax); got != int64(pes-1)*round {
+						t.Errorf("sizes=%v group %d round %d: max = %d", sizes, g.ID, round, got)
+					}
+				}
+				if got := s.AllReduceFloat(g, 0.5*float64(me), OpFMin); got != 0 {
+					t.Errorf("sizes=%v group %d: float min = %v", sizes, g.ID, got)
+				}
+				s.Barrier(g)
+			}
+		})
+		if err != nil {
+			t.Fatalf("sizes=%v: %v", sizes, err)
 		}
-		// Identical construction everywhere.
-		if g.ID != 1 {
-			t.Errorf("AllGroup id = %d", g.ID)
+	}
+}
+
+func TestAllGroupMulticast(t *testing.T) {
+	const pes = 6
+	cm := core.NewMachine(core.Config{PEs: pes, NodeSizes: []int{3, 3}, Watchdog: 10 * time.Second})
+	recv := make([]atomic.Int32, pes)
+	h := cm.RegisterHandler(func(p *core.Proc, msg []byte) {
+		recv[p.MyPe()].Add(int32(core.Payload(msg)[0]))
+		p.ExitScheduler()
+	})
+	err := cm.Run(func(p *core.Proc) {
+		s := Init(p)
+		if p.MyPe() == 4 {
+			s.Multicast(s.AllGroup(), core.MakeMsg(h, []byte{7}))
+			return
 		}
+		p.Scheduler(-1)
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for pe := range recv {
+		want := int32(7)
+		if pe == 4 {
+			want = 0
+		}
+		if got := recv[pe].Load(); got != want {
+			t.Errorf("pe %d received %d, want %d", pe, got, want)
+		}
 	}
 }
 

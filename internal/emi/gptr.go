@@ -58,12 +58,17 @@ type State struct {
 
 	hGetReq, hGetReply, hPutReq, hPutAck int
 
-	// group communication (pgroup.go)
+	// group communication (pgroup.go): explicit groups' tree engine,
+	// and AllGroup's view over the core engine
 	hMcast, hReduce, hRelease int
 	reductions                map[redKey]*redState
 	seqs                      map[uint64]uint32
-	released                  map[redKey]bool
+	released                  map[redKey]int64
 	nextGrp                   uint32
+	all                       *Pgrp
+	hAllDone, opComb          int
+	allCalls, allDone         uint64
+	allVal                    int64
 }
 
 // extKey locates the EMI state in a Proc.
@@ -86,7 +91,7 @@ func Init(p *core.Proc) *State {
 		pending:    make(map[uint32]*Handle),
 		reductions: make(map[redKey]*redState),
 		seqs:       make(map[uint64]uint32),
-		released:   make(map[redKey]bool),
+		released:   make(map[redKey]int64),
 	}
 	s.hGetReq = p.RegisterHandler(s.onGetReq)
 	s.hGetReply = p.RegisterHandler(s.onGetReply)
@@ -95,6 +100,8 @@ func Init(p *core.Proc) *State {
 	s.hMcast = p.RegisterHandler(s.onMcast)
 	s.hReduce = p.RegisterHandler(s.onReduce)
 	s.hRelease = p.RegisterHandler(s.onRelease)
+	s.hAllDone = p.RegisterHandler(s.onAllDone)
+	s.opComb = p.RegisterCombiner(combineOp)
 	p.SetExt(extKey, s)
 	return s
 }

@@ -18,11 +18,14 @@ import (
 // value that can be encoded into messages, so any processor holding it
 // can query the topology or initiate group operations (the multicast
 // carries the descriptor along the tree, so members need no prior
-// registration).
+// registration). The machine-wide group (AllGroup) is instead a view
+// over the core's collective engine: its operations run on the core's
+// two-level spanning tree.
 type Pgrp struct {
 	ID      uint64
 	members []int32 // members[0] is the root
 	parent  []int32 // index into members of each member's parent; -1 at root
+	machine bool    // AllGroup's view: operations run on the core engine
 }
 
 // NewPgrp creates a processor group with the calling processor as root
@@ -37,21 +40,25 @@ func (s *State) NewPgrp() *Pgrp {
 }
 
 // AllGroup returns the machine-wide processor group: every processor,
-// arranged as a binary spanning tree rooted at 0 (member i's parent is
-// (i-1)/2). Each processor constructs the descriptor locally and they
-// are identical everywhere, so AllGroup-based collectives need no setup
-// communication. The group id 1 is reserved for it.
+// arranged as the core's two-level spanning tree rooted at PE 0 (member
+// i's parent is Proc.SpanTreeParent(i)). It is a view over the core
+// collective engine: Multicast, Reduce, AllReduce and Barrier on it are
+// core Broadcast and AllReduce calls, which follow the node topology.
+// The descriptor is built once per processor and is identical
+// everywhere, so AllGroup-based collectives need no setup
+// communication; it cannot be extended with AddChildren. The group id 1
+// is reserved for it.
 func (s *State) AllGroup() *Pgrp {
-	g := &Pgrp{ID: 1}
-	for i := 0; i < s.p.NumPes(); i++ {
-		g.members = append(g.members, int32(i))
-		if i == 0 {
-			g.parent = append(g.parent, -1)
-		} else {
-			g.parent = append(g.parent, int32((i-1)/2))
+	if s.all == nil {
+		n := s.p.NumPes()
+		g := &Pgrp{ID: 1, members: make([]int32, n), parent: make([]int32, n), machine: true}
+		for pe := range n {
+			g.members[pe] = int32(pe)
+			g.parent[pe] = int32(s.p.SpanTreeParent(pe))
 		}
+		s.all = g
 	}
-	return g
+	return s.all
 }
 
 // AddChildren adds the processors in procs to the group as children of
@@ -61,6 +68,9 @@ func (s *State) AllGroup() *Pgrp {
 func (s *State) AddChildren(g *Pgrp, penum int, procs []int) {
 	if s.p.MyPe() != g.RootPE() {
 		panic(fmt.Sprintf("emi: pe %d: AddChildren called by non-root (root is %d)", s.p.MyPe(), g.RootPE()))
+	}
+	if g.machine {
+		panic("emi: AddChildren on the machine-wide group")
 	}
 	pi := g.index(penum)
 	for _, pe := range procs {
@@ -134,7 +144,8 @@ func (g *Pgrp) index(pe int) int {
 	panic(fmt.Sprintf("emi: pe %d is not a member of group %d", pe, g.ID))
 }
 
-// Encode serializes the group descriptor.
+// Encode serializes the group descriptor. An encoded AllGroup decodes
+// as an ordinary group with the same tree.
 func (g *Pgrp) Encode() []byte {
 	buf := make([]byte, 12+8*len(g.members))
 	binary.LittleEndian.PutUint64(buf[0:], g.ID)
@@ -167,10 +178,15 @@ func DecodePgrp(buf []byte) (*Pgrp, int) {
 // not belong to the group). Delivery forwards along the group's spanning
 // tree, each member handing copies to its children before invoking the
 // message's handler locally. Each recipient's handler receives its own
-// copy of msg and owns it (no GrabBuffer needed).
+// copy of msg and owns it (no GrabBuffer needed). On AllGroup it is a
+// core Broadcast excluding the caller.
 func (s *State) Multicast(g *Pgrp, msg []byte) {
 	if len(msg) < core.HeaderSize {
 		panic("emi: Multicast of message smaller than the header")
+	}
+	if g.machine {
+		s.p.Broadcast(msg, core.ExcludeSelf)
+		return
 	}
 	wrapped := s.wrapMcast(g, msg)
 	s.p.SyncSendAndFree(g.RootPE(), wrapped)
@@ -277,11 +293,18 @@ type redState struct {
 // the same group) with its contribution. Contributions combine up the
 // tree; at the root, Reduce returns (result, true); at other members it
 // returns as soon as the subtree value has been sent up, with ok=false.
-// While waiting for children, incoming messages are served.
+// While waiting for children, incoming messages are served. On AllGroup
+// it is an AllReduce whose result only the root reports.
 func (s *State) Reduce(g *Pgrp, contrib int64, op ReduceOp) (result int64, ok bool) {
 	me := s.p.MyPe()
 	if !g.Contains(me) {
 		panic(fmt.Sprintf("emi: pe %d: Reduce on a group it does not belong to", me))
+	}
+	if g.machine {
+		if r := s.AllReduce(g, contrib, op); me == g.RootPE() {
+			return r, true
+		}
+		return 0, false
 	}
 	s.seqs[g.ID]++
 	key := redKey{grp: g.ID, seq: s.seqs[g.ID]}
@@ -307,11 +330,15 @@ func (s *State) Reduce(g *Pgrp, contrib int64, op ReduceOp) (result int64, ok bo
 // ReduceFloat is Reduce over float64 contributions; op must be one of
 // the F-prefixed operators.
 func (s *State) ReduceFloat(g *Pgrp, contrib float64, op ReduceOp) (result float64, ok bool) {
-	if op != OpFSum && op != OpFMax && op != OpFMin {
-		panic(fmt.Sprintf("emi: ReduceFloat with non-float op %d", op))
-	}
+	checkFloatOp(op)
 	r, isRoot := s.Reduce(g, int64(math.Float64bits(contrib)), op)
 	return math.Float64frombits(uint64(r)), isRoot
+}
+
+func checkFloatOp(op ReduceOp) {
+	if op != OpFSum && op != OpFMax && op != OpFMin {
+		panic(fmt.Sprintf("emi: float reduction with non-float op %d", op))
+	}
 }
 
 // red returns (creating if needed) the reduction state for key.
@@ -349,41 +376,83 @@ func (s *State) onReduce(p *core.Proc, msg []byte) {
 	s.contribute(st, v)
 }
 
-// --- group barrier ---
+// --- all-reduce and barrier ---
 
-// Barrier blocks until every member of the group has called it: a
-// reduction up the tree followed by a release multicast down it (a
-// spanning-tree "global operation" in the paper's terms). All members,
-// including the root, serve incoming messages while blocked.
-func (s *State) Barrier(g *Pgrp) {
-	key := redKey{grp: g.ID, seq: s.seqs[g.ID] + 1} // the sequence Reduce will use
-	if _, root := s.Reduce(g, 0, OpSum); root {
-		// Everyone has arrived: release down the tree.
-		s.releaseChildren(g, key)
-		return
+// AllReduce is Reduce with the result returned on every member: the
+// root sends it back down the group's tree. On AllGroup it is one core
+// AllReduce over the two-level tree. Every member must call it.
+func (s *State) AllReduce(g *Pgrp, contrib int64, op ReduceOp) int64 {
+	if g.machine {
+		return s.machineAllReduce(contrib, op)
 	}
-	s.p.ServeUntil(func() bool { return s.released[key] })
-	delete(s.released, key)
-	s.releaseChildren(g, key)
-}
-
-// releaseChildren forwards the barrier release to this member's
-// children.
-func (s *State) releaseChildren(g *Pgrp, key redKey) {
+	key := redKey{grp: g.ID, seq: s.seqs[g.ID] + 1} // the sequence Reduce will use
+	r, root := s.Reduce(g, contrib, op)
+	if !root {
+		s.p.ServeUntil(func() bool { _, ok := s.released[key]; return ok })
+		r = s.released[key]
+		delete(s.released, key)
+	}
 	for _, child := range g.Children(s.p.MyPe()) {
-		rel := core.NewMsg(s.hRelease, 12)
+		rel := core.NewMsg(s.hRelease, 20)
 		pl := core.Payload(rel)
 		binary.LittleEndian.PutUint64(pl[0:], key.grp)
 		binary.LittleEndian.PutUint32(pl[8:], key.seq)
+		binary.LittleEndian.PutUint64(pl[12:], uint64(r))
 		s.p.SyncSendAndFree(child, rel)
 	}
+	return r
 }
 
+// AllReduceFloat is AllReduce over float64 contributions; op must be one
+// of the F-prefixed operators.
+func (s *State) AllReduceFloat(g *Pgrp, contrib float64, op ReduceOp) float64 {
+	checkFloatOp(op)
+	return math.Float64frombits(uint64(s.AllReduce(g, int64(math.Float64bits(contrib)), op)))
+}
+
+// onRelease records a result travelling down an explicit group's tree.
 func (s *State) onRelease(p *core.Proc, msg []byte) {
 	pl := core.Payload(msg)
 	key := redKey{
 		grp: binary.LittleEndian.Uint64(pl[0:]),
 		seq: binary.LittleEndian.Uint32(pl[8:]),
 	}
-	s.released[key] = true
+	s.released[key] = int64(binary.LittleEndian.Uint64(pl[12:]))
 }
+
+// machineAllReduce is AllReduce on AllGroup: one core AllReduce of an
+// [op u8][value u64] payload merged by combineOp, served until the
+// result is back. A processor has at most one in flight — it blocks
+// until its result arrives, and no result completes without its
+// contribution — so results arrive in call order and a counter
+// identifies them.
+func (s *State) machineAllReduce(v int64, op ReduceOp) int64 {
+	msg := s.p.Alloc(9)
+	core.SetHandler(msg, s.hAllDone)
+	pl := core.Payload(msg)
+	pl[0] = byte(op)
+	binary.LittleEndian.PutUint64(pl[1:], uint64(v))
+	s.allCalls++
+	want := s.allCalls
+	s.p.AllReduce(s.opComb, msg, core.Transfer)
+	s.p.ServeUntil(func() bool { return s.allDone == want })
+	return s.allVal
+}
+
+func (s *State) onAllDone(p *core.Proc, msg []byte) {
+	s.allVal = int64(binary.LittleEndian.Uint64(core.Payload(msg)[1:]))
+	s.allDone++
+}
+
+// combineOp is the core combiner behind machineAllReduce.
+func combineOp(a, b []byte) []byte {
+	x, y := int64(binary.LittleEndian.Uint64(a[1:])), int64(binary.LittleEndian.Uint64(b[1:]))
+	binary.LittleEndian.PutUint64(a[1:], uint64(ReduceOp(a[0]).apply(x, y)))
+	return a
+}
+
+// Barrier blocks until every member of the group has called it: an
+// AllReduce whose result is ignored (a spanning-tree "global operation"
+// in the paper's terms). All members serve incoming messages while
+// blocked.
+func (s *State) Barrier(g *Pgrp) { s.AllReduce(g, 0, OpSum) }

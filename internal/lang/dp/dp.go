@@ -4,11 +4,12 @@
 // parallel language), PVM, NXLib, and SM").
 //
 // The model is classic SPMD data parallelism: block-distributed vectors
-// with elementwise operations, global reductions (through the EMI's
-// spanning-tree reduction), cyclic shifts (halo exchange with ring
-// neighbors), broadcasts and gathers. All operations on distributed
-// vectors are collective: every processor calls them in the same order,
-// loosely synchronously — the explicit control regime of §2.2.
+// with elementwise operations, global reductions and broadcasts (on the
+// core's two-level spanning tree, through the EMI's machine-wide group),
+// cyclic shifts (halo exchange with ring neighbors) and gathers. All
+// operations on distributed vectors are collective: every processor
+// calls them in the same order, loosely synchronously — the explicit
+// control regime of §2.2.
 package dp
 
 import (
@@ -57,11 +58,16 @@ func (d *DP) Proc() *core.Proc { return d.p }
 
 // send ships a tagged data block to another processor's DP runtime.
 func (d *DP) send(dst, tag int, data []byte) {
+	d.p.SyncSendAndFree(dst, d.message(tag, data))
+}
+
+// message builds a DP message carrying data under tag.
+func (d *DP) message(tag int, data []byte) []byte {
 	msg := core.NewMsg(d.h, 4+len(data))
 	pl := core.Payload(msg)
 	binary.LittleEndian.PutUint32(pl, uint32(tag))
 	copy(pl[4:], data)
-	d.p.SyncSendAndFree(dst, msg)
+	return msg
 }
 
 // recv blocks (SPM-style) for a tagged block.
@@ -200,46 +206,30 @@ func (v *Vector) reduceAll(op emi.ReduceOp, id float64) float64 {
 	return v.dp.allReduce(acc, op)
 }
 
-// allReduce reduces contrib across all processors and broadcasts the
-// result back down, returning it everywhere. Collective.
+// allReduce reduces contrib across all processors, returning the
+// result everywhere: one core AllReduce. Collective.
 func (d *DP) allReduce(contrib float64, op emi.ReduceOp) float64 {
-	d.seq++
-	tag := 1<<28 + d.seq
-	r, isRoot := d.s.ReduceFloat(d.all, contrib, op)
-	if isRoot {
-		bits := make([]byte, 8)
-		binary.LittleEndian.PutUint64(bits, math.Float64bits(r))
-		for _, child := range d.all.Children(d.p.MyPe()) {
-			d.send(child, tag, bits)
-		}
-		return r
-	}
-	bits := d.recv(tag)
-	val := math.Float64frombits(binary.LittleEndian.Uint64(bits))
-	for _, child := range d.all.Children(d.p.MyPe()) {
-		d.send(child, tag, bits)
-	}
-	return val
+	return d.s.AllReduceFloat(d.all, contrib, op)
 }
 
 // BroadcastScalar distributes x from the root processor to everyone;
-// non-roots pass any value. Collective.
+// non-roots pass any value. Collective: PE 0 sends one tagged block
+// through the core Broadcast, and the others serve the scheduler —
+// relaying the tree's envelopes — until their copy is parked.
 func (d *DP) BroadcastScalar(x float64) float64 {
 	d.seq++
 	tag := 1<<27 + d.seq
 	if d.p.MyPe() == 0 {
 		bits := make([]byte, 8)
 		binary.LittleEndian.PutUint64(bits, math.Float64bits(x))
-		for _, child := range d.all.Children(0) {
-			d.send(child, tag, bits)
-		}
+		d.p.Broadcast(d.message(tag, bits), core.ExcludeSelf, core.Transfer)
 		return x
 	}
-	bits := d.recv(tag)
-	for _, child := range d.all.Children(d.p.MyPe()) {
-		d.send(child, tag, bits)
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(bits))
+	d.p.ServeUntil(func() bool {
+		_, _, ok := d.mm.Probe(tag)
+		return ok
+	})
+	return math.Float64frombits(binary.LittleEndian.Uint64(d.recv(tag)))
 }
 
 // Shift returns a new vector w with w_i = v_{(i+k+n) mod n} — a cyclic

@@ -210,3 +210,32 @@ func TestHeatDiffusion(t *testing.T) {
 		}
 	})
 }
+
+// TestReductionsAndBroadcastOnNodeMaps: the global reductions and the
+// scalar broadcast give the same answers on every processor whatever
+// the node map, interleaved with a halo shift's point-to-point traffic.
+func TestReductionsAndBroadcastOnNodeMaps(t *testing.T) {
+	for _, sizes := range [][]int{{1, 3, 4}, {2, 2, 2, 2}, {8}} {
+		cm := core.NewMachine(core.Config{PEs: 8, NodeSizes: sizes, Watchdog: 20 * time.Second})
+		err := cm.Run(func(p *core.Proc) {
+			d := Attach(p)
+			v := d.NewVector(29, func(i int) float64 { return float64(i + 1) })
+			for round := 0; round < 3; round++ {
+				if s := v.Sum(); s != 29*30/2 {
+					t.Errorf("sizes=%v pe %d: Sum = %v", sizes, p.MyPe(), s)
+				}
+				if m := v.Max(); m != 29 {
+					t.Errorf("sizes=%v pe %d: Max = %v", sizes, p.MyPe(), m)
+				}
+				x := d.BroadcastScalar(float64(round) + 0.5*float64(p.MyPe()))
+				if x != float64(round) {
+					t.Errorf("sizes=%v pe %d: broadcast = %v, want %d", sizes, p.MyPe(), x, round)
+				}
+				v = v.Shift(1)
+			}
+		})
+		if err != nil {
+			t.Fatalf("sizes=%v: %v", sizes, err)
+		}
+	}
+}

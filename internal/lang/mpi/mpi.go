@@ -9,8 +9,11 @@
 // wildcards, a Status result, ordered delivery between pairs (inherited
 // from the substrate's non-overtaking links plus FIFO parking), probes,
 // Sendrecv, and the core collectives — Barrier, Bcast, Reduce,
-// Allreduce, Gather — built on the EMI's spanning-tree processor groups.
-// Like PVM and NX it is a single-process-module layer (§2.1).
+// Allreduce, Gather. Barrier, Bcast, Reduce and Allreduce run on the
+// core's two-level spanning tree (directly, or through the EMI's
+// machine-wide group), so they follow the node topology. Like PVM and NX
+// it is a single-process-module layer (§2.1), except that collectives
+// serve the scheduler while they wait, as every core collective does.
 package mpi
 
 import (
@@ -93,12 +96,17 @@ func (m *MPI) Send(data []byte, dst, tag int) {
 }
 
 func (m *MPI) send(data []byte, dst, tag int) {
+	m.p.SyncSendAndFree(dst, m.message(data, tag))
+}
+
+// message builds an MPI message carrying data under tag from this rank.
+func (m *MPI) message(data []byte, tag int) []byte {
 	msg := core.NewMsg(m.h, mpiHeader+len(data))
 	pl := core.Payload(msg)
 	binary.LittleEndian.PutUint32(pl[0:], uint32(tag))
 	binary.LittleEndian.PutUint32(pl[4:], uint32(m.Rank()))
 	copy(pl[mpiHeader:], data)
-	m.p.SyncSendAndFree(dst, msg)
+	return msg
 }
 
 // Recv blocks until a message matching (src, tag) — either may be a
@@ -178,99 +186,46 @@ func (m *MPI) drain() {
 	}
 }
 
-// --- collectives (spanning-tree, via the EMI group machinery) ---
+// --- collectives (the core's two-level spanning tree) ---
 
-// Barrier blocks until every rank has entered it (MPI_Barrier).
-func (m *MPI) Barrier() { m.s.Barrier(m.all) }
+// Barrier blocks until every rank has entered it (MPI_Barrier): the
+// core Barrier.
+func (m *MPI) Barrier() { m.p.Barrier() }
 
 // Bcast distributes buf from the root to every rank: the root's buf is
 // sent, others' buf is filled (MPI_Bcast). All ranks pass buffers of
-// the same length.
+// the same length. The root sends one collective-tagged message through
+// the core Broadcast; the others serve the scheduler — relaying the
+// tree's envelopes — until their copy is parked, then receive it.
 func (m *MPI) Bcast(buf []byte, root int) {
 	m.seq++
 	tag := collTagBase + m.seq
 	if m.Rank() == root {
-		// Tree fan-out rooted at the broadcast root: recursive halving
-		// over ranks rotated so the root is rank 0.
-		m.fanout(buf, root, 0, m.Size(), tag)
+		m.p.Broadcast(m.message(buf, tag), core.ExcludeSelf, core.Transfer)
 		return
 	}
-	m.recvColl(buf, tag)
-}
-
-// fanout ships halves of the rotated rank range [lo,hi) onward.
-func (m *MPI) fanout(buf []byte, root, lo, hi, tag int) {
-	for hi-lo > 1 {
-		mid := (lo + hi + 1) / 2
-		dst := (root + mid) % m.Size()
-		// Prefix the payload with the subrange for further forwarding.
-		env := make([]byte, 8+len(buf))
-		binary.LittleEndian.PutUint32(env[0:], uint32(mid))
-		binary.LittleEndian.PutUint32(env[4:], uint32(hi))
-		copy(env[8:], buf)
-		m.send(env, dst, tag)
-		hi = mid
-	}
-}
-
-// recvColl receives a fan-out envelope, forwards its subranges, and
-// copies the payload into buf.
-func (m *MPI) recvColl(buf []byte, tag int) {
-	tmp := make([]byte, 8+len(buf))
-	st := m.Recv(tmp, AnySource, tag)
-	lo := int(binary.LittleEndian.Uint32(tmp[0:]))
-	hi := int(binary.LittleEndian.Uint32(tmp[4:]))
-	payload := tmp[8:st.Count]
-	// Determine the root from the sender and our rotated position:
-	// root = (rank - lo) mod size.
-	root := ((m.Rank()-lo)%m.Size() + m.Size()) % m.Size()
-	m.fanout(payload, root, lo, hi, tag)
-	copy(buf, payload)
+	m.p.ServeUntil(func() bool {
+		_, _, _, ok := m.mm.Probe2(tag, AnySource)
+		return ok
+	})
+	m.Recv(buf, AnySource, tag)
 }
 
 // Reduce combines every rank's contribution with op, delivering the
 // result at the requested root; other ranks get 0 (MPI_Reduce over
-// int64). Every rank must call it. If root is not the group tree's
-// root, the result is relayed there with a collective-tagged message.
+// int64). Every rank must call it. It is an Allreduce whose result only
+// the root keeps.
 func (m *MPI) Reduce(contrib int64, op emi.ReduceOp, root int) int64 {
-	r, isRoot := m.s.Reduce(m.all, contrib, op)
-	treeRoot := m.all.RootPE()
-	if root == treeRoot {
-		if isRoot {
-			return r
-		}
-		return 0
-	}
-	m.seq++
-	tag := collTagBase + m.seq
-	if isRoot {
-		out := make([]byte, 8)
-		binary.LittleEndian.PutUint64(out, uint64(r))
-		m.send(out, root, tag)
-		return 0
-	}
-	if m.Rank() == root {
-		buf := make([]byte, 8)
-		m.Recv(buf, AnySource, tag)
-		return int64(binary.LittleEndian.Uint64(buf))
+	if r := m.Allreduce(contrib, op); m.Rank() == root {
+		return r
 	}
 	return 0
 }
 
 // Allreduce combines every rank's contribution and returns the result
-// on every rank (MPI_Allreduce over int64).
+// on every rank (MPI_Allreduce over int64): one core AllReduce.
 func (m *MPI) Allreduce(contrib int64, op emi.ReduceOp) int64 {
-	r, isRoot := m.s.Reduce(m.all, contrib, op)
-	out := make([]byte, 8)
-	m.seq++
-	tag := collTagBase + m.seq
-	if isRoot {
-		binary.LittleEndian.PutUint64(out, uint64(r))
-		m.fanout(out, 0, 0, m.Size(), tag)
-		return r
-	}
-	m.recvColl(out, tag)
-	return int64(binary.LittleEndian.Uint64(out))
+	return m.s.AllReduce(m.all, contrib, op)
 }
 
 // Gather collects every rank's fixed-size block at the root, ordered by

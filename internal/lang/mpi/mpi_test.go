@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"converse/internal/core"
+	"converse/internal/emi"
+	"converse/internal/metrics"
 )
 
 func newMachine(pes int) *core.Machine {
@@ -290,5 +292,87 @@ func TestBadTagPanics(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("negative tag did not error")
+	}
+}
+
+// interNodeMsgs runs op once on every rank of an 8-PE machine laid out
+// as 4 nodes × 2 PEs and counts the messages that crossed between nodes.
+func interNodeMsgs(t *testing.T, op func(m *MPI)) uint64 {
+	t.Helper()
+	const pes, ppn = 8, 2
+	reg := metrics.New(pes)
+	cm := core.NewMachine(core.Config{PEs: pes, NodeSizes: []int{ppn, ppn, ppn, ppn}, Metrics: reg, Watchdog: 15 * time.Second})
+	if err := cm.Run(func(p *core.Proc) { op(Attach(p)) }); err != nil {
+		t.Fatal(err)
+	}
+	var n uint64
+	for _, pe := range reg.Snapshot().PEs {
+		for dst, c := range pe.SentMsgs {
+			if dst/ppn != pe.PE/ppn {
+				n += c
+			}
+		}
+	}
+	return n
+}
+
+// TestCollectivesFollowNodeTopology: the collectives ride the core's
+// two-level tree, so on 4 nodes each crosses an inter-node link once per
+// direction it needs — 3 wire messages to fan out, 3 to merge — however
+// many PEs share a node.
+func TestCollectivesFollowNodeTopology(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		op   func(m *MPI)
+		want uint64
+	}{
+		{"Barrier", func(m *MPI) { m.Barrier() }, 6},
+		{"Allreduce", func(m *MPI) {
+			if got := m.Allreduce(int64(m.Rank()), OpMax); got != 7 {
+				t.Errorf("rank %d: Allreduce max = %d", m.Rank(), got)
+			}
+		}, 6},
+		{"Reduce", func(m *MPI) { m.Reduce(1, OpSum, 5) }, 6},
+		{"Bcast from a node representative", func(m *MPI) { m.Bcast(make([]byte, 16), 0) }, 3},
+		{"Bcast from a non-representative", func(m *MPI) { m.Bcast(make([]byte, 16), 5) }, 3},
+	} {
+		if got := interNodeMsgs(t, tc.op); got != tc.want {
+			t.Errorf("%s: %d inter-node messages, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestCollectivesOnNodeMaps: Bcast from every root and Allreduce with
+// every operator give the closed-form answer on every rank, whatever the
+// node map.
+func TestCollectivesOnNodeMaps(t *testing.T) {
+	for _, sizes := range [][]int{nil, {1, 3, 4}, {2, 2, 2, 2}, {8}} {
+		const pes = 8
+		cm := core.NewMachine(core.Config{PEs: pes, NodeSizes: sizes, Watchdog: 15 * time.Second})
+		err := cm.Run(func(p *core.Proc) {
+			m := Attach(p)
+			for root := 0; root < pes; root++ {
+				buf := make([]byte, 4)
+				if m.Rank() == root {
+					copy(buf, []byte{byte(root), 1, 2, 3})
+				}
+				m.Bcast(buf, root)
+				if !bytes.Equal(buf, []byte{byte(root), 1, 2, 3}) {
+					t.Errorf("sizes=%v root=%d rank=%d: Bcast gave %v", sizes, root, m.Rank(), buf)
+				}
+			}
+			v := int64(m.Rank() + 1)
+			for _, tc := range []struct {
+				op   emi.ReduceOp
+				want int64
+			}{{OpSum, 36}, {OpMax, 8}, {OpMin, 1}, {OpProd, 40320}} {
+				if got := m.Allreduce(v, tc.op); got != tc.want {
+					t.Errorf("sizes=%v rank=%d op %d: Allreduce = %d, want %d", sizes, m.Rank(), tc.op, got, tc.want)
+				}
+			}
+		})
+		if err != nil {
+			t.Fatalf("sizes=%v: %v", sizes, err)
+		}
 	}
 }

@@ -31,8 +31,7 @@ type NX struct {
 	// last-received message info (infotype/infocount/infonode)
 	lastType, lastCount, lastNode int
 
-	pending  []*Recv
-	gsyncSeq int
+	pending []*Recv
 }
 
 // Recv is a posted asynchronous receive (irecv), completed by Wait.
@@ -70,7 +69,10 @@ func Attach(p *core.Proc) *NX {
 	}
 	x := &NX{p: p, mm: msgmgr.New(), lastType: -1, lastNode: -1}
 	x.h = p.RegisterHandler(func(p *core.Proc, msg []byte) {
+		// Dispatched while the scheduler serves (Gsync, say): park the
+		// message and let it complete a posted irecv.
 		x.park(p.GrabBuffer())
+		x.satisfyPending()
 	})
 	p.SetExt(extKey, x)
 	return x
@@ -86,12 +88,12 @@ func (x *NX) Numnodes() int { return x.p.NumPes() }
 // The buffer may be reused when it returns.
 func (x *NX) Csend(typ int, data []byte, node int) {
 	x.checkType(typ)
-	x.csendInternal(typ, data, node)
+	x.p.SyncSendAndFree(node, x.message(typ, data))
 }
 
 // checkType validates a user message type.
 func (x *NX) checkType(typ int) {
-	if typ < 0 || typ >= gsyncBase {
+	if typ < 0 || typ >= typeLimit {
 		panic(fmt.Sprintf("nx: pe %d: message type %d outside the user range [0, 1<<30)", x.p.MyPe(), typ))
 	}
 }
@@ -101,12 +103,7 @@ func (x *NX) checkType(typ int) {
 // is captured at call time.
 func (x *NX) Isend(typ int, data []byte, node int) *core.CommHandle {
 	x.checkType(typ)
-	msg := core.NewMsg(x.h, nxHeader+len(data))
-	pl := core.Payload(msg)
-	binary.LittleEndian.PutUint32(pl[0:], uint32(typ))
-	binary.LittleEndian.PutUint32(pl[4:], uint32(x.p.MyPe()))
-	copy(pl[nxHeader:], data)
-	return x.p.AsyncSend(node, msg)
+	return x.p.AsyncSend(node, x.message(typ, data))
 }
 
 // Msgwait blocks until an asynchronous send completes (msgwait).
@@ -235,32 +232,20 @@ func (x *NX) Infocount() int { return x.lastCount }
 // (infonode).
 func (x *NX) Infonode() int { return x.lastNode }
 
-// Gsync is the NX global synchronization (gsync): a counted all-to-all
-// barrier over a reserved type range, round-stamped like sm.Barrier.
-func (x *NX) Gsync() {
-	x.gsyncSeq++
-	typ := gsyncBase + x.gsyncSeq
-	buf := []byte{}
-	for node := 0; node < x.p.NumPes(); node++ {
-		if node != x.p.MyPe() {
-			x.csendInternal(typ, buf, node)
-		}
-	}
-	tmp := make([]byte, 0)
-	for n := 0; n < x.p.NumPes()-1; n++ {
-		x.Crecv(typ, tmp)
-	}
-}
+// Gsync is the NX global synchronization (gsync): the core Barrier, an
+// AllReduce over the two-level spanning tree. It serves the scheduler
+// while it waits; NX messages that arrive are parked for a later crecv.
+func (x *NX) Gsync() { x.p.Barrier() }
 
-// gsync state and reserved type range.
-const gsyncBase = 1 << 30
+// typeLimit bounds user message types: they must lie in [0, typeLimit).
+const typeLimit = 1 << 30
 
-// csendInternal bypasses the user-type validation for reserved types.
-func (x *NX) csendInternal(typ int, data []byte, node int) {
+// message builds an NX message carrying data under typ from this node.
+func (x *NX) message(typ int, data []byte) []byte {
 	msg := core.NewMsg(x.h, nxHeader+len(data))
 	pl := core.Payload(msg)
 	binary.LittleEndian.PutUint32(pl[0:], uint32(typ))
 	binary.LittleEndian.PutUint32(pl[4:], uint32(x.p.MyPe()))
 	copy(pl[nxHeader:], data)
-	x.p.SyncSendAndFree(node, msg)
+	return msg
 }

@@ -192,6 +192,34 @@ func TestGsync(t *testing.T) {
 	}
 }
 
+// TestIrecvCompletedDuringGsync: a message matching a posted irecv that
+// is dispatched while Gsync serves the scheduler must complete the
+// irecv. On two PEs node 0 releases node 1 directly, so per-pair FIFO
+// delivers the message before the second release.
+func TestIrecvCompletedDuringGsync(t *testing.T) {
+	cm := newMachine(2)
+	err := cm.Run(func(p *core.Proc) {
+		x := Attach(p)
+		if x.Mynode() == 0 {
+			x.Gsync()
+			x.Csend(5, []byte("during"), 1)
+			x.Gsync()
+			return
+		}
+		buf := make([]byte, 8)
+		r := x.Irecv(5, buf)
+		x.Gsync()
+		x.Gsync()
+		x.MsgwaitRecv(r)
+		if string(buf[:r.Count()]) != "during" || r.Node() != 0 {
+			t.Errorf("irecv got %q from %d", buf[:r.Count()], r.Node())
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestTruncatingCrecv(t *testing.T) {
 	cm := newMachine(2)
 	err := cm.Run(func(p *core.Proc) {

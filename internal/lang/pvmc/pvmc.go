@@ -31,15 +31,13 @@ type PVM struct {
 
 	sendBuf *Buffer
 	recvBuf *Buffer
-
-	barrierSeq int
 }
 
 // wire format: [tag u32][src u32][packed data...]
 const pvmHeader = 8
 
-// barrierTagBase is the internal tag range used by Barrier.
-const barrierTagBase = 1 << 30
+// tagLimit bounds user tags: they must lie in [0, tagLimit).
+const tagLimit = 1 << 30
 
 // extKey locates the PVM state in a Proc.
 const extKey = "converse.lang.pvmc"
@@ -84,13 +82,9 @@ func (v *PVM) SendBuf() *Buffer {
 // Send ships the active send buffer to task tid under tag (pvm_send).
 // The buffer remains intact and may be sent again.
 func (v *PVM) Send(tid, tag int) {
-	if tag < 0 || tag >= barrierTagBase {
+	if tag < 0 || tag >= tagLimit {
 		panic(fmt.Sprintf("pvmc: pe %d: tag %d outside the user range", v.p.MyPe(), tag))
 	}
-	v.send(tid, tag)
-}
-
-func (v *PVM) send(tid, tag int) {
 	data := v.SendBuf().bytes
 	msg := core.NewMsg(v.h, pvmHeader+len(data))
 	pl := core.Payload(msg)
@@ -193,24 +187,11 @@ func (v *PVM) RecvBuf() *Buffer {
 	return v.recvBuf
 }
 
-// Barrier synchronizes all tasks (pvm_barrier on the global group),
-// using round-stamped internal tags so rounds cannot interfere.
-func (v *PVM) Barrier() {
-	v.barrierSeq++
-	tag := barrierTagBase + v.barrierSeq
-	save := v.sendBuf
-	v.sendBuf = &Buffer{}
-	for tid := 0; tid < v.p.NumPes(); tid++ {
-		if tid != v.Mytid() {
-			v.send(tid, tag)
-		}
-	}
-	v.sendBuf = save
-	for n := 0; n < v.p.NumPes()-1; n++ {
-		v.Recv(Any, tag)
-	}
-	v.recvBuf = nil
-}
+// Barrier synchronizes all tasks (pvm_barrier on the global group): the
+// core Barrier, an AllReduce over the two-level spanning tree. It
+// serves the scheduler while it waits (PVM messages that arrive are
+// parked) and leaves the active send and receive buffers untouched.
+func (v *PVM) Barrier() { v.p.Barrier() }
 
 // Buffer is a typed pack/unpack buffer (pvm's pkint/upkint family).
 // Packing appends; unpacking reads sequentially from the front.

@@ -172,6 +172,28 @@ func TestBcastAndBarrier(t *testing.T) {
 	}
 }
 
+// TestBarrierKeepsBuffers: Barrier leaves the active send and receive
+// buffers alone, so a received message can still be unpacked after it.
+func TestBarrierKeepsBuffers(t *testing.T) {
+	cm := newMachine(3)
+	err := cm.Run(func(p *core.Proc) {
+		v := Attach(p)
+		v.InitSend().PackInt(int64(v.Mytid()))
+		v.Send((v.Mytid()+1)%3, 6)
+		v.Recv(Any, 6)
+		v.Barrier()
+		if got, want := v.RecvBuf().UnpackInt(), int64((v.Mytid()+2)%3); got != want {
+			t.Errorf("task %d: unpacked %d after barrier, want %d", v.Mytid(), got, want)
+		}
+		if v.SendBuf().Len() != 8 {
+			t.Errorf("task %d: send buffer changed across barrier", v.Mytid())
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestMcast(t *testing.T) {
 	cm := newMachine(4)
 	err := cm.Run(func(p *core.Proc) {

@@ -28,13 +28,10 @@ type SM struct {
 	p  *core.Proc
 	h  int
 	mm *msgmgr.M
-
-	barrierSeq int
 }
 
-// barrierTagBase is the start of the internal tag range used by Barrier;
-// user tags must stay below it.
-const barrierTagBase = 1 << 30
+// tagLimit bounds user tags: they must lie in [0, tagLimit).
+const tagLimit = 1 << 30
 
 // wire format of an SM message payload: [tag u32][src u32][data...]
 const smHeader = 8
@@ -64,13 +61,9 @@ func (s *SM) Proc() *core.Proc { return s.p }
 // Send transmits data to processor dst under the given tag. The data is
 // copied; the caller may reuse it immediately.
 func (s *SM) Send(dst, tag int, data []byte) {
-	if tag < 0 || tag >= barrierTagBase {
+	if tag < 0 || tag >= tagLimit {
 		panic(fmt.Sprintf("sm: pe %d: tag %d outside the user range [0, 1<<30)", s.p.MyPe(), tag))
 	}
-	s.send(dst, tag, data)
-}
-
-func (s *SM) send(dst, tag int, data []byte) {
 	msg := core.NewMsg(s.h, smHeader+len(data))
 	pl := core.Payload(msg)
 	binary.LittleEndian.PutUint32(pl[0:], uint32(tag))
@@ -159,20 +152,8 @@ func (s *SM) drain() {
 	}
 }
 
-// Barrier synchronizes all processors: each sends a round-stamped token
-// to every other and waits for all of theirs. Tokens carry the round in
-// their tag, so a fast processor's round-k+1 token can never satisfy a
-// slow processor's round-k wait. It uses only SM's own machinery,
-// preserving SPM semantics (non-SM traffic stays buffered).
-func (s *SM) Barrier() {
-	s.barrierSeq++
-	tag := barrierTagBase + s.barrierSeq
-	for dst := 0; dst < s.p.NumPes(); dst++ {
-		if dst != s.p.MyPe() {
-			s.send(dst, tag, nil)
-		}
-	}
-	for n := 0; n < s.p.NumPes()-1; n++ {
-		s.recv(tag, Wildcard)
-	}
-}
+// Barrier synchronizes all processors: the core Barrier, an AllReduce
+// over the two-level spanning tree. Like every core collective it serves
+// the scheduler while it waits, so messages for other modules' handlers
+// run meanwhile; SM messages that arrive are parked for a later Recv.
+func (s *SM) Barrier() { s.p.Barrier() }

@@ -187,6 +187,30 @@ func TestBarrierManyRounds(t *testing.T) {
 	}
 }
 
+// TestBarrierParksEarlyMessages: an SM message dispatched while Barrier
+// serves the scheduler is parked, not lost, and a later Recv gets it.
+// On two PEs, PE 0 releases PE 1 directly, so per-pair FIFO delivers
+// the message inside PE 1's second barrier.
+func TestBarrierParksEarlyMessages(t *testing.T) {
+	cm := newMachine(2)
+	err := cm.Run(func(p *core.Proc) {
+		s := Attach(p)
+		s.Barrier()
+		if p.MyPe() == 0 {
+			s.Send(1, 4, []byte("early"))
+		}
+		s.Barrier()
+		if p.MyPe() == 1 {
+			if d, src, tag := s.Recv(4); string(d) != "early" || src != 0 || tag != 4 {
+				t.Errorf("Recv = %q from %d tag %d", d, src, tag)
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestTagRangeValidation(t *testing.T) {
 	cm := newMachine(1)
 	err := cm.Run(func(p *core.Proc) {

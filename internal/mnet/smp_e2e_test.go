@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"converse/internal/core"
+	"converse/internal/lang/mpi"
 	"converse/internal/mnet"
 )
 
@@ -101,6 +102,61 @@ func TestCoreCollectivesOnSMPNet(t *testing.T) {
 		}
 		if got := sgot[pe].Load(); got != 1 {
 			t.Errorf("pe %d received %d stop copies, want 1", pe, got)
+		}
+	}
+}
+
+// TestMPICollectivesOnSMPNet runs lang/mpi's collectives, which ride
+// the core's two-level tree, over three in-process mnet nodes on the
+// 1/3/4 map: Allreduce, Bcast from a non-representative, Reduce to a
+// non-zero root and Barrier must agree with their closed forms on
+// every rank.
+func TestMPICollectivesOnSMPNet(t *testing.T) {
+	sizes := []int{1, 3, 4}
+	const np, pes = 3, 8
+	addr, _ := mnet.StartTestJob(t, np, time.Second, 4)
+	var wg sync.WaitGroup
+	errs := make([]error, np)
+	for rank := 0; rank < np; rank++ {
+		wg.Add(1)
+		go func(rank int) {
+			defer wg.Done()
+			n, err := mnet.Join(mnet.Config{
+				Launcher: addr, Token: mnet.TestToken,
+				Rank: rank, NP: np, PEs: pes, NodeSizes: sizes, Round: 1,
+				Handshake: 10 * time.Second,
+			})
+			if err != nil {
+				errs[rank] = err
+				return
+			}
+			cm := core.NewMachineOn(n, core.Config{PEs: pes, Watchdog: 30 * time.Second})
+			errs[rank] = cm.Run(func(p *core.Proc) {
+				m := mpi.Attach(p)
+				for round := int64(1); round <= 3; round++ {
+					if got := m.Allreduce(round*int64(m.Rank()+1), mpi.OpSum); got != round*pes*(pes+1)/2 {
+						t.Errorf("rank %d round %d: Allreduce = %d", m.Rank(), round, got)
+					}
+					buf := make([]byte, 9)
+					if m.Rank() == 5 {
+						copy(buf, "smp-bcast")
+					}
+					m.Bcast(buf, 5)
+					if string(buf) != "smp-bcast" {
+						t.Errorf("rank %d round %d: Bcast gave %q", m.Rank(), round, buf)
+					}
+					if got := m.Reduce(int64(m.Rank()), mpi.OpMax, 3); m.Rank() == 3 && got != pes-1 {
+						t.Errorf("round %d: Reduce at rank 3 = %d", round, got)
+					}
+					m.Barrier()
+				}
+			})
+		}(rank)
+	}
+	wg.Wait()
+	for rank, err := range errs {
+		if err != nil {
+			t.Errorf("rank %d: %v", rank, err)
 		}
 	}
 }

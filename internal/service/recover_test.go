@@ -180,6 +180,10 @@ func TestGatewayRestartReadoptsRunningJobs(t *testing.T) {
 		t.Fatalf("submit: %v", err)
 	}
 	waitState(t, c, id, string(Running), 10*time.Second)
+	// The gang is admitted before its ranks finish joining the job's
+	// mesh, whose control server dies with the gateway: crash only once
+	// every daemon hosts a joined rank.
+	waitRanksJoined(t, daemons, 10*time.Second)
 
 	hardStop(g1)
 	// The crashed gateway's port is free again; the successor must bind
@@ -427,6 +431,30 @@ func TestMaxMemKillsHeapHog(t *testing.T) {
 	}
 	if in.Reason != "mem-killed" {
 		t.Errorf("reason = %q, want mem-killed", in.Reason)
+	}
+}
+
+// waitRanksJoined polls until every daemon hosts a rank that has joined
+// its job's mesh, failing the test at the timeout.
+func waitRanksJoined(t *testing.T, daemons []*Daemon, timeout time.Duration) {
+	t.Helper()
+	deadline := time.Now().Add(timeout)
+	for {
+		joined := 0
+		for _, d := range daemons {
+			d.mu.Lock()
+			if len(d.jobs) > 0 {
+				joined++
+			}
+			d.mu.Unlock()
+		}
+		if joined == len(daemons) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d daemons joined the job's mesh", joined, len(daemons))
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

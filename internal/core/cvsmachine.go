@@ -108,9 +108,9 @@ type Config struct {
 // Machine is a Converse machine: one Converse runtime instance (Proc)
 // per processor on some machine substrate. On the simulated
 // multicomputer all processors live in this process; on a network
-// substrate this process holds exactly one of them and the rest are
-// peer OS processes. It is the Go counterpart of the
-// ConverseInit/ConverseExit bracket — New builds and initializes all
+// substrate this process holds its node's processors (none on a surplus
+// node) and the rest are peer OS processes. It is the Go counterpart of
+// the ConverseInit/ConverseExit bracket — New builds and initializes all
 // components, Run coordinates startup and termination.
 type Machine struct {
 	m     *machine.Machine // simulated substrate; nil under net
@@ -168,16 +168,6 @@ func NewMachine(cfg Config) *Machine {
 	return cm
 }
 
-// multiPESubstrate is the optional capability of a network substrate
-// whose process hosts more than one of the machine's processors
-// (SMP-style node: mnet with -ppn > 1). LocalPE's result must satisfy
-// Substrate; the return type is any because the machine layers cannot
-// import core to name the interface.
-type multiPESubstrate interface {
-	LocalPEs() int
-	LocalPE(i int) any
-}
-
 // NewMachineOn creates a Converse machine on an external substrate: the
 // local node is sub (one OS process of a multi-process machine, hosting
 // one or more PEs), and Run coordinates with the peers through the
@@ -190,22 +180,24 @@ func NewMachineOn(sub NetSubstrate, cfg Config) *Machine {
 			cfg.Metrics.NumPEs(), cfg.PEs))
 	}
 	cm := &Machine{net: sub, npes: cfg.PEs, wdog: cfg.Watchdog, met: cfg.Metrics, job: cfg.Job}
-	// A node substrate exposes one Substrate per local PE; build one
-	// runtime instance on each. Plain single-PE substrates (tests,
-	// surplus ranks with no local PEs) get one instance on sub itself.
-	if mp, ok := sub.(multiPESubstrate); ok && mp.LocalPEs() > 0 {
-		for i := 0; i < mp.LocalPEs(); i++ {
-			s, ok := mp.LocalPE(i).(Substrate)
-			if !ok {
-				panic(fmt.Sprintf("core: substrate's LocalPE(%d) does not satisfy core.Substrate", i))
-			}
-			cm.procs = append(cm.procs, newProc(s, cfg.Coalesce))
+	// One runtime instance per hosted PE; a surplus node builds none.
+	for i := 0; i < sub.LocalPEs(); i++ {
+		s, ok := sub.LocalPE(i).(Substrate)
+		if !ok {
+			panic(fmt.Sprintf("core: substrate's LocalPE(%d) does not satisfy core.Substrate", i))
 		}
-	} else {
-		cm.procs = []*Proc{newProc(sub, cfg.Coalesce)}
-	}
-	for _, p := range cm.procs {
+		if s.NumPEs() != cfg.PEs {
+			panic(fmt.Sprintf("core: substrate joined a %d-PE machine, Config.PEs is %d", s.NumPEs(), cfg.PEs))
+		}
+		p := newProc(s, cfg.Coalesce)
 		p.job = cfg.Job
+		if cfg.Tracer != nil {
+			p.SetTracer(cfg.Tracer(s.ID()))
+		}
+		if cfg.Metrics != nil {
+			p.SetMetrics(cfg.Metrics.PE(s.ID()))
+		}
+		cm.procs = append(cm.procs, p)
 	}
 	// A substrate that can declare peers dead (mnet under FailRetry)
 	// reports through the generalized-message path: the notification is
@@ -217,21 +209,6 @@ func NewMachineOn(sub NetSubstrate, cfg Config) *Machine {
 				p.pe.SendOwned(p.pe.ID(), makePeerDownMsg(p.peerDownHandler, pe, reason))
 			}
 		})
-	}
-	// Tracer and metrics factories are indexed by PE; surplus nodes
-	// (rank >= node count) hold no processor of this machine, so they
-	// get neither.
-	if sub.Active() {
-		for _, p := range cm.procs {
-			if local := p.pe.ID(); local < cfg.PEs {
-				if cfg.Tracer != nil {
-					p.SetTracer(cfg.Tracer(local))
-				}
-				if cfg.Metrics != nil {
-					p.SetMetrics(cfg.Metrics.PE(local))
-				}
-			}
-		}
 	}
 	return cm
 }
@@ -250,15 +227,10 @@ func (cm *Machine) Proc(pe int) *Proc {
 				return p
 			}
 		}
-		panic(fmt.Sprintf("core: Proc(%d) on network node %d: only this process's local processors are addressable", pe, cm.net.Node()))
+		panic(fmt.Sprintf("core: Proc(%d) on a network node: only this process's local processors are addressable", pe))
 	}
 	return cm.procs[pe]
 }
-
-// LocalProc returns this process's Converse runtime instance: processor
-// 0 under the simulated substrate (a convention for single-process
-// inspection), the one local processor under a network substrate.
-func (cm *Machine) LocalProc() *Proc { return cm.procs[0] }
 
 // Machine exposes the underlying simulated multicomputer.
 func (cm *Machine) Machine() *machine.Machine { return cm.m }
@@ -319,7 +291,7 @@ func (cm *Machine) SetInput(r io.Reader) {
 // Run returns, except for inspection of Procs.
 //
 // On a network substrate, "all" spans OS processes: Run executes start
-// on the local processor (never on a surplus node), then holds the node
+// on each local processor (none on a surplus node), then holds the node
 // in the job's termination barrier until every peer's driver has also
 // returned, so no process tears down links a peer still needs.
 func (cm *Machine) Run(start func(p *Proc)) error {
@@ -344,28 +316,25 @@ func (cm *Machine) runNet(start func(p *Proc)) error {
 		sub.Fail(err)
 		return err
 	}
+	// One driver goroutine per local PE: an SMP-style node hosts its PEs
+	// as concurrent schedulers sharing the process (and its zero-copy
+	// in-memory message path).
 	done := make(chan error, len(cm.procs))
-	drivers := 0
-	if sub.Active() {
-		// One driver goroutine per local PE: an SMP-style node hosts
-		// its PEs as concurrent schedulers sharing the process (and its
-		// zero-copy in-memory message path).
-		for _, p := range cm.procs {
-			drivers++
-			go func(p *Proc) {
-				defer func() {
-					if r := recover(); r != nil {
-						buf := make([]byte, 16<<10)
-						n := runtime.Stack(buf, false)
-						done <- fmt.Errorf("core: pe %d panicked: %v\n%s", p.pe.ID(), r, buf[:n])
-					}
-				}()
-				start(p)
-				p.flushAll()
-				done <- nil
-			}(p)
-		}
+	for _, p := range cm.procs {
+		go func(p *Proc) {
+			defer func() {
+				if r := recover(); r != nil {
+					buf := make([]byte, 16<<10)
+					n := runtime.Stack(buf, false)
+					done <- fmt.Errorf("core: pe %d panicked: %v\n%s", p.pe.ID(), r, buf[:n])
+				}
+			}()
+			start(p)
+			p.flushAll()
+			done <- nil
+		}(p)
 	}
+	drivers := len(cm.procs)
 
 	var timeout <-chan time.Time
 	if cm.wdog > 0 {

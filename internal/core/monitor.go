@@ -27,7 +27,7 @@ import (
 
 // selfInjector is the optional substrate capability the doorbell needs:
 // publish a message to the substrate's own inbox from any goroutine.
-// Both built-in substrates (*machine.PE, *mnet.Node) implement it;
+// Both built-in substrates (*machine.PE, *mnet.NodePE) implement it;
 // wrappers that don't (the fault-injection Sub) degrade to stale
 // snapshots.
 type selfInjector interface {
@@ -140,8 +140,8 @@ func (s procSource) Probe(timeout time.Duration) (SchedState, bool) {
 }
 
 func (s procSource) Blocked() string {
-	// The network substrates (mnet.Node and its per-PE mnet.NodePE)
-	// describe themselves; the simulated PE exposes raw block state.
+	// The network substrate (mnet.NodePE) describes itself; the
+	// simulated PE exposes raw block state.
 	switch sub := s.p.pe.(type) {
 	case interface{ DescribeBlocked() string }:
 		return sub.DescribeBlocked()
@@ -176,13 +176,10 @@ func (cm *Machine) StartMonitor(addr, token string) (*ccs.Monitor, error) {
 		Job:      cm.job,
 	}
 	for _, p := range cm.procs {
-		if cm.net != nil && (!cm.net.Active() || p.pe.ID() >= cm.npes) {
-			continue // surplus node: holds no processor of this machine
-		}
 		cfg.Sources = append(cfg.Sources, procSource{p: p})
 	}
-	if cm.net != nil {
-		cfg.Rank = cm.net.Node()
+	if len(cm.procs) > 0 {
+		cfg.Rank = cm.procs[0].pe.Node() // node 0 under the simulated substrate
 	}
 	return ccs.NewMonitor(cfg)
 }

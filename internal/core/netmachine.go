@@ -51,10 +51,10 @@ func newNetMachine(cfg Config) *Machine {
 		panic(fmt.Sprintf("core: joining converserun job: %v", err))
 	}
 	cm := NewMachineOn(node, cfg)
-	if cfg.Metrics != nil && node.Active() && node.ID() < cfg.PEs {
+	if cfg.Metrics != nil && node.Active() {
 		node.SetMetrics(cfg.Metrics.PE(node.ID()))
 	}
-	if monitor && node.Active() && node.ID() < cfg.PEs {
+	if monitor && node.Active() {
 		startNetMonitor(cm, node, ncfg.Token)
 	}
 	return cm

@@ -236,7 +236,7 @@ func (p *Proc) MyPe() int { return p.pe.ID() }
 func (p *Proc) NumPes() int { return p.pe.NumPEs() }
 
 // PE exposes the underlying machine-level substrate: the simulated
-// processing element (*machine.PE) or the network node (*mnet.Node),
+// processing element (*machine.PE) or the network one (*mnet.NodePE),
 // behind the narrow interface the core consumes.
 func (p *Proc) PE() Substrate { return p.pe }
 

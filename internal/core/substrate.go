@@ -6,9 +6,9 @@ import "converse/internal/machine"
 // consumes — the seam the paper calls the only machine-dependent layer
 // (CMI/MMI). Everything above it (scheduler, handlers, threads,
 // language runtimes) is substrate-agnostic: the simulated multicomputer
-// (internal/machine.PE) and the TCP network layer (internal/mnet.Node)
-// both satisfy it, and a program switches between them purely by
-// configuration.
+// (internal/machine.PE) and the TCP network layer (internal/mnet.NodePE)
+// both satisfy it, one value per processor, and a program switches
+// between them purely by configuration.
 //
 // The clock is in microseconds: virtual time under the simulated
 // machine, wall time since node start under a network substrate (where
@@ -61,23 +61,26 @@ type Substrate interface {
 	ReadLine() (string, error)
 }
 
-// NetSubstrate extends Substrate with the job-level lifecycle of an
-// out-of-process machine layer: the rendezvous barriers around Run, and
-// asynchronous failure (a peer process died, the launcher vanished).
-// internal/mnet.Node implements it.
+// NetSubstrate is the job-level lifecycle of an out-of-process machine
+// layer: the node process that hosts some of the machine's processors,
+// the rendezvous barriers around Run, and asynchronous failure (a peer
+// process died, the launcher vanished). internal/mnet.Node implements
+// it; the processors themselves are its LocalPE Substrates.
 type NetSubstrate interface {
-	Substrate
-	// Active reports whether this node is one of the machine's NumPEs
-	// processors. A job may hold more worker processes than the machine
-	// has PEs (converserun -np 4 running a 2-PE program); surplus nodes
-	// are inactive: they participate in the rendezvous barriers but
-	// never run the driver.
-	Active() bool
+	// LocalPEs is the number of the machine's processors this node
+	// hosts. A job may hold more worker processes than the machine has
+	// nodes (converserun -np 4 running a 2-PE program); surplus nodes
+	// host none: they take part in the rendezvous barriers but never run
+	// a driver.
+	LocalPEs() int
+	// LocalPE returns the i-th hosted processor, which must satisfy
+	// Substrate (the machine layer cannot import core to say so).
+	LocalPE(i int) any
 	// Start completes the go-barrier: it returns once every node's mesh
 	// is fully connected, so the first user send cannot race an accept.
 	Start() error
 	// Finish runs the termination barrier: the node announces that its
-	// driver returned and blocks until every active node has done so,
+	// drivers returned and blocks until every active node has done so,
 	// then tears down its links. Converse programs coordinate their own
 	// completion, so no node may close connections before all are done.
 	Finish() error
@@ -88,7 +91,7 @@ type NetSubstrate interface {
 	// Failure delivers at most one asynchronous job failure (peer death,
 	// heartbeat loss, launcher gone).
 	Failure() <-chan error
-	// Stop unblocks a driver waiting in Recv (ok=false), like
+	// Stop unblocks drivers waiting in Recv (ok=false), like
 	// machine.Machine.Stop.
 	Stop()
 	// DescribeBlocked reports the local node's block state in the
@@ -98,7 +101,7 @@ type NetSubstrate interface {
 
 // blockStateNoter is the optional substrate extension behind the
 // Proc.NoteThreadsSuspended/NoteBarrierWaiters hooks; both the
-// simulated PE and the network node implement it.
+// simulated PE and the network NodePE implement it.
 type blockStateNoter interface {
 	NoteThreadsSuspended(delta int)
 	NoteBarrierWaiters(delta int)

@@ -118,3 +118,59 @@ func TestCoreRunNetPropagatesDriverPanic(t *testing.T) {
 		t.Error("peer of the panicking driver hung or returned nil; failure did not propagate")
 	}
 }
+
+// TestCoreMachineWithSurplusRank runs a 2-PE machine on a 3-rank job
+// (converserun -np 3 for a 2-PE program): rank 2 hosts no PE, so its
+// machine has no processors, yet handler registration and Run must work
+// there too, and Run must return nil on every rank once the two PEs
+// finish.
+func TestCoreMachineWithSurplusRank(t *testing.T) {
+	const np, pes = 3, 2
+	addr, _ := mnet.StartTestJob(t, np, time.Second)
+
+	var wg sync.WaitGroup
+	errs := make([]error, np)
+	got := make([]string, pes)
+	for rank := 0; rank < np; rank++ {
+		wg.Add(1)
+		go func(rank int) {
+			defer wg.Done()
+			n, err := mnet.Join(mnet.Config{
+				Launcher: addr, Token: mnet.TestToken,
+				Rank: rank, NP: np, PEs: pes, Round: 1,
+				Handshake: 10 * time.Second,
+			})
+			if err != nil {
+				errs[rank] = err
+				return
+			}
+			cm := core.NewMachineOn(n, core.Config{PEs: pes, Watchdog: 30 * time.Second})
+			want := 0
+			if rank < pes {
+				want = 1
+			}
+			if n.LocalPEs() != want {
+				t.Errorf("rank %d hosts %d PEs, want %d", rank, n.LocalPEs(), want)
+			}
+			h := cm.RegisterHandler(func(p *core.Proc, msg []byte) {
+				got[p.MyPe()] = string(core.Payload(msg))
+				p.ExitScheduler()
+			})
+			errs[rank] = cm.Run(func(p *core.Proc) {
+				p.SyncSendAndFree(1-p.MyPe(), core.MakeMsg(h, []byte(fmt.Sprintf("from %d", p.MyPe()))))
+				p.Scheduler(-1)
+			})
+		}(rank)
+	}
+	wg.Wait()
+	for rank, err := range errs {
+		if err != nil {
+			t.Errorf("rank %d: Run = %v", rank, err)
+		}
+	}
+	for pe, s := range got {
+		if want := fmt.Sprintf("from %d", 1-pe); s != want {
+			t.Errorf("pe %d got %q, want %q", pe, s, want)
+		}
+	}
+}

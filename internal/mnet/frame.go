@@ -30,19 +30,21 @@ import (
 	"fmt"
 	"io"
 
+	"converse/internal/machine"
 	"converse/internal/wire"
 )
 
-// Wire framing, protocol version 2 (see internal/wire for the byte
+// Wire framing, protocol version 4 (see internal/wire for the byte
 // layout, shared with the monitor endpoints in internal/ccs): every
 // frame is [u32 LE length][u8 kind][u32 LE crc32c][payload]. Control
-// payloads are JSON (proto.go); data payloads are a u64 LE per-link
-// sequence number followed by raw Converse message bytes.
+// payloads are JSON (proto.go); data payloads are
+// [u64 LE seq][u32 LE src PE][u32 LE dst PE][raw Converse message].
 const (
 	frameHdrLen = wire.HdrLen
-	// dataSeqLen prefixes every data frame's payload: the per-link
-	// sequence number the reliability layer orders and acks by.
-	dataSeqLen = 8
+	// dataHdrLen prefixes every data frame's payload: the per-link
+	// sequence number the reliability layer orders and acks by, then the
+	// PE route (global source and destination PE numbers).
+	dataHdrLen = 16
 	// maxFrame bounds the declared frame length, checked before any
 	// allocation so a corrupt or hostile header cannot balloon memory.
 	maxFrame = wire.MaxFrame
@@ -71,7 +73,7 @@ const (
 
 	// worker <-> worker (mesh connection)
 	fPeerHello    // identify a mesh connection (peerHelloMsg)
-	fData         // one machine packet ([u64 seq][raw message bytes])
+	fData         // one machine packet ([u64 seq][u32 src PE][u32 dst PE][message])
 	fHeartbeat    // link liveness while idle ([u64 cumulative ack])
 	fAck          // cumulative receive ack ([u64 last in-order seq])
 	fNack         // replay request ([u64 last in-order seq received])
@@ -134,25 +136,60 @@ func writeFrame(w io.Writer, k kind, payload []byte) error {
 	return writeFrameParts(w, k, payload)
 }
 
-// writeDataFrame writes one sequenced data frame.
+// dataMsg is one inter-node message: its PE route and its bytes. The
+// link queue and the retransmit ring carry it as is; the route becomes
+// the data frame's header, so the message is never copied to prepend it.
+type dataMsg struct {
+	src, dst uint32 // global PE numbers
+	data     []byte
+}
+
+// writeDataFrame writes one sequenced, routed data frame: the header and
+// the message go out as two parts of one frame.
 //
 //converse:hotpath
-func writeDataFrame(w io.Writer, seq uint64, data []byte) error {
-	var sb [dataSeqLen]byte
-	binary.LittleEndian.PutUint64(sb[:], seq)
-	return writeFrameParts(w, fData, sb[:], data)
+func writeDataFrame(w io.Writer, seq uint64, m dataMsg) error {
+	var hdr [dataHdrLen]byte
+	binary.LittleEndian.PutUint64(hdr[0:], seq)
+	binary.LittleEndian.PutUint32(hdr[8:], m.src)
+	binary.LittleEndian.PutUint32(hdr[12:], m.dst)
+	return writeFrameParts(w, fData, hdr[:], m.data)
 }
 
 // encodeDataFrame renders a whole data frame to a fresh buffer. The
 // fault injector corrupts the copy, leaving the retransmit ring's bytes
 // pristine.
-func encodeDataFrame(seq uint64, data []byte) []byte {
+func encodeDataFrame(seq uint64, m dataMsg) []byte {
 	var b bytes.Buffer
-	b.Grow(frameHdrLen + dataSeqLen + len(data))
-	var sb [dataSeqLen]byte
-	binary.LittleEndian.PutUint64(sb[:], seq)
-	writeFrameParts(&b, fData, sb[:], data)
+	b.Grow(frameHdrLen + dataHdrLen + len(m.data))
+	writeDataFrame(&b, seq, m)
 	return b.Bytes()
+}
+
+// decodeData splits a data payload into its sequence number and routed
+// message, which aliases the payload. It rejects a payload too short for
+// the header and a route that does not lead from a PE of node from to a
+// PE of node to: a frame that names the wrong PEs is a protocol
+// violation, not transit damage (the checksum has already passed).
+func decodeData(payload []byte, topo *machine.Topology, from, to int) (uint64, dataMsg, error) {
+	if len(payload) < dataHdrLen {
+		return 0, dataMsg{}, fmt.Errorf("malformed data frame (%d bytes, shorter than the %d-byte sequence and route header)",
+			len(payload), dataHdrLen)
+	}
+	seq := binary.LittleEndian.Uint64(payload[0:])
+	m := dataMsg{
+		src:  binary.LittleEndian.Uint32(payload[8:]),
+		dst:  binary.LittleEndian.Uint32(payload[12:]),
+		data: payload[dataHdrLen:],
+	}
+	npes := uint32(topo.NumPEs())
+	if m.src >= npes || topo.NodeOf(int(m.src)) != from {
+		return 0, dataMsg{}, fmt.Errorf("data frame %d routed from PE %d, which is not on sending node %d", seq, m.src, from)
+	}
+	if m.dst >= npes || topo.NodeOf(int(m.dst)) != to {
+		return 0, dataMsg{}, fmt.Errorf("data frame %d routed to PE %d, which is not on receiving node %d", seq, m.dst, to)
+	}
+	return seq, m, nil
 }
 
 // flipBit flips one bit of an encoded frame, skipping the 4-byte length

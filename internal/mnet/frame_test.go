@@ -7,6 +7,8 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	"converse/internal/machine"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -86,7 +88,7 @@ func FuzzFrameDecode(f *testing.F) {
 	// frame with one payload bit flipped (checksum must catch it), and a
 	// frame whose declared length covers the kind byte but not the
 	// 4-byte checksum.
-	df := encodeDataFrame(7, []byte("sequenced payload"))
+	df := encodeDataFrame(7, dataMsg{src: 3, dst: 4, data: []byte("sequenced payload")})
 	f.Add(df)
 	flipped := append([]byte(nil), df...)
 	flipBit(flipped, 99)
@@ -138,26 +140,81 @@ func TestFrameChecksumDetectsCorruption(t *testing.T) {
 	}
 }
 
+// dataTopo is the node map the data-payload tests decode against: four
+// nodes of two PEs, the frame travelling from node 1 (PEs 2-3) to node 2
+// (PEs 4-5).
+var dataTopo = machine.UniformTopology(8, 2)
+
+const dataFrom, dataTo = 1, 2
+
+// dataPayload renders a data frame's payload (the frame minus its
+// header), as readFrame would return it.
+func dataPayload(seq uint64, m dataMsg) []byte {
+	return encodeDataFrame(seq, m)[frameHdrLen:]
+}
+
 func TestDataFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	msg := []byte("one converse message")
-	if err := writeDataFrame(&buf, 42, msg); err != nil {
+	m := dataMsg{src: 3, dst: 4, data: []byte("one converse message")}
+	if err := writeDataFrame(&buf, 42, m); err != nil {
 		t.Fatal(err)
+	}
+	// encodeDataFrame must render the identical bytes.
+	if enc := encodeDataFrame(42, m); !bytes.Equal(enc, buf.Bytes()) {
+		t.Fatal("encodeDataFrame and writeDataFrame disagree")
 	}
 	k, pl, err := readFrame(&buf)
 	if err != nil || k != fData {
 		t.Fatalf("k=%v err=%v", k, err)
 	}
-	if seq := binary.LittleEndian.Uint64(pl[:dataSeqLen]); seq != 42 {
-		t.Fatalf("seq=%d, want 42", seq)
+	seq, got, err := decodeData(pl, dataTopo, dataFrom, dataTo)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(pl[dataSeqLen:], msg) {
-		t.Fatalf("payload %q, want %q", pl[dataSeqLen:], msg)
+	if seq != 42 || got.src != 3 || got.dst != 4 || !bytes.Equal(got.data, m.data) {
+		t.Fatalf("decoded seq=%d route %d->%d payload %q, want 42, 3->4, %q", seq, got.src, got.dst, got.data, m.data)
 	}
-	// encodeDataFrame must render the identical bytes.
-	var buf2 bytes.Buffer
-	writeDataFrame(&buf2, 42, msg)
-	if enc := encodeDataFrame(42, msg); !bytes.Equal(enc, buf2.Bytes()) {
-		t.Fatal("encodeDataFrame and writeDataFrame disagree")
+}
+
+func TestDecodeDataRejectsBadRoutes(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+		want    string
+	}{
+		{"short", make([]byte, dataHdrLen-1), "shorter than"},
+		{"src off the sending node", dataPayload(1, dataMsg{src: 4, dst: 4}), "not on sending node 1"},
+		{"src beyond the machine", dataPayload(1, dataMsg{src: 1 << 31, dst: 4}), "not on sending node 1"},
+		{"dst off this node", dataPayload(1, dataMsg{src: 2, dst: 3}), "not on receiving node 2"},
+		{"dst beyond the machine", dataPayload(1, dataMsg{src: 2, dst: 8}), "not on receiving node 2"},
+	} {
+		if _, _, err := decodeData(tc.payload, dataTopo, dataFrom, dataTo); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err=%v, want %q", tc.name, err, tc.want)
+		}
 	}
+}
+
+// FuzzDataPayload feeds the data-payload decoder arbitrary bytes as node
+// 2 receiving from node 1: it must never panic, must accept only routes
+// from a PE of node 1 to a PE of node 2, and anything it accepts must
+// re-encode through encodeDataFrame to exactly the payload it came from.
+func FuzzDataPayload(f *testing.F) {
+	f.Add(dataPayload(7, dataMsg{src: 2, dst: 5, data: []byte("routed message")}))
+	f.Add(dataPayload(1, dataMsg{src: 3, dst: 4}))
+	f.Add(dataPayload(1, dataMsg{src: 0, dst: 4, data: []byte("wrong source node")}))
+	f.Add(dataPayload(1, dataMsg{src: 2, dst: 0xffffffff}))
+	f.Add([]byte{})
+	f.Add(make([]byte, dataHdrLen-1))
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		seq, m, err := decodeData(payload, dataTopo, dataFrom, dataTo)
+		if err != nil {
+			return
+		}
+		if dataTopo.NodeOf(int(m.src)) != dataFrom || dataTopo.NodeOf(int(m.dst)) != dataTo {
+			t.Fatalf("accepted route %d->%d, not node %d to node %d", m.src, m.dst, dataFrom, dataTo)
+		}
+		if got := dataPayload(seq, m); !bytes.Equal(got, payload) {
+			t.Fatalf("round trip: re-encoded payload %x, decoded from %x", got, payload)
+		}
+	})
 }

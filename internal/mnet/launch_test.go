@@ -39,16 +39,17 @@ func workerMain(mode string) {
 	if err := n.Start(); err != nil {
 		log.Fatalf("worker start: %v", err)
 	}
-	rank := n.ID()
+	pe := n.lpes[0]
+	rank := pe.ID()
 	switch mode {
 	case "echo":
 		// Rank 0 pings every peer and awaits the echoes; peers echo.
 		if rank == 0 {
 			for j := 1; j < np; j++ {
-				n.SendOwned(j, []byte(fmt.Sprintf("ping %d", j)))
+				pe.SendOwned(j, []byte(fmt.Sprintf("ping %d", j)))
 			}
 			for j := 1; j < np; j++ {
-				pkt, ok := n.Recv()
+				pkt, ok := pe.Recv()
 				if !ok {
 					log.Fatal("rank 0: stopped before all echoes arrived")
 				}
@@ -58,13 +59,13 @@ func workerMain(mode string) {
 				}
 			}
 		} else {
-			pkt, ok := n.Recv()
+			pkt, ok := pe.Recv()
 			if !ok || string(pkt.Data) != fmt.Sprintf("ping %d", rank) {
 				log.Fatalf("rank %d: bad ping %q (ok=%v)", rank, pkt.Data, ok)
 			}
-			n.SendOwned(0, []byte(fmt.Sprintf("echo from %d", rank)))
+			pe.SendOwned(0, []byte(fmt.Sprintf("echo from %d", rank)))
 		}
-		n.Printf("console from rank %d\n", rank)
+		pe.Printf("console from rank %d\n", rank)
 	case "die":
 		// One rank exits abruptly mid-run; the rest wait for messages
 		// that will never come. The job must fail fast, not hang.
@@ -73,7 +74,7 @@ func workerMain(mode string) {
 			time.Sleep(200 * time.Millisecond)
 			os.Exit(3)
 		}
-		if _, ok := n.Recv(); !ok {
+		if _, ok := pe.Recv(); !ok {
 			os.Exit(4) // stopped by the peer-death failure, as expected
 		}
 	default:

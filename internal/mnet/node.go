@@ -91,23 +91,19 @@ var roundCounter atomic.Int64
 
 // Node is one Converse node of a multi-process machine: this process's
 // endpoint of the TCP machine layer, hosting one or more PEs of the
-// machine (Config.PPN/NodeSizes; one by default). It satisfies
-// internal/core's Substrate and NetSubstrate interfaces — the same seam
-// the simulated machine.PE plugs into — by delegating the per-PE data
-// path to its first local PE; the other local PEs are reached through
-// LocalPE.
+// machine (Config.PPN/NodeSizes; one by default) and none on a surplus
+// rank. It owns the job lifecycle — rendezvous, mesh, failure, teardown
+// — and satisfies internal/core's NetSubstrate; each hosted PE is a
+// NodePE (LocalPE), the Substrate the core drives.
 type Node struct {
 	cfg   Config
 	round int
 	epoch time.Time
 
-	// topo is the machine's node map (never nil); routed is set when any
-	// node hosts more than one PE, which turns on the PE-routed data
-	// frame layout ([src u32][dst u32] after the sequence number). lpes
-	// holds this process's PEs, empty on surplus ranks.
-	topo   *machine.Topology
-	routed bool
-	lpes   []*NodePE
+	// topo is the machine's node map (never nil); lpes holds this
+	// process's PEs, empty on surplus ranks.
+	topo *machine.Topology
+	lpes []*NodePE
 
 	ctrl   net.Conn
 	ctrlMu sync.Mutex // serializes control-frame writes
@@ -226,7 +222,6 @@ func Join(cfg Config) (*Node, error) {
 		round:     rnd,
 		epoch:     time.Now(),
 		topo:      topo,
-		routed:    topo.NumNodes() != topo.NumPEs(),
 		tableCh:   make(chan tableMsg, 1),
 		goCh:      make(chan goMsg, 1),
 		releaseCh: make(chan releaseMsg, 1),
@@ -317,7 +312,7 @@ func (n *Node) setTable(tbl tableMsg) {
 	n.peersMu.Unlock()
 }
 
-// --- identity and clocks (Substrate) --------------------------------
+// --- identity --------------------------------------------------------
 
 // ID returns this node's first local processor number: with the classic
 // one-PE-per-process mapping, rank and PE coincide; under -ppn it is
@@ -330,28 +325,9 @@ func (n *Node) ID() int {
 	return n.cfg.Rank
 }
 
-// NumPEs returns the machine size of this round.
-func (n *Node) NumPEs() int { return n.cfg.PEs }
-
-// Node returns this process's node number (CmiMyNode): its rank, since
-// active node processes are the machine's nodes.
-func (n *Node) Node() int { return n.cfg.Rank }
-
-// NumNodes returns the machine's node count (CmiNumNodes).
-func (n *Node) NumNodes() int { return n.topo.NumNodes() }
-
-// NodeSize reports how many PEs the given node hosts (CmiNodeSize).
-func (n *Node) NodeSize(node int) int { return n.topo.NodeSize(node) }
-
-// NodeOf reports the node hosting the given PE (CmiNodeOf).
-func (n *Node) NodeOf(pe int) int { return n.topo.NodeOf(pe) }
-
-// Topology returns the machine's node map.
-func (n *Node) Topology() *machine.Topology { return n.topo }
-
 // LocalPEs reports how many of the machine's PEs this process hosts
-// (zero on surplus ranks). internal/core detects this method to build
-// one runtime instance per local PE.
+// (zero on surplus ranks). internal/core builds one runtime instance per
+// local PE.
 func (n *Node) LocalPEs() int { return len(n.lpes) }
 
 // LocalPE returns the i-th local PE's substrate. The return type is any
@@ -365,19 +341,10 @@ func (n *Node) LocalPE(i int) any { return n.lpes[i] }
 // but run no driver).
 func (n *Node) Active() bool { return len(n.lpes) > 0 }
 
-// Clock returns wall-clock microseconds since this node joined. The
-// network machine runs on real time; cost models and virtual-time
-// charging do not apply.
-func (n *Node) Clock() float64 { return float64(time.Since(n.epoch)) / 1e3 }
-
-// Charge is a no-op: real time advances itself.
-func (n *Node) Charge(dt float64) {}
-
-// AdvanceTo is a no-op: real time advances itself.
-func (n *Node) AdvanceTo(t float64) {}
-
-// Model returns nil: communication is priced by the actual network.
-func (n *Node) Model() machine.CostModel { return nil }
+// now returns wall-clock microseconds since this node joined: the clock
+// of every local PE. The network machine runs on real time; cost models
+// and virtual-time charging do not apply.
+func (n *Node) now() float64 { return float64(time.Since(n.epoch)) / 1e3 }
 
 // SetMetrics attaches a per-PE metrics registry; per-peer wire counters
 // (frames, bytes, reconnects, stalls) record into it.
@@ -674,89 +641,7 @@ func (n *Node) handleAccept(conn net.Conn) {
 	}
 }
 
-// --- data path (Substrate) ------------------------------------------
-
-// SendOwned transmits data to processor dst, taking ownership of the
-// slice, on behalf of this node's first local PE (the Substrate view of
-// the whole node; per-PE sends go through the NodePE substrates).
-func (n *Node) SendOwned(dst int, data []byte) {
-	if len(n.lpes) == 0 {
-		n.Fail(fmt.Errorf("mnet: rank %d: send from a surplus node (no local PEs)", n.cfg.Rank))
-		return
-	}
-	n.lpes[0].SendOwned(dst, data)
-}
-
-// sendOwnedFrom routes one outbound message: a destination on this node
-// is an in-memory inbox handoff that never touches the wire (the
-// intra-node path of the two-level collectives); anything else goes out
-// on the destination node's link (blocking under backpressure), with
-// the PE routing header prepended when the job runs multi-PE nodes.
-func (n *Node) sendOwnedFrom(src, dst int, data []byte) {
-	if dst < 0 || dst >= n.cfg.PEs {
-		n.Fail(fmt.Errorf("mnet: rank %d: send to invalid PE %d (machine has %d)", n.cfg.Rank, dst, n.cfg.PEs))
-		return
-	}
-	g := n.topo.NodeOf(dst)
-	if g == n.cfg.Rank {
-		n.deliverLocal(src, dst, data)
-		return
-	}
-	n.peersMu.Lock()
-	pl := n.peers[g]
-	n.peersMu.Unlock()
-	if pl == nil {
-		n.Fail(fmt.Errorf("mnet: rank %d: send to rank %d before mesh setup (machine.Run not started?)",
-			n.cfg.Rank, g))
-		return
-	}
-	if n.routed {
-		buf := make([]byte, routeHdrLen+len(data))
-		putRouteHdr(buf, src, dst)
-		copy(buf[routeHdrLen:], data)
-		data = buf
-	}
-	pl.send(data)
-}
-
-// deliverLocal publishes one packet into a local PE's inbox (lock-free
-// MPSC fast path; wakes the PE if it is blocked in Recv).
-func (n *Node) deliverLocal(src, dst int, data []byte) {
-	i := dst - n.lpes[0].pe
-	if i < 0 || i >= len(n.lpes) {
-		n.Fail(fmt.Errorf("mnet: rank %d: delivery for PE %d, which lives on node %d", n.cfg.Rank, dst, n.topo.NodeOf(dst)))
-		return
-	}
-	n.lpes[i].inbox.Put(machine.Packet{Src: src, Dst: dst, Data: data, Arrive: n.Clock()})
-}
-
-// deliverFromWire accepts one data payload from the link to srcRank:
-// under multi-PE nodes the payload leads with the PE routing header;
-// with the classic flat mapping ranks and PEs coincide.
-func (n *Node) deliverFromWire(srcRank int, data []byte) {
-	if !n.routed {
-		n.deliverLocal(srcRank, n.ID(), data)
-		return
-	}
-	if len(data) < routeHdrLen {
-		n.Fail(fmt.Errorf("mnet: rank %d: %d-byte data frame from rank %d, shorter than the %d-byte PE routing header",
-			n.cfg.Rank, len(data), srcRank, routeHdrLen))
-		return
-	}
-	src, dst := routeHdr(data)
-	n.deliverLocal(src, dst, data[routeHdrLen:])
-}
-
-// Inject publishes a message straight to this node's first local PE's
-// inbox. Safe from any goroutine: foreign observers — the monitor
-// doorbell in internal/core — ring the scheduler this way without
-// touching driver-owned state.
-func (n *Node) Inject(data []byte) {
-	if len(n.lpes) == 0 {
-		return // surplus node: no scheduler to ring
-	}
-	n.lpes[0].Inject(data)
-}
+// --- control connection ---------------------------------------------
 
 // ReportMonitor tells the launcher where this worker's introspection
 // endpoint listens, over the control connection.
@@ -764,54 +649,8 @@ func (n *Node) ReportMonitor(addr string) error {
 	return n.writeCtrl(fMonitorAddr, monitorAddrMsg{Rank: n.cfg.Rank, Addr: addr})
 }
 
-// TryRecvBatch fills out with up to len(out) pending packets of the
-// first local PE without blocking and returns the count.
-func (n *Node) TryRecvBatch(out []machine.Packet) int {
-	if len(n.lpes) == 0 {
-		return 0
-	}
-	return n.lpes[0].TryRecvBatch(out)
-}
-
-// Recv blocks until a packet arrives for the first local PE; ok=false
-// means the node stopped.
-func (n *Node) Recv() (machine.Packet, bool) {
-	if len(n.lpes) == 0 {
-		<-n.stopCh // surplus node: nothing ever arrives
-		return machine.Packet{}, false
-	}
-	return n.lpes[0].Recv()
-}
-
-// InboxLen reports the number of packets waiting for the first local PE.
-func (n *Node) InboxLen() int {
-	if len(n.lpes) == 0 {
-		return 0
-	}
-	return n.lpes[0].InboxLen()
-}
-
-// Stopped reports whether the node has been stopped. Scheduler loops
-// poll it so a PE spinning on local work still notices an abort.
-func (n *Node) Stopped() bool {
-	select {
-	case <-n.stopCh:
-		return true
-	default:
-		return false
-	}
-}
-
-// --- console (Substrate) --------------------------------------------
-
-// Printf relays an atomic formatted write to the launcher's standard
-// output (CmiPrintf forwarding, as charmrun does).
-func (n *Node) Printf(format string, args ...any) { n.console(false, fmt.Sprintf(format, args...)) }
-
-// Errorf relays an atomic formatted write to the launcher's standard
-// error.
-func (n *Node) Errorf(format string, args ...any) { n.console(true, fmt.Sprintf(format, args...)) }
-
+// console relays an atomic write to the launcher's standard output or
+// error (CmiPrintf/CmiError forwarding, as charmrun does).
 func (n *Node) console(isErr bool, text string) {
 	err := n.writeCtrl(fConsole, consoleMsg{Rank: n.cfg.Rank, Err: isErr, Text: text})
 	if err != nil {
@@ -824,19 +663,6 @@ func (n *Node) console(isErr bool, text string) {
 		}
 	}
 }
-
-// Scanf is unavailable on the network machine: workers have no usable
-// standard input under the launcher.
-func (n *Node) Scanf(format string, args ...any) (int, error) {
-	return 0, fmt.Errorf("mnet: CmiScanf is not supported under converserun (workers have no console input)")
-}
-
-// ReadLine is unavailable on the network machine (see Scanf).
-func (n *Node) ReadLine() (string, error) {
-	return "", fmt.Errorf("mnet: console input is not supported under converserun")
-}
-
-// --- control connection ---------------------------------------------
 
 func (n *Node) writeCtrl(k kind, msg any) error {
 	n.ctrlMu.Lock()
@@ -942,9 +768,9 @@ func (n *Node) Finish() error {
 		// the release only arrives once every rank is done, so by now
 		// all deliveries and retransmits have settled.
 		if n.rel() {
-			n.Printf("[reliability] rank %d: retransmits=%d dup_drops=%d crc_errors=%d link_downs=%d recoveries=%d wire_errors=%d injected=%+v\n",
+			n.console(false, fmt.Sprintf("[reliability] rank %d: retransmits=%d dup_drops=%d crc_errors=%d link_downs=%d recoveries=%d wire_errors=%d injected=%+v\n",
 				n.cfg.Rank, n.relRetrans.Load(), n.relDupDrop.Load(), n.relCrcErr.Load(),
-				n.relLinkDown.Load(), n.relRecovered.Load(), n.relWireErr.Load(), n.inj.Stats())
+				n.relLinkDown.Load(), n.relRecovered.Load(), n.relWireErr.Load(), n.inj.Stats()))
 		}
 		n.teardown()
 		return nil
@@ -980,17 +806,6 @@ func (n *Node) detachedFinish() error {
 // channel.
 func (n *Node) markCtrlLost() {
 	n.ctrlLostOnce.Do(func() { close(n.ctrlLost) })
-}
-
-// CtrlLost reports whether the launcher connection has been lost under
-// TolerateCtrlLoss (always false otherwise — losing it fails the job).
-func (n *Node) CtrlLost() bool {
-	select {
-	case <-n.ctrlLost:
-		return true
-	default:
-		return false
-	}
 }
 
 // Fail reports a fatal local error to the whole job. The first call
@@ -1053,24 +868,6 @@ func (n *Node) teardown() {
 }
 
 // --- diagnostics -----------------------------------------------------
-
-// NoteThreadsSuspended adjusts the count of suspended thread objects on
-// the first local PE (blockStateNoter; called via core.Proc by the
-// thread layer).
-func (n *Node) NoteThreadsSuspended(delta int) {
-	if len(n.lpes) > 0 {
-		n.lpes[0].NoteThreadsSuspended(delta)
-	}
-}
-
-// NoteBarrierWaiters adjusts the count of threads blocked at a barrier
-// on the first local PE (blockStateNoter; called via core.Proc by
-// csync).
-func (n *Node) NoteBarrierWaiters(delta int) {
-	if len(n.lpes) > 0 {
-		n.lpes[0].NoteBarrierWaiters(delta)
-	}
-}
 
 // DescribeBlocked reports why this node's PEs are blocked, in the
 // machine layer's shared diagnostic format — the same report

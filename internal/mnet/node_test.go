@@ -89,18 +89,18 @@ func TestNodesExchangeData(t *testing.T) {
 		n.SetMetrics(reg.PE(i))
 	}
 
-	// Every node sends one message to every peer (and itself: loopback).
+	// Every PE sends one message to every peer (and itself: loopback).
 	var wg sync.WaitGroup
 	for i, n := range nodes {
 		wg.Add(1)
-		go func(i int, n *Node) {
+		go func(i int, pe *NodePE) {
 			defer wg.Done()
 			for j := 0; j < np; j++ {
-				n.SendOwned(j, []byte(fmt.Sprintf("from %d to %d", i, j)))
+				pe.SendOwned(j, []byte(fmt.Sprintf("from %d to %d", i, j)))
 			}
 			seen := map[int]bool{}
 			for len(seen) < np {
-				pkt, ok := n.Recv()
+				pkt, ok := pe.Recv()
 				if !ok {
 					t.Errorf("rank %d: node stopped before all messages arrived", i)
 					return
@@ -114,7 +114,7 @@ func TestNodesExchangeData(t *testing.T) {
 				}
 				seen[pkt.Src] = true
 			}
-		}(i, n)
+		}(i, n.lpes[0])
 	}
 	wg.Wait()
 	finishAll(t, nodes)
@@ -145,13 +145,13 @@ func TestTryRecvBatchDrainsInbox(t *testing.T) {
 
 	const msgs = 50
 	for i := 0; i < msgs; i++ {
-		nodes[0].SendOwned(1, []byte{byte(i)})
+		nodes[0].lpes[0].SendOwned(1, []byte{byte(i)})
 	}
 	got := 0
 	deadline := time.Now().Add(5 * time.Second)
 	var buf [8]machine.Packet
 	for got < msgs && time.Now().Before(deadline) {
-		k := nodes[1].TryRecvBatch(buf[:])
+		k := nodes[1].lpes[0].TryRecvBatch(buf[:])
 		for _, pkt := range buf[:k] {
 			if pkt.Data[0] != byte(got) {
 				t.Fatalf("message %d arrived out of order (got payload %d)", got, pkt.Data[0])
@@ -182,8 +182,8 @@ func TestSurplusRanksHoldTheJob(t *testing.T) {
 	if nodes[2].Active() {
 		t.Fatal("rank 2 of a 2-PE machine must be surplus")
 	}
-	nodes[0].SendOwned(1, []byte("hi"))
-	if pkt, ok := nodes[1].Recv(); !ok || string(pkt.Data) != "hi" {
+	nodes[0].lpes[0].SendOwned(1, []byte("hi"))
+	if pkt, ok := nodes[1].lpes[0].Recv(); !ok || string(pkt.Data) != "hi" {
 		t.Fatalf("active pair exchange failed: %v %q", ok, pkt.Data)
 	}
 	// The release barrier needs only the PEs' dones, but frees all np.
@@ -202,8 +202,8 @@ func TestSequentialRounds(t *testing.T) {
 		}
 		nodes := joinAll(t, addr, np, pes, rnd, time.Second)
 		startAll(t, nodes)
-		nodes[0].SendOwned(pes-1, []byte("round"))
-		if pkt, ok := nodes[pes-1].Recv(); !ok || string(pkt.Data) != "round" {
+		nodes[0].lpes[0].SendOwned(pes-1, []byte("round"))
+		if pkt, ok := nodes[pes-1].lpes[0].Recv(); !ok || string(pkt.Data) != "round" {
 			t.Fatalf("round %d exchange failed: %v %q", rnd, ok, pkt.Data)
 		}
 		finishAll(t, nodes)
@@ -213,32 +213,47 @@ func TestSequentialRounds(t *testing.T) {
 func TestPeerDeathFailsJobFast(t *testing.T) {
 	const np = 3
 	hb := 100 * time.Millisecond
-	addr, _ := StartTestJob(t, np, hb)
+	addr, failCh := StartTestJob(t, np, hb)
 	nodes := joinAll(t, addr, np, np, 1, hb)
 	startAll(t, nodes)
 
-	// Simulate rank 2's process dying mid-run: its sockets close without
-	// any protocol goodbye.
+	// Simulate rank 2's process dying mid-run: its goroutines stand down
+	// (a dead process reports nothing) and its sockets close without any
+	// protocol goodbye. The control connection goes first, and the
+	// launcher must blame rank 2 before any survivor can report a loss:
+	// each control connection has its own reader, so a survivor's report
+	// racing the launcher's EOF could otherwise be seen first.
 	dead := nodes[2]
+	dead.closing.Store(true)
+	dead.torn.Store(true)
+	dead.ctrl.Close()
+	limit := time.Duration(heartbeatMissFactor)*hb + 2*time.Second
+	select {
+	case err := <-failCh:
+		if !strings.Contains(err.Error(), "worker rank 2") {
+			t.Errorf("job's first failure = %v, want it attributed to rank 2", err)
+		}
+	case <-time.After(limit):
+		t.Fatalf("launcher did not notice rank 2's death within %v", limit)
+	}
 	dead.peersMu.Lock()
 	for _, pl := range dead.peers {
 		if pl != nil {
-			pl.conn.Close()
+			pl.closeConn()
 		}
 	}
 	dead.peersMu.Unlock()
-	dead.ctrl.Close()
 
 	// Survivors must observe the failure within the heartbeat allowance
-	// (EOF makes it near-immediate).
-	limit := time.Duration(heartbeatMissFactor)*hb + 2*time.Second
+	// (EOF makes it near-immediate). Which link a survivor loses first
+	// is a race — a survivor that fails closes its own links too.
 	for _, n := range nodes[:2] {
 		select {
 		case err := <-n.Failure():
-			if !strings.Contains(err.Error(), "link to peer 2") {
-				t.Errorf("rank %d failure = %v, want peer-2 link loss", n.ID(), err)
+			if !strings.Contains(err.Error(), "link to peer") {
+				t.Errorf("rank %d failure = %v, want a link loss", n.ID(), err)
 			}
-			if _, ok := n.Recv(); ok {
+			if _, ok := n.lpes[0].Recv(); ok {
 				t.Errorf("rank %d: Recv still delivering after failure", n.ID())
 			}
 		case <-time.After(limit):
@@ -253,10 +268,10 @@ func TestDescribeBlocked(t *testing.T) {
 	nodes := joinAll(t, addr, np, np, 1, time.Second)
 	startAll(t, nodes)
 
-	n := nodes[0]
+	n, pe := nodes[0], nodes[0].lpes[0]
 	recvReturned := make(chan struct{})
 	go func() {
-		n.Recv()
+		pe.Recv()
 		close(recvReturned)
 	}()
 	deadline := time.Now().Add(2 * time.Second)
@@ -266,15 +281,15 @@ func TestDescribeBlocked(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	n.NoteThreadsSuspended(2)
-	n.NoteBarrierWaiters(1)
+	pe.NoteThreadsSuspended(2)
+	pe.NoteBarrierWaiters(1)
 	d := n.DescribeBlocked()
 	for _, want := range []string{"rank0(pe0)", "threads-suspended=2", "barrier-waiters=1", "inbox=0"} {
 		if !strings.Contains(d, want) {
 			t.Errorf("DescribeBlocked() = %q, missing %q", d, want)
 		}
 	}
-	nodes[1].SendOwned(0, []byte("unblock"))
+	nodes[1].lpes[0].SendOwned(0, []byte("unblock"))
 	<-recvReturned
 	finishAll(t, nodes)
 }
@@ -289,11 +304,87 @@ func TestJoinValidation(t *testing.T) {
 }
 
 func TestConsoleInputUnavailable(t *testing.T) {
-	n := &Node{}
-	if _, err := n.Scanf("%d", nil); err == nil {
+	pe := &NodePE{}
+	if _, err := pe.Scanf("%d", nil); err == nil {
 		t.Error("Scanf should fail on the network machine")
 	}
-	if _, err := n.ReadLine(); err == nil {
+	if _, err := pe.ReadLine(); err == nil {
 		t.Error("ReadLine should fail on the network machine")
+	}
+}
+
+// TestInterNodeSendDoesNotCopy pins the routed send path: a message for
+// another node is queued on the link with its PE route beside it, so the
+// send allocates nothing — no copy of the message to prepend a header.
+// The link's writer is never started, so every send stays queued.
+func TestInterNodeSendDoesNotCopy(t *testing.T) {
+	n := &Node{
+		cfg:    Config{Rank: 0, NP: 2, PEs: 4, PPN: 2},
+		topo:   machine.UniformTopology(4, 2),
+		peers:  make([]*peerLink, 2),
+		stopCh: make(chan struct{}),
+	}
+	n.lpes = []*NodePE{{n: n, pe: 0, inbox: machine.NewInbox()}, {n: n, pe: 1, inbox: machine.NewInbox()}}
+	pl := newPeerLink(n, 1, nil)
+	n.peers[1] = pl
+
+	msg := make([]byte, 256)
+	if allocs := testing.AllocsPerRun(100, func() { n.lpes[1].SendOwned(3, msg) }); allocs != 0 {
+		t.Errorf("inter-node send: %v allocs, want 0", allocs)
+	}
+	m := <-pl.out
+	if m.src != 1 || m.dst != 3 || &m.data[0] != &msg[0] {
+		t.Errorf("queued route %d->%d (same buffer: %v), want 1->3 on the sender's buffer", m.src, m.dst, &m.data[0] == &msg[0])
+	}
+}
+
+// TestBadRouteFailsJob writes a data frame with an impossible PE route
+// onto a live link (below the sender's writer, as a buggy or hostile
+// peer would): the receiver must fail the job loudly instead of
+// delivering the message or indexing per-PE state with the bogus route.
+// TestDecodeDataRejectsBadRoutes covers the other bad routes.
+func TestBadRouteFailsJob(t *testing.T) {
+	const np = 2
+	hb := 100 * time.Millisecond
+	addr, failCh := StartTestJob(t, np, hb)
+	nodes := joinAll(t, addr, np, np, 1, hb)
+	startAll(t, nodes)
+	defer func() {
+		for _, n := range nodes {
+			n.Close()
+		}
+	}()
+
+	pl := nodes[0].peers[1]
+	pl.connMu.Lock()
+	conn := pl.conn
+	pl.connMu.Unlock()
+	// One Write call: it cannot interleave with the writer's own flushes
+	// on the same connection.
+	if _, err := conn.Write(encodeDataFrame(1, dataMsg{src: 7, dst: 1, data: []byte("bogus")})); err != nil {
+		t.Fatal(err)
+	}
+
+	const want = "routed from PE 7, which is not on sending node 0"
+	limit := 5 * time.Second
+	select {
+	case err := <-nodes[1].Failure():
+		if !strings.Contains(err.Error(), "bad data frame from rank 0") || !strings.Contains(err.Error(), want) {
+			t.Errorf("failure = %v, want bad-route report %q", err, want)
+		}
+	case <-time.After(limit):
+		t.Fatalf("bad route not fatal within %v", limit)
+	}
+	// The launcher hears of it too, though which report lands first —
+	// rank 1's, or rank 0's loss of the link rank 1 shut — is a race
+	// between their control connections.
+	select {
+	case <-failCh:
+	case <-time.After(limit):
+		t.Fatalf("launcher saw no job failure within %v", limit)
+	}
+	var buf [1]machine.Packet
+	if k := nodes[1].lpes[0].TryRecvBatch(buf[:]); k != 0 {
+		t.Errorf("misrouted message delivered: %q", buf[0].Data)
 	}
 }

@@ -1,38 +1,20 @@
 package mnet
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sync/atomic"
 
 	"converse/internal/machine"
 )
 
-// routeHdrLen is the PE routing header prepended to wire data payloads
-// on jobs where some node hosts more than one PE: [src u32][dst u32],
-// global PE numbers, immediately after the link's sequence number. Jobs
-// with the classic 1:1 rank↔PE mapping carry no header, keeping the
-// flat wire format byte-identical to single-PE nodes.
-const routeHdrLen = 8
-
-func putRouteHdr(buf []byte, src, dst int) {
-	binary.LittleEndian.PutUint32(buf[0:], uint32(src))
-	binary.LittleEndian.PutUint32(buf[4:], uint32(dst))
-}
-
-func routeHdr(buf []byte) (src, dst int) {
-	return int(binary.LittleEndian.Uint32(buf[0:])),
-		int(binary.LittleEndian.Uint32(buf[4:]))
-}
-
-// NodePE is one of the PEs a worker process hosts: the per-PE view of
-// the node's TCP machine layer, satisfying internal/core's Substrate
-// interface exactly like the simulated machine.PE does. Each NodePE
-// owns a lock-free MPSC inbox (machine.Inbox); messages between two PEs
-// of the same node move by pointer handoff through it — zero copies,
-// never the wire — while messages to other nodes go out on the
-// destination node's link with the PE routing header. The node's
-// lifecycle (rendezvous, failure, teardown) stays on the owning Node.
+// NodePE is one of the PEs a worker process hosts: the TCP machine
+// layer's only Substrate, satisfying internal/core's interface exactly
+// like the simulated machine.PE does. Each NodePE owns a lock-free MPSC
+// inbox (machine.Inbox); messages between two PEs of the same node move
+// by pointer handoff through it — zero copies, never the wire — while
+// messages to other nodes go out on the destination node's link as
+// routed data frames. The node's lifecycle (rendezvous, failure,
+// teardown) stays on the owning Node.
 type NodePE struct {
 	n     *Node
 	pe    int // global PE number
@@ -65,7 +47,7 @@ func (s *NodePE) NodeOf(pe int) int { return s.n.topo.NodeOf(pe) }
 
 // Clock returns wall-clock microseconds since the node joined; all PEs
 // of a node share its clock.
-func (s *NodePE) Clock() float64 { return s.n.Clock() }
+func (s *NodePE) Clock() float64 { return s.n.now() }
 
 // Charge is a no-op: real time advances itself.
 func (s *NodePE) Charge(dt float64) {}
@@ -77,9 +59,39 @@ func (s *NodePE) AdvanceTo(t float64) {}
 func (s *NodePE) Model() machine.CostModel { return nil }
 
 // SendOwned transmits data to processor dst, taking ownership of the
-// slice: an in-memory inbox handoff when dst lives on this node, a wire
-// send otherwise.
-func (s *NodePE) SendOwned(dst int, data []byte) { s.n.sendOwnedFrom(s.pe, dst, data) }
+// slice. A destination on this node is an in-memory inbox handoff that
+// never touches the wire (the intra-node path of the two-level
+// collectives); anything else is queued with its PE route on the
+// destination node's link (blocking under backpressure), so the route
+// costs no copy of the message.
+func (s *NodePE) SendOwned(dst int, data []byte) {
+	n := s.n
+	if dst < 0 || dst >= n.cfg.PEs {
+		n.Fail(fmt.Errorf("mnet: rank %d: send to invalid PE %d (machine has %d)", n.cfg.Rank, dst, n.cfg.PEs))
+		return
+	}
+	g := n.topo.NodeOf(dst)
+	if g == n.cfg.Rank {
+		n.deliverLocal(s.pe, dst, data)
+		return
+	}
+	n.peersMu.Lock()
+	pl := n.peers[g]
+	n.peersMu.Unlock()
+	if pl == nil {
+		n.Fail(fmt.Errorf("mnet: rank %d: send to rank %d before mesh setup (machine.Run not started?)", n.cfg.Rank, g))
+		return
+	}
+	pl.send(dataMsg{src: uint32(s.pe), dst: uint32(dst), data: data})
+}
+
+// deliverLocal publishes one packet into a local PE's inbox (lock-free
+// MPSC fast path; wakes the PE if it is blocked in Recv). dst is on this
+// node: SendOwned routed it here, or decodeData checked the frame's
+// route.
+func (n *Node) deliverLocal(src, dst int, data []byte) {
+	n.lpes[dst-n.lpes[0].pe].inbox.Put(machine.Packet{Src: src, Dst: dst, Data: data, Arrive: n.now()})
+}
 
 // Inject publishes a message straight to this PE's own inbox. Safe from
 // any goroutine (the inbox is a concurrent MPSC queue): foreign
@@ -116,18 +128,23 @@ func (s *NodePE) InboxLen() int { return s.inbox.Len() }
 func (s *NodePE) Stopped() bool { return s.inbox.Stopped() }
 
 // Printf relays an atomic formatted write to the launcher's standard
-// output.
-func (s *NodePE) Printf(format string, args ...any) { s.n.Printf(format, args...) }
+// output (CmiPrintf forwarding, as charmrun does).
+func (s *NodePE) Printf(format string, args ...any) { s.n.console(false, fmt.Sprintf(format, args...)) }
 
 // Errorf relays an atomic formatted write to the launcher's standard
 // error.
-func (s *NodePE) Errorf(format string, args ...any) { s.n.Errorf(format, args...) }
+func (s *NodePE) Errorf(format string, args ...any) { s.n.console(true, fmt.Sprintf(format, args...)) }
 
-// Scanf is unavailable on the network machine (see Node.Scanf).
-func (s *NodePE) Scanf(format string, args ...any) (int, error) { return s.n.Scanf(format, args...) }
+// Scanf is unavailable on the network machine: workers have no usable
+// standard input under the launcher.
+func (s *NodePE) Scanf(format string, args ...any) (int, error) {
+	return 0, fmt.Errorf("mnet: CmiScanf is not supported under converserun (workers have no console input)")
+}
 
-// ReadLine is unavailable on the network machine (see Node.ReadLine).
-func (s *NodePE) ReadLine() (string, error) { return s.n.ReadLine() }
+// ReadLine is unavailable on the network machine (see Scanf).
+func (s *NodePE) ReadLine() (string, error) {
+	return "", fmt.Errorf("mnet: console input is not supported under converserun")
+}
 
 // NoteThreadsSuspended adjusts the count of suspended thread objects
 // (blockStateNoter; called via core.Proc by the thread layer).

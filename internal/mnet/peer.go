@@ -30,11 +30,11 @@ const (
 )
 
 // relFrame is one staged data frame: its per-link sequence number, the
-// message bytes, and the time of its most recent transmission (the
+// routed message, and the time of its most recent transmission (the
 // retransmit-timeout clock).
 type relFrame struct {
+	dataMsg
 	seq  uint64
-	data []byte
 	sent time.Time
 }
 
@@ -58,7 +58,7 @@ type offeredConn struct {
 type peerLink struct {
 	n    *Node
 	rank int
-	out  chan []byte
+	out  chan dataMsg
 
 	rel    bool   // reliability on (FailRetry)
 	dialer bool   // this side dials (and redials) the connection
@@ -102,7 +102,7 @@ func newPeerLink(n *Node, rank int, conn net.Conn) *peerLink {
 	}
 	pl := &peerLink{
 		n: n, rank: rank, conn: conn,
-		out:        make(chan []byte, linkQueueCap),
+		out:        make(chan dataMsg, linkQueueCap),
 		rel:        n.rel(),
 		dialer:     n.cfg.Rank > rank,
 		connCh:     make(chan offeredConn, 1),
@@ -123,16 +123,16 @@ func (pl *peerLink) start() {
 	go pl.run()
 }
 
-// send queues data for transmission, blocking when the link is
+// send queues m for transmission, blocking when the link is
 // backlogged. It never blocks past node teardown. Sends to a peer
 // declared down are silently dropped — the peer-down notification
 // already told the upper layers to stop addressing it.
-func (pl *peerLink) send(data []byte) {
+func (pl *peerLink) send(m dataMsg) {
 	if pl.dead.Load() {
 		return
 	}
 	select {
-	case pl.out <- data:
+	case pl.out <- m:
 		return
 	default:
 	}
@@ -140,7 +140,7 @@ func (pl *peerLink) send(data []byte) {
 	// stopped node cannot wedge its driver.
 	pl.n.noteStall()
 	select {
-	case pl.out <- data:
+	case pl.out <- m:
 	case <-pl.n.stopCh:
 	}
 }
@@ -253,10 +253,10 @@ func (pl *peerLink) ackSeq(a uint64) {
 
 // stage assigns the next sequence number and, under FailRetry, parks
 // the frame in the retransmit ring until the peer acks it.
-func (pl *peerLink) stage(data []byte) relFrame {
+func (pl *peerLink) stage(m dataMsg) relFrame {
 	pl.relMu.Lock()
 	pl.txSeq++
-	f := relFrame{seq: pl.txSeq, data: data, sent: time.Now()}
+	f := relFrame{dataMsg: m, seq: pl.txSeq, sent: time.Now()}
 	if pl.rel {
 		pl.ring = append(pl.ring, f)
 	}
@@ -353,9 +353,9 @@ func (pl *peerLink) writeLoop(conn net.Conn, replay []relFrame, stop <-chan stru
 			continue
 		}
 		select {
-		case data := <-pl.out:
+		case m := <-pl.out:
 			for {
-				if err := pl.writeData(w, pl.stage(data), false); err != nil {
+				if err := pl.writeData(w, pl.stage(m), false); err != nil {
 					fail(err)
 					return
 				}
@@ -363,7 +363,7 @@ func (pl *peerLink) writeLoop(conn net.Conn, replay []relFrame, stop <-chan stru
 					break
 				}
 				select {
-				case data = <-pl.out:
+				case m = <-pl.out:
 					continue
 				default:
 				}
@@ -521,7 +521,7 @@ func (pl *peerLink) writeData(w *bufio.Writer, f relFrame, isReplay bool) error 
 			return nil
 		}
 		if fault.Corrupt {
-			buf := encodeDataFrame(f.seq, f.data)
+			buf := encodeDataFrame(f.seq, f.dataMsg)
 			flipBit(buf, fault.CorruptBit)
 			if _, err := w.Write(buf); err != nil {
 				return err
@@ -530,16 +530,16 @@ func (pl *peerLink) writeData(w *bufio.Writer, f relFrame, isReplay bool) error 
 			return pl.writeHeld(w)
 		}
 		if fault.Dup {
-			if err := writeDataFrame(w, f.seq, f.data); err != nil {
+			if err := writeDataFrame(w, f.seq, f.dataMsg); err != nil {
 				return err
 			}
-			pl.n.noteTx(pl.rank, frameHdrLen+dataSeqLen+len(f.data))
+			pl.n.noteTx(pl.rank, frameHdrLen+dataHdrLen+len(f.data))
 		}
 	}
-	if err := writeDataFrame(w, f.seq, f.data); err != nil {
+	if err := writeDataFrame(w, f.seq, f.dataMsg); err != nil {
 		return err
 	}
-	pl.n.noteTx(pl.rank, frameHdrLen+dataSeqLen+len(f.data))
+	pl.n.noteTx(pl.rank, frameHdrLen+dataHdrLen+len(f.data))
 	return pl.writeHeld(w)
 }
 
@@ -550,10 +550,10 @@ func (pl *peerLink) writeHeld(w *bufio.Writer) error {
 	}
 	h := *pl.held
 	pl.held = nil
-	if err := writeDataFrame(w, h.seq, h.data); err != nil {
+	if err := writeDataFrame(w, h.seq, h.dataMsg); err != nil {
 		return err
 	}
-	pl.n.noteTx(pl.rank, frameHdrLen+dataSeqLen+len(h.data))
+	pl.n.noteTx(pl.rank, frameHdrLen+dataHdrLen+len(h.data))
 	return nil
 }
 
@@ -616,11 +616,13 @@ func (pl *peerLink) readLoop(conn net.Conn, stop <-chan struct{}, errCh chan<- e
 		pl.n.noteRx(pl.rank, frameHdrLen+len(payload))
 		switch k {
 		case fData:
-			if len(payload) < dataSeqLen {
-				fail(fmt.Errorf("malformed data frame (%d bytes, no sequence number)", len(payload)))
+			seq, m, err := decodeData(payload, pl.n.topo, pl.rank, pl.n.cfg.Rank)
+			if err != nil {
+				// The checksum passed, so the peer really sent this: fail
+				// the job under either policy (a replay would repeat it).
+				pl.n.Fail(fmt.Errorf("mnet: rank %d: bad data frame from rank %d: %v", pl.n.cfg.Rank, pl.rank, err))
 				return
 			}
-			seq := binary.LittleEndian.Uint64(payload[:dataSeqLen])
 			cur := pl.rxDelivered.Load()
 			switch {
 			case seq <= cur:
@@ -629,7 +631,7 @@ func (pl *peerLink) readLoop(conn net.Conn, stop <-chan struct{}, errCh chan<- e
 				pl.n.noteDupDrop(pl.rank)
 			case seq == cur+1:
 				pl.rxDelivered.Store(seq)
-				pl.n.deliverFromWire(pl.rank, payload[dataSeqLen:])
+				pl.n.deliverLocal(int(m.src), int(m.dst), m.data)
 				if pl.rel && r.Buffered() == 0 {
 					pl.kick(pl.ackKick)
 				}

@@ -14,12 +14,13 @@ import (
 // the job immediately rather than producing wire garbage later.
 const (
 	protoMagic = "CONVERSE-MNET"
-	// protoVersion 3: node-aware hello (each worker reports the machine's
-	// node count) and PE-routed data frames on jobs where any node hosts
-	// more than one PE. Version 2 added the checksummed frame header
+	// protoVersion 4: every data frame carries its PE route
+	// ([u64 seq][u32 src PE][u32 dst PE][message]), flat jobs included.
+	// Version 3 added the node-aware hello (each worker reports the
+	// machine's node count); version 2 the checksummed frame header
 	// (CRC32C), sequenced data frames, ack/nack kinds, and the
 	// session-resume peer hello.
-	protoVersion = 3
+	protoVersion = 4
 )
 
 // Failure policies (Config.FailurePolicy, converserun -failure).

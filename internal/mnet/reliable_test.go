@@ -48,7 +48,7 @@ func exchangeNumbered(t *testing.T, nodes []*Node, msgs int, midway func(sent in
 		wg.Add(1)
 		go func(me int) {
 			defer wg.Done()
-			n := nodes[me]
+			n := nodes[me].lpes[0]
 			for i := 0; i < msgs; i++ {
 				buf := make([]byte, 8)
 				binary.LittleEndian.PutUint64(buf, uint64(i))
@@ -236,7 +236,7 @@ func TestFailfastRejectsDamagedFrame(t *testing.T) {
 	}
 	startAll(t, nodes)
 
-	nodes[0].SendOwned(1, []byte("doomed"))
+	nodes[0].lpes[0].SendOwned(1, []byte("doomed"))
 	limit := time.Duration(heartbeatMissFactor)*hb + 2*time.Second
 	select {
 	case err := <-nodes[1].Failure():

@@ -299,8 +299,22 @@ func TestGatewayDrainJournalsCleanShutdown(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() { done <- g1.Drain() }()
-	// Once draining, submits must be refused with a pointer onward.
+	// Wait for Drain to stop admissions first: a probe submit that beat
+	// it would be admitted and journaled as a third job.
 	deadline := time.Now().Add(5 * time.Second)
+	for {
+		g1.mu.Lock()
+		draining := g1.draining
+		g1.mu.Unlock()
+		if draining {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("Drain never stopped admissions")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// Once draining, submits must be refused with a pointer onward.
 	for {
 		_, err := c.Submit("late", "pingpong", nil, 1)
 		if err != nil && strings.Contains(err.Error(), "draining") {

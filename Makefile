@@ -3,8 +3,9 @@
 #   make tier1         vet + build + test (the ROADMAP tier-1 gate)
 #   make race          full test suite under the race detector
 #   make machine-race  the lock-free machine layer alone under -race
-#   make overhead      observability overhead gate: the disabled-path
-#                      benchmarks must report zero allocations
+#   make overhead      zero-allocation gate: the disabled-path
+#                      observability benchmarks and the tcp stream
+#                      benchmark must report zero allocations
 #   make bench         comm fast-path benchmarks; writes BENCH_comm.json
 #   make net-smoke     multi-process smoke: jacobi + quickstart + commbench
 #                      under converserun -np 4 on real TCP sockets
@@ -89,11 +90,15 @@ machine-race:
 # BenchmarkNullTracerOverhead and BenchmarkMetricsEnabled cover the full
 # dispatch path; BenchmarkMetricsDisabled covers the raw hooks;
 # BenchmarkMonitorIdle proves a live but unpolled monitor endpoint is
-# invisible to the scheduler.
+# invisible to the scheduler; BenchmarkNetStream (a 64-message window
+# of 256 B between two in-process TCP nodes, plus the ack) holds the
+# tcp send -> frame -> receive -> dispatch path to the same zero.
 overhead:
 	@out=$$($(GO) test ./internal/core/ -run '^$$' \
 		-bench 'DispatchOff|NullTracerOverhead|MetricsEnabled|MetricsDisabled|MonitorIdle' \
-		-benchmem -benchtime 200000x); \
+		-benchmem -benchtime 200000x && \
+		$(GO) test ./internal/mnet/ -run '^$$' -bench 'NetStream' \
+		-benchmem -benchtime 5000x) || { echo "$$out"; echo 'FAIL: overhead benchmarks did not run'; exit 1; }; \
 	echo "$$out"; \
 	if echo "$$out" | grep -E ' [1-9][0-9]* allocs/op'; then \
 		echo 'FAIL: observability path allocates when it must not'; exit 1; \

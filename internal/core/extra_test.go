@@ -179,7 +179,7 @@ func TestPoolBounded(t *testing.T) {
 			p.SyncSendAndFree(0, msg)
 		}
 		p.Scheduler(500)
-		if n := p.pool.poolLen(); n > len(poolClassSizes)*poolClassCap {
+		if n := p.pool.poolLen(); n > len(p.pool.classes)*poolClassCap {
 			t.Errorf("pool grew to %d", n)
 		}
 		for ci, cls := range p.pool.classes {

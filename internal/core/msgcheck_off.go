@@ -2,6 +2,8 @@
 
 package core
 
+import "converse/internal/machine"
+
 // Default build: the dynamic message-ownership checker is compiled out.
 // Every hook below is an empty function the compiler inlines away, so
 // the fast path pays nothing; build with -tags msgcheck to enable the
@@ -17,6 +19,10 @@ func mcStamp(buf []byte) {}
 // mcFree records that buf was recycled; pooled says whether the pool
 // retained it.
 func mcFree(buf []byte, pooled bool) {}
+
+// mcSpill hands a recycled buffer to the node's depot (the pool's
+// second tier), recording that it left this processor.
+func mcSpill(d *machine.Depot, ci int, buf []byte) { d.Put(ci, buf) }
 
 // mcSend records that buf was handed to the machine layer.
 func mcSend(buf []byte) {}

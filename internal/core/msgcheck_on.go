@@ -26,6 +26,8 @@ import (
 	"fmt"
 	"runtime/debug"
 	"sync"
+
+	"converse/internal/machine"
 )
 
 // MsgCheckEnabled reports whether this binary was built with the
@@ -152,6 +154,42 @@ func mcFree(buf []byte, pooled bool) {
 	}
 	rec.state = mcFreed
 	rec.poisoned = true
+	rec.lossStack = stack
+}
+
+// mcSpill ends buf's generation as recycle spills it into the node's
+// depot, and performs the spill. The buffer is marked freed, so a stale
+// reference still panics on its next checked access, but it is not
+// poisoned: the machine layer draws depot buffers too and legitimately
+// writes them (a link reader fills one, then may hand it back after
+// rejecting a damaged frame), so the write-after-free canary guards the
+// PE-private tier only. The registry lock is held across the handoff:
+// once the depot has the buffer another processor may draw it and
+// stamp a new generation, which must not be overwritten by this one's
+// end. A buffer the full depot turns away leaves every tier, and its
+// record goes with it, as for a buffer the pool drops.
+func mcSpill(d *machine.Depot, ci int, buf []byte) {
+	if len(buf) == 0 {
+		d.Put(ci, buf)
+		return
+	}
+	stack := debug.Stack()
+	mcReg.Lock()
+	defer mcReg.Unlock()
+	rec := mcReg.m[&buf[0]]
+	if rec != nil && rec.state != mcLive {
+		panic(mcViolation("buffer released twice", rec))
+	}
+	if !d.Put(ci, buf) {
+		delete(mcReg.m, &buf[0])
+		return
+	}
+	if rec == nil {
+		rec = &mcRecord{gen: 1}
+		mcReg.m[&buf[0]] = rec
+	}
+	rec.state = mcFreed
+	rec.poisoned = false
 	rec.lossStack = stack
 }
 

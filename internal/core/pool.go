@@ -7,16 +7,21 @@ package core
 // from here, and a steady-state SyncSendAndFree cycle performs no heap
 // allocation at all (BenchmarkSendAndFreeSteadyState enforces this).
 //
-// Buffers are segregated by capacity into a few power-of-four-ish
-// classes so a small control message never pins a 64 KB buffer and a
-// large allocation never triggers a linear hunt. Each class is a small
-// LIFO stack (hot buffers stay cache-warm) with a per-class retention
-// bound so the pool cannot hold a high-water mark hostage.
+// Buffers are segregated by capacity into the machine layer's size
+// classes (machine.BufClassSizes). Each class is a small LIFO stack
+// (hot buffers stay cache-warm) with a per-class retention bound so the
+// pool cannot hold a high-water mark hostage.
+//
+// On a network substrate the pool is the first of two tiers: behind it
+// sits the node-shared machine.Depot, which link writers return sent
+// buffers to and link readers read inbound messages into. Alloc draws
+// from the depot on a miss and recycle spills into it when a class is
+// full, so buffers that cross goroutines — sent here, written out by a
+// link writer; read by a link reader, dispatched here — circulate
+// instead of becoming garbage. On the simulated machine there is no
+// depot and the pool is the only tier.
 
-// poolClassSizes are the buffer capacities the pool hands out, in
-// bytes of total message (header included). Requests larger than the
-// biggest class fall through to the heap and are never pooled.
-var poolClassSizes = [...]int{64, 256, 1024, 4096, 16384, 65536}
+import "converse/internal/machine"
 
 // poolClassCap bounds the buffers retained per class.
 const poolClassCap = 32
@@ -24,31 +29,16 @@ const poolClassCap = 32
 // msgPool is the per-processor pool; it is strictly PE-local, like all
 // Converse runtime state, so no locking is involved.
 type msgPool struct {
-	classes [len(poolClassSizes)][][]byte
+	classes [len(machine.BufClassSizes)][][]byte
+	// depot is the node-shared tier behind the pool (network
+	// substrates); nil on the simulated machine.
+	depot *machine.Depot
 }
 
-// allocClass returns the index of the smallest class that can serve a
-// buffer of want bytes, or -1 if want exceeds every class.
-func allocClass(want int) int {
-	for i, sz := range poolClassSizes {
-		if want <= sz {
-			return i
-		}
-	}
-	return -1
-}
-
-// recycleClass returns the class a buffer of capacity c feeds, the
-// largest class whose allocations it can always satisfy, or -1 when
-// the buffer is too small to pool.
-func recycleClass(c int) int {
-	ci := -1
-	for i, sz := range poolClassSizes {
-		if c >= sz {
-			ci = i
-		}
-	}
-	return ci
+// depotHolder is the optional substrate extension that supplies the
+// node-shared buffer tier; the network NodePE implements it.
+type depotHolder interface {
+	Depot() *machine.Depot
 }
 
 // Alloc returns a message buffer with at least the given payload
@@ -59,31 +49,29 @@ func recycleClass(c int) int {
 //converse:hotpath
 func (p *Proc) Alloc(payloadLen int) []byte {
 	want := HeaderSize + payloadLen
-	ci := allocClass(want)
+	ci := machine.AllocClass(want)
 	if ci >= 0 {
 		// Serve from the ideal class, or any larger one that has a
 		// buffer spare; upward search keeps the miss rate low when
 		// traffic mixes sizes.
-		for c := ci; c < len(poolClassSizes); c++ {
+		for c := ci; c < len(machine.BufClassSizes); c++ {
 			cls := p.pool.classes[c]
 			if n := len(cls); n > 0 {
 				buf := cls[n-1][:want]
 				cls[n-1] = nil
 				p.pool.classes[c] = cls[:n-1]
-				// Stamp before the header writes below: the buffer is
-				// still in the freed state until mcStamp revives it.
-				mcStamp(buf)
-				//lint:ignore handlerreg Alloc hands out messages with the handler field deliberately zeroed; the caller must SetHandler a registered index before sending.
-				SetHandler(buf, 0)
-				SetFlags(buf, 0)
-				p.notePoolHit()
-				return buf
+				return p.reuse(buf)
+			}
+		}
+		if d := p.pool.depot; d != nil {
+			if buf := d.Get(ci); buf != nil {
+				return p.reuse(buf[:want])
 			}
 		}
 		p.notePoolMiss()
 		// Miss: allocate at full class capacity so the buffer recycles
 		// back into the same class it serves.
-		buf := make([]byte, poolClassSizes[ci])[:want]
+		buf := make([]byte, machine.BufClassSizes[ci])[:want]
 		mcStamp(buf)
 		return buf
 	}
@@ -94,6 +82,20 @@ func (p *Proc) Alloc(payloadLen int) []byte {
 	return msg
 }
 
+// reuse hands out a recycled buffer drawn from either tier.
+//
+//converse:hotpath
+func (p *Proc) reuse(buf []byte) []byte {
+	// Stamp before the header writes below: the buffer is still in the
+	// freed state until mcStamp revives it.
+	mcStamp(buf)
+	//lint:ignore handlerreg Alloc hands out messages with the handler field deliberately zeroed; the caller must SetHandler a registered index before sending.
+	SetHandler(buf, 0)
+	SetFlags(buf, 0)
+	p.notePoolHit()
+	return buf
+}
+
 // allocMsg is Alloc with the handler set, for messages the runtime
 // builds itself. Unlike NewMsg's, the payload is not zeroed.
 func (p *Proc) allocMsg(handler, payloadLen int) []byte {
@@ -102,18 +104,24 @@ func (p *Proc) allocMsg(handler, payloadLen int) []byte {
 	return msg
 }
 
-// recycle returns a buffer to the pool, dropping it when its class is
-// full or it is too small to ever serve an allocation.
+// recycle returns a buffer to the pool, spilling it to the node's
+// depot when its class is full, and dropping it when there is no room
+// in either tier or it is too small to ever serve an allocation.
 //
 //converse:hotpath
 func (p *Proc) recycle(buf []byte) {
-	ci := recycleClass(cap(buf))
-	pooled := ci >= 0 && len(p.pool.classes[ci]) < poolClassCap
-	mcFree(buf, pooled)
-	if pooled {
+	ci := machine.RecycleClass(cap(buf))
+	if ci >= 0 && len(p.pool.classes[ci]) < poolClassCap {
+		mcFree(buf, true)
 		//lint:ignore noallocinhot the class backing array doubles a few times up to poolClassCap then reuses capacity; steady state appends allocation-free
 		p.pool.classes[ci] = append(p.pool.classes[ci], buf[:cap(buf)])
+		return
 	}
+	if ci >= 0 && p.pool.depot != nil {
+		mcSpill(p.pool.depot, ci, buf[:cap(buf)])
+		return
+	}
+	mcFree(buf, false)
 }
 
 // poolLen reports the total buffers currently retained (tests).

@@ -184,6 +184,9 @@ func newProc(pe Substrate, co CoalesceConfig) *Proc {
 	if sq, ok := pe.(interface{ Stopped() bool }); ok {
 		p.stopq = sq
 	}
+	if dh, ok := pe.(depotHolder); ok {
+		p.pool.depot = dh.Depot()
+	}
 	if cc, ok := pe.Model().(ConverseCosts); ok {
 		p.costs = cc
 	}

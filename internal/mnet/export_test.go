@@ -18,7 +18,7 @@ const TestToken = "mnet-test-token"
 // the control address and a channel delivering the job's first failure.
 // The optional ppn raises the job's PE-per-node capacity above the
 // default of one.
-func StartTestJob(t *testing.T, np int, hb time.Duration, ppn ...int) (addr string, failCh <-chan error) {
+func StartTestJob(t testing.TB, np int, hb time.Duration, ppn ...int) (addr string, failCh <-chan error) {
 	t.Helper()
 	ls, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -1,6 +1,7 @@
 package mnet
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -156,7 +157,7 @@ func dataPayload(seq uint64, m dataMsg) []byte {
 func TestDataFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	m := dataMsg{src: 3, dst: 4, data: []byte("one converse message")}
-	if err := writeDataFrame(&buf, 42, m); err != nil {
+	if err := writeDataFrame(&buf, new(dataHdr), 42, m); err != nil {
 		t.Fatal(err)
 	}
 	// encodeDataFrame must render the identical bytes.
@@ -217,4 +218,88 @@ func FuzzDataPayload(f *testing.F) {
 			t.Fatalf("round trip: re-encoded payload %x, decoded from %x", got, payload)
 		}
 	})
+}
+
+// FuzzFrameReader drives the mesh link's buffer-supplying read path,
+// as node 2 receiving from node 1, over arbitrary byte streams. It must
+// never panic, never accept a bad route, and never hand out a message
+// past maxFrame; and a frame it rejects (bad checksum, bad route,
+// malformed header, torn stream) must give its depot buffer back. The
+// depot starts with one buffer per class, so every draw within the
+// classes hits it and a buffer not returned shows as a shortfall.
+func FuzzFrameReader(f *testing.F) {
+	valid := encodeDataFrame(7, dataMsg{src: 2, dst: 5, data: []byte("routed message")})
+	f.Add(valid)
+	flipped := append([]byte(nil), valid...)
+	flipBit(flipped, 200)
+	f.Add(flipped)
+	f.Add(encodeDataFrame(8, dataMsg{src: 0, dst: 5, data: []byte("wrong source node")}))
+	f.Add(encodeDataFrame(9, dataMsg{src: 2, dst: 5, data: bytes.Repeat([]byte("large "), 100)}))
+	var ctl bytes.Buffer
+	writeFrame(&ctl, fAck, []byte{1, 0, 0, 0, 0, 0, 0, 0})
+	writeFrame(&ctl, fHeartbeat, []byte{2, 0, 0, 0, 0, 0, 0, 0})
+	writeFrame(&ctl, fNack, []byte{3})
+	f.Add(append(ctl.Bytes(), valid...))
+	var short bytes.Buffer
+	writeFrame(&short, fData, []byte("too short"))
+	f.Add(short.Bytes())
+	f.Add(append(append([]byte(nil), valid...), valid[:20]...))
+	f.Add([]byte{255, 255, 255, 255, byte(fData)})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var d machine.Depot
+		for ci, sz := range machine.BufClassSizes {
+			d.Put(ci, make([]byte, sz))
+		}
+		fr := &frameReader{r: bufio.NewReader(bytes.NewReader(data)), depot: &d, topo: dataTopo, from: dataFrom, to: dataTo}
+		for {
+			before := d.Len()
+			k, _, m, err := fr.next()
+			if err != nil {
+				if d.Len() < before {
+					t.Fatalf("rejected %v frame (%v) kept its depot buffer", k, err)
+				}
+				_, bad := err.(frameError)
+				if errors.Is(err, errChecksum) || bad {
+					continue // consumed whole: the stream goes on
+				}
+				return
+			}
+			if k == fData {
+				if len(m.data) > maxFrame {
+					t.Fatalf("message of %d bytes past the %d cap", len(m.data), maxFrame)
+				}
+				if dataTopo.NodeOf(int(m.src)) != dataFrom || dataTopo.NodeOf(int(m.dst)) != dataTo {
+					t.Fatalf("accepted route %d->%d, not node %d to node %d", m.src, m.dst, dataFrom, dataTo)
+				}
+				depotPut(&d, m.data) // the caller's release
+			}
+			if d.Len() < before {
+				t.Fatalf("%v frame leaked a depot buffer", k)
+			}
+		}
+	})
+}
+
+func TestFrameReaderDataPathAllocationFree(t *testing.T) {
+	var stream bytes.Buffer
+	for i := 0; i < 100; i++ {
+		stream.Write(encodeDataFrame(uint64(i+1), dataMsg{src: 2, dst: 5, data: make([]byte, 248)}))
+	}
+	var d machine.Depot
+	src := bytes.NewReader(stream.Bytes())
+	fr := &frameReader{r: bufio.NewReader(src), depot: &d, topo: dataTopo, from: dataFrom, to: dataTo}
+	allocs := testing.AllocsPerRun(50, func() {
+		src.Reset(stream.Bytes())
+		fr.r.Reset(src)
+		for i := 0; i < 100; i++ {
+			k, seq, m, err := fr.next()
+			if err != nil || k != fData || seq != uint64(i+1) {
+				t.Fatalf("frame %d: kind %v seq %d err %v", i, k, seq, err)
+			}
+			depotPut(&d, m.data)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("reading 100 data frames: %v allocs, want 0", allocs)
+	}
 }

@@ -105,6 +105,11 @@ type Node struct {
 	topo *machine.Topology
 	lpes []*NodePE
 
+	// depot is the node's shared buffer tier, behind each local PE's
+	// message pool: link writers return sent messages' buffers to it
+	// and link readers read inbound messages into buffers drawn from it.
+	depot machine.Depot
+
 	ctrl   net.Conn
 	ctrlMu sync.Mutex // serializes control-frame writes
 

@@ -55,6 +55,10 @@ func (s *NodePE) Charge(dt float64) {}
 // AdvanceTo is a no-op: real time advances itself.
 func (s *NodePE) AdvanceTo(t float64) {}
 
+// Depot returns the node's shared buffer tier, which internal/core
+// puts behind this PE's message pool.
+func (s *NodePE) Depot() *machine.Depot { return &s.n.depot }
+
 // Model returns nil: communication is priced by the actual network.
 func (s *NodePE) Model() machine.CostModel { return nil }
 

@@ -30,8 +30,8 @@ const (
 )
 
 // relFrame is one staged data frame: its per-link sequence number, the
-// routed message, and the time of its most recent transmission (the
-// retransmit-timeout clock).
+// routed message, and, under FailRetry, the time of its most recent
+// transmission (the retransmit-timeout clock).
 type relFrame struct {
 	dataMsg
 	seq  uint64
@@ -88,6 +88,18 @@ type peerLink struct {
 	spaceCh    chan struct{}
 
 	held *relFrame // reorder-injection stash (writeLoop only)
+
+	// Buffer recycling. A sent message's buffer goes back to the node's
+	// depot once nothing can write it again: under FailFast when the
+	// writer has consumed the frame; under FailRetry when the peer's ack
+	// prunes it from the ring. ackSeq collects pruned buffers in acked
+	// (under relMu), and the writer returns them between batches
+	// (reclaim), because the replay snapshots unacked and retransmit
+	// take are written after relMu is released and may still hold them.
+	acked [][]byte
+	spare [][]byte // writeLoop only: the emptied list acked swaps with
+
+	txHdr dataHdr // frame header scratch (writeLoop only)
 
 	jitterRng *rand.Rand // recovery-redial backoff jitter
 
@@ -177,7 +189,11 @@ func (pl *peerLink) run() {
 		conn.Close()
 		wg.Wait()
 
-		if stopped || pl.n.closing.Load() {
+		if stopped || pl.n.closing.Load() && !pl.pending() {
+			// Winding down with nothing left to deliver: peers that
+			// got the release first close their ends, so the loss is
+			// expected. A link still holding frames keeps recovering
+			// until the release, or they would be stranded.
 			return
 		}
 		if !pl.rel {
@@ -198,6 +214,18 @@ func (pl *peerLink) run() {
 		pl.resume(nc, peerAck)
 		pl.n.noteRecovered(pl.rank)
 	}
+}
+
+// pending reports whether the link still holds frames the peer has not
+// acked: staged in the retransmit ring, or queued behind it. Only
+// FailRetry links can still deliver them.
+func (pl *peerLink) pending() bool {
+	if !pl.rel {
+		return false
+	}
+	pl.relMu.Lock()
+	defer pl.relMu.Unlock()
+	return len(pl.ring) > 0 || len(pl.out) > 0
 }
 
 // unacked snapshots the retransmit ring for session-start replay.
@@ -242,22 +270,51 @@ func (pl *peerLink) ackSeq(a uint64) {
 	pl.txAcked = a
 	drop := 0
 	for drop < len(pl.ring) && pl.ring[drop].seq <= a {
+		pl.acked = append(pl.acked, pl.ring[drop].data)
 		drop++
 	}
 	if drop > 0 {
-		pl.ring = append(pl.ring[:0], pl.ring[drop:]...)
+		n := copy(pl.ring, pl.ring[drop:])
+		clear(pl.ring[n:])
+		pl.ring = pl.ring[:n]
 	}
 	pl.relMu.Unlock()
 	pl.kick(pl.spaceCh)
 }
 
+// reclaim returns the buffers of acked frames to the node's depot. It
+// runs on the writer goroutine between batches, never while a replay
+// snapshot is being written.
+func (pl *peerLink) reclaim() {
+	pl.relMu.Lock()
+	acked := pl.acked
+	pl.acked = pl.spare
+	pl.relMu.Unlock()
+	for i, b := range acked {
+		depotPut(&pl.n.depot, b)
+		acked[i] = nil
+	}
+	pl.spare = acked[:0]
+}
+
+// consumed releases a data frame the writer is done with: its buffer
+// goes back to the depot under FailFast, and stays in the retransmit
+// ring until acked under FailRetry.
+func (pl *peerLink) consumed(f relFrame) {
+	if !pl.rel {
+		depotPut(&pl.n.depot, f.data)
+	}
+}
+
 // stage assigns the next sequence number and, under FailRetry, parks
-// the frame in the retransmit ring until the peer acks it.
+// the frame in the retransmit ring until the peer acks it, stamped for
+// the retransmit timeout.
 func (pl *peerLink) stage(m dataMsg) relFrame {
 	pl.relMu.Lock()
 	pl.txSeq++
-	f := relFrame{dataMsg: m, seq: pl.txSeq, sent: time.Now()}
+	f := relFrame{dataMsg: m, seq: pl.txSeq}
 	if pl.rel {
+		f.sent = time.Now()
 		pl.ring = append(pl.ring, f)
 	}
 	pl.relMu.Unlock()
@@ -290,6 +347,10 @@ func (pl *peerLink) kick(ch chan struct{}) {
 // peer's reader can tell "quiet" from "dead".
 func (pl *peerLink) writeLoop(conn net.Conn, replay []relFrame, stop <-chan struct{}, errCh chan<- error) {
 	w := bufio.NewWriterSize(conn, 64<<10)
+	// A frame held back by a reorder fault when the last session died
+	// is in the ring (FailRetry: the replay below covers it) or lost
+	// with the job (FailFast).
+	pl.held = nil
 	fail := func(err error) {
 		pl.n.noteWireErr(pl.rank)
 		select {
@@ -318,6 +379,9 @@ func (pl *peerLink) writeLoop(conn net.Conn, replay []relFrame, stop <-chan stru
 	defer ticker.Stop()
 	lastTx := time.Now()
 	for {
+		if pl.rel {
+			pl.reclaim()
+		}
 		if pl.ringFull() {
 			// Sender window exhausted: accept no new frames, but keep
 			// servicing acks, replay requests, and heartbeats — blocking
@@ -424,15 +488,9 @@ func (pl *peerLink) onTick(w *bufio.Writer, lastTx *time.Time, hb time.Duration)
 	if time.Since(*lastTx) < hb {
 		return nil
 	}
-	var ab [8]byte
-	binary.LittleEndian.PutUint64(ab[:], pl.rxDelivered.Load())
-	if err := writeFrameParts(w, fHeartbeat, ab[:]); err != nil {
+	if err := pl.writeCum(w, fHeartbeat); err != nil {
 		return err
 	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	pl.n.noteTx(pl.rank, frameHdrLen+8)
 	*lastTx = time.Now()
 	return nil
 }
@@ -471,12 +529,12 @@ func (pl *peerLink) retransmit(w *bufio.Writer, from uint64) error {
 	return w.Flush()
 }
 
-// writeCum writes one cumulative-ack-bearing control frame (fAck or
-// fNack) and flushes it.
+// writeCum writes one frame carrying the cumulative receive ack (fAck,
+// fNack or fHeartbeat) and flushes it.
 func (pl *peerLink) writeCum(w *bufio.Writer, k kind) error {
-	var ab [8]byte
-	binary.LittleEndian.PutUint64(ab[:], pl.rxDelivered.Load())
-	if err := writeFrameParts(w, k, ab[:]); err != nil {
+	ab := pl.txHdr[:8]
+	binary.LittleEndian.PutUint64(ab, pl.rxDelivered.Load())
+	if err := writeFrameParts(w, k, ab); err != nil {
 		return err
 	}
 	if err := w.Flush(); err != nil {
@@ -518,6 +576,7 @@ func (pl *peerLink) writeData(w *bufio.Writer, f relFrame, isReplay bool) error 
 		if fault.Drop {
 			// The frame stays in the retransmit ring; under FailFast the
 			// receiver's sequence gap kills the job instead.
+			pl.consumed(f)
 			return nil
 		}
 		if fault.Corrupt {
@@ -527,19 +586,21 @@ func (pl *peerLink) writeData(w *bufio.Writer, f relFrame, isReplay bool) error 
 				return err
 			}
 			pl.n.noteTx(pl.rank, len(buf))
+			pl.consumed(f)
 			return pl.writeHeld(w)
 		}
 		if fault.Dup {
-			if err := writeDataFrame(w, f.seq, f.dataMsg); err != nil {
+			if err := writeDataFrame(w, &pl.txHdr, f.seq, f.dataMsg); err != nil {
 				return err
 			}
 			pl.n.noteTx(pl.rank, frameHdrLen+dataHdrLen+len(f.data))
 		}
 	}
-	if err := writeDataFrame(w, f.seq, f.dataMsg); err != nil {
+	if err := writeDataFrame(w, &pl.txHdr, f.seq, f.dataMsg); err != nil {
 		return err
 	}
 	pl.n.noteTx(pl.rank, frameHdrLen+dataHdrLen+len(f.data))
+	pl.consumed(f)
 	return pl.writeHeld(w)
 }
 
@@ -550,10 +611,11 @@ func (pl *peerLink) writeHeld(w *bufio.Writer) error {
 	}
 	h := *pl.held
 	pl.held = nil
-	if err := writeDataFrame(w, h.seq, h.dataMsg); err != nil {
+	if err := writeDataFrame(w, &pl.txHdr, h.seq, h.dataMsg); err != nil {
 		return err
 	}
 	pl.n.noteTx(pl.rank, frameHdrLen+dataHdrLen+len(h.data))
+	pl.consumed(h)
 	return nil
 }
 
@@ -569,8 +631,15 @@ func (pl *peerLink) writeHeld(w *bufio.Writer) error {
 // duplicates are counted and dropped; a gap or checksum error requests
 // a replay via NACK instead of killing anything.
 func (pl *peerLink) readLoop(conn net.Conn, stop <-chan struct{}, errCh chan<- error) {
-	r := bufio.NewReaderSize(conn, 64<<10)
-	allowance := time.Duration(heartbeatMissFactor) * pl.n.heartbeat()
+	fr := &frameReader{
+		r:     bufio.NewReaderSize(conn, 64<<10),
+		conn:  conn,
+		allow: time.Duration(heartbeatMissFactor) * pl.n.heartbeat(),
+		depot: &pl.n.depot,
+		topo:  pl.n.topo,
+		from:  pl.rank,
+		to:    pl.n.cfg.Rank,
+	}
 	fail := func(err error) {
 		select {
 		case errCh <- err:
@@ -579,18 +648,16 @@ func (pl *peerLink) readLoop(conn net.Conn, stop <-chan struct{}, errCh chan<- e
 	}
 	lastNacked := ^uint64(0)
 	for {
-		conn.SetReadDeadline(time.Now().Add(allowance))
-		k, payload, err := readFrame(r)
+		k, seq, m, err := fr.next()
 		if err != nil {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			if pl.n.closing.Load() {
-				return
-			}
-			if errors.Is(err, errChecksum) {
+			_, bad := err.(frameError)
+			switch {
+			case errors.Is(err, errChecksum):
 				pl.n.noteCrcError(pl.rank)
 				if pl.rel {
 					// The frame was consumed and the length framing is
@@ -598,14 +665,15 @@ func (pl *peerLink) readLoop(conn net.Conn, stop <-chan struct{}, errCh chan<- e
 					pl.kick(pl.nackKick)
 					continue
 				}
-				fail(fmt.Errorf("%v", err))
+			case bad:
+				// The checksum passed, so the peer really sent this: fail
+				// the job under either policy (a replay would repeat it).
+				pl.n.Fail(fmt.Errorf("mnet: rank %d: bad %v frame from rank %d: %v", pl.n.cfg.Rank, k, pl.rank, err))
 				return
-			}
-			switch {
 			case errors.Is(err, io.EOF), errors.Is(err, io.ErrUnexpectedEOF):
 				err = errors.New("peer process exited (connection closed)")
 			case isTimeout(err):
-				err = fmt.Errorf("no traffic for %v (peer wedged or network dead)", allowance)
+				err = fmt.Errorf("no traffic for %v (peer wedged or network dead)", fr.allow)
 			default:
 				pl.n.noteWireErr(pl.rank)
 				err = fmt.Errorf("read failed (%s): %v", classifyLinkErr(err), err)
@@ -613,29 +681,24 @@ func (pl *peerLink) readLoop(conn net.Conn, stop <-chan struct{}, errCh chan<- e
 			fail(err)
 			return
 		}
-		pl.n.noteRx(pl.rank, frameHdrLen+len(payload))
+		pl.n.noteRx(pl.rank, fr.size)
 		switch k {
 		case fData:
-			seq, m, err := decodeData(payload, pl.n.topo, pl.rank, pl.n.cfg.Rank)
-			if err != nil {
-				// The checksum passed, so the peer really sent this: fail
-				// the job under either policy (a replay would repeat it).
-				pl.n.Fail(fmt.Errorf("mnet: rank %d: bad data frame from rank %d: %v", pl.n.cfg.Rank, pl.rank, err))
-				return
-			}
 			cur := pl.rxDelivered.Load()
 			switch {
 			case seq <= cur:
 				// Replay overlap (or injected duplicate): already
 				// delivered, drop it.
 				pl.n.noteDupDrop(pl.rank)
+				depotPut(fr.depot, m.data)
 			case seq == cur+1:
 				pl.rxDelivered.Store(seq)
 				pl.n.deliverLocal(int(m.src), int(m.dst), m.data)
-				if pl.rel && r.Buffered() == 0 {
+				if pl.rel && fr.r.Buffered() == 0 {
 					pl.kick(pl.ackKick)
 				}
 			default:
+				depotPut(fr.depot, m.data)
 				// Sequence gap: frames vanished on the wire.
 				if !pl.rel {
 					fail(fmt.Errorf("sequence gap (got frame %d, want %d: frames lost on the wire)", seq, cur+1))
@@ -649,14 +712,13 @@ func (pl *peerLink) readLoop(conn net.Conn, stop <-chan struct{}, errCh chan<- e
 				}
 			}
 		case fAck, fHeartbeat:
-			if pl.rel && len(payload) >= 8 {
-				pl.ackSeq(binary.LittleEndian.Uint64(payload[:8]))
+			if pl.rel {
+				pl.ackSeq(seq)
 			}
 		case fNack:
-			if pl.rel && len(payload) >= 8 {
-				v := binary.LittleEndian.Uint64(payload[:8])
+			if pl.rel {
 				select {
-				case pl.remoteNack <- v:
+				case pl.remoteNack <- seq:
 				default:
 				}
 			}

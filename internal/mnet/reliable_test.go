@@ -2,6 +2,8 @@ package mnet
 
 import (
 	"encoding/binary"
+	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -150,6 +152,75 @@ func TestRetryExactlyOnceUnderFaultPlan(t *testing.T) {
 		t.Error("no checksum errors under a 2% corrupt plan")
 	}
 	finishAll(t, nodes)
+}
+
+// TestRetryRecoversLinkCutAfterFinish pins the Finish bug: a link
+// whose session drops after its own node's driver has returned (Finish
+// has begun: closing is set) must still recover while it holds frames
+// the peer never acked, or they are stranded and the peer waits
+// forever. Rank 1 queues its messages while its writer is held at the
+// ring lock, begins Finish, and has its link cut before the writer can
+// send a byte: every message is then staged or queued, none delivered,
+// whatever the interleaving.
+func TestRetryRecoversLinkCutAfterFinish(t *testing.T) {
+	const np, msgs = 2, 100
+	hb := 50 * time.Millisecond
+	addr, failCh := StartTestJob(t, np, hb)
+	nodes := joinAllRel(t, addr, np, hb, 5*time.Second, "")
+	startAll(t, nodes)
+
+	sender := nodes[1]
+	pl := sender.peers[0]
+	pl.relMu.Lock()
+	for i := 0; i < msgs; i++ {
+		buf := make([]byte, 8)
+		binary.LittleEndian.PutUint64(buf, uint64(i))
+		sender.lpes[0].SendOwned(0, buf)
+	}
+	// The driver has returned: Finish sets closing before it blocks in
+	// the done barrier.
+	finished := make(chan error, 1)
+	go func() { finished <- sender.Finish() }()
+	for !sender.closing.Load() {
+		runtime.Gosched()
+	}
+	pl.closeConn()
+	pl.relMu.Unlock()
+
+	got := make(chan error, 1)
+	go func() {
+		for want := 0; want < msgs; want++ {
+			pkt, ok := nodes[0].lpes[0].Recv()
+			if !ok {
+				got <- fmt.Errorf("receiver stopped at message %d/%d", want, msgs)
+				return
+			}
+			if v := binary.LittleEndian.Uint64(pkt.Data); v != uint64(want) {
+				got <- fmt.Errorf("message %d arrived as %d", want, v)
+				return
+			}
+		}
+		got <- nil
+	}()
+	select {
+	case err := <-got:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case err := <-failCh:
+		t.Fatalf("job failed: %v", err)
+	case <-time.After(30 * time.Second):
+		t.Fatalf("messages staged before the cut were never delivered (sender's link stopped recovering in Finish)")
+	}
+	if err := nodes[0].Finish(); err != nil {
+		t.Fatalf("receiver finish: %v", err)
+	}
+	if err := <-finished; err != nil {
+		t.Fatalf("sender finish: %v", err)
+	}
+	if sender.relRecovered.Load() == 0 {
+		t.Error("the sender's link never recovered; the cut did not exercise the closing path")
+	}
 }
 
 func TestRetryDeclaresPeerDownAfterWindow(t *testing.T) {

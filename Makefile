@@ -92,12 +92,14 @@ machine-race:
 # BenchmarkMonitorIdle proves a live but unpolled monitor endpoint is
 # invisible to the scheduler; BenchmarkNetStream (a 64-message window
 # of 256 B between two in-process TCP nodes, plus the ack) holds the
-# tcp send -> frame -> receive -> dispatch path to the same zero.
+# tcp send -> pack -> frame -> receive -> unpack -> dispatch path to the
+# same zero, and BenchmarkNetPingPong (one 64 B round trip, a pack of
+# one each way) holds the one-message tcp path there too.
 overhead:
 	@out=$$($(GO) test ./internal/core/ -run '^$$' \
 		-bench 'DispatchOff|NullTracerOverhead|MetricsEnabled|MetricsDisabled|MonitorIdle' \
 		-benchmem -benchtime 200000x && \
-		$(GO) test ./internal/mnet/ -run '^$$' -bench 'NetStream' \
+		$(GO) test ./internal/mnet/ -run '^$$' -bench 'NetStream|NetPingPong' \
 		-benchmem -benchtime 5000x) || { echo "$$out"; echo 'FAIL: overhead benchmarks did not run'; exit 1; }; \
 	echo "$$out"; \
 	if echo "$$out" | grep -E ' [1-9][0-9]* allocs/op'; then \

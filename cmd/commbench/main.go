@@ -7,7 +7,9 @@
 // With -transport tcp it instead measures the machine layer itself in
 // wall-clock time — the same ping-pong and fan-in programs on the
 // in-process simulated substrate and on the real TCP network substrate
-// — and writes BENCH_net.json quantifying the wire's overhead. Run
+// — and writes BENCH_net.json quantifying the wire's overhead. The
+// network machine always coalesces, so tcp reports one fan-in figure;
+// the sim fan-in with coalescing off and on is the ablation. Run
 // directly it launches itself as a converserun job; under converserun
 // it joins the job it finds.
 //
@@ -307,24 +309,19 @@ func netMain(out string, pes, msgs, size, rounds int, faults string) {
 	if err != nil {
 		log.Fatalf("commbench: tcp ping-pong: %v", err)
 	}
+	// The network machine always coalesces, so tcp has one fan-in
+	// arm; the sim off/on pair above is the ablation.
 	tcpCfg.PEs = pes
-	var tcpFI [2][2]float64
-	for i, co := range []converse.CoalesceConfig{off, on} {
-		tcpCfg.Coalesce = co
-		el, tput, err := bench.NetFanIn(tcpCfg, msgs, size)
-		if err != nil {
-			log.Fatalf("commbench: tcp fan-in: %v", err)
-		}
-		tcpFI[i] = [2]float64{el, tput}
+	tcpEl, tcpTput, err := bench.NetFanIn(tcpCfg, msgs, size)
+	if err != nil {
+		log.Fatalf("commbench: tcp fan-in: %v", err)
 	}
 	if !rank0 {
 		return
 	}
 
-	r.PingPong = append(r.PingPong, netPoint{Transport: "tcp", OneWayUs: tcpPP})
-	for i, co := range []bool{false, true} {
-		r.FanIn = append(r.FanIn, netPoint{Transport: "tcp", Coalesced: co, ElapsedUs: tcpFI[i][0], MsgsPerMs: tcpFI[i][1]})
-	}
+	r.PingPong = append(r.PingPong, netPoint{Transport: "tcp", Coalesced: true, OneWayUs: tcpPP})
+	r.FanIn = append(r.FanIn, netPoint{Transport: "tcp", Coalesced: true, ElapsedUs: tcpEl, MsgsPerMs: tcpTput})
 	if simPP > 0 {
 		r.PingPongTCPOverhead = tcpPP / simPP
 	}

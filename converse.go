@@ -37,9 +37,14 @@
 //
 // Allocate send buffers with Proc.Alloc to hit the pool's sized
 // classes; in steady state a Transfer send then completes without
-// heap allocation. Small messages to the same destination are
-// coalesced into one packet when Config.Coalesce.Enabled is set;
-// delivery order per sender/receiver pair is preserved either way.
+// heap allocation. On the TCP network machine, small messages to the
+// same destination on another node are always coalesced into one link
+// frame; on the simulated machine Config.Coalesce.Enabled turns the
+// same staging on. Delivery order per sender/receiver pair is
+// preserved either way. Packs flush whenever the processor enters the
+// scheduler or a receive, and when its driver returns, so a driver
+// that waits outside Converse (a Go channel, a sleep) must call
+// Proc.Progress first.
 //
 // # Nodes, topology and collectives
 //
@@ -112,8 +117,9 @@ type Tracer = core.Tracer
 // TraceEvent is one trace record.
 type TraceEvent = core.TraceEvent
 
-// CoalesceConfig controls per-peer small-message coalescing
-// (Config.Coalesce).
+// CoalesceConfig controls per-peer small-message coalescing on the
+// simulated machine (Config.Coalesce). The TCP network machine ignores
+// it and always coalesces at the default limits.
 type CoalesceConfig = core.CoalesceConfig
 
 // SendOpt is an option flag for Proc.Send.

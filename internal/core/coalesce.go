@@ -9,15 +9,22 @@ import (
 
 // Send coalescing: the sender-side half of the communication fast path.
 //
-// Small messages bound for the same destination within one scheduler
-// iteration are packed into a single machine-level packet, so the
-// per-packet native costs (send overhead, wire latency, receive
-// overhead) are paid once per pack instead of once per message; see
-// netmodel.OneWayCoalesced for the cost model. Packs are flushed by the
+// Small messages bound for the same destination on another node within
+// one scheduler iteration are packed into a single machine-level
+// packet, so the per-packet costs (send overhead, wire latency, receive
+// overhead; on TCP the link frame, its header and CRC, the reader's
+// parse and the inbox wake) are paid once per pack instead of once per
+// message; see netmodel.OneWayCoalesced for the cost model. The network
+// machine always coalesces (NewMachineOn); on the simulated machine it
+// is the Config.Coalesce ablation knob. Sends within a node are never
+// staged: they keep the pointer handoff, which a pack would only slow
+// down with two copies and a flush delay. Packs are flushed by the
 // progress engine (Progress, hence every scheduler iteration), when a
-// peer's pack fills its batch or byte window, and always before this
-// processor blocks waiting for the network — a staged message can never
-// be the one a blocked receive is waiting for.
+// peer's pack fills its batch or byte window, when a driver returns,
+// and always before this processor blocks waiting for the network — a
+// staged message can never be the one a blocked receive is waiting
+// for. A driver that waits outside Converse (a Go channel, a sleep)
+// must call Progress first.
 //
 // Ordering: messages to one destination stay in send order inside a
 // pack, and a direct (uncoalesced) send to a destination first flushes
@@ -29,8 +36,10 @@ import (
 // per message: u32 little-endian total length, then the message bytes
 // (header included).
 
-// CoalesceConfig tunes sender-side message coalescing. The zero value
-// disables it, preserving one-packet-per-message behaviour.
+// CoalesceConfig tunes sender-side message coalescing on the simulated
+// machine. The zero value disables it, preserving one-packet-per-message
+// behaviour. The network machine ignores it and always coalesces at the
+// default limits.
 type CoalesceConfig struct {
 	// Enabled turns coalescing on.
 	Enabled bool
@@ -77,9 +86,11 @@ type pack struct {
 	count int    // messages staged
 }
 
-// coalescable reports whether msg takes the staging path.
-func (p *Proc) coalescable(msg []byte) bool {
-	return p.co.Enabled && len(msg) <= p.co.MaxMsgSize && !IsImmediate(msg)
+// coalescable reports whether msg to dst takes the staging path: small,
+// not immediate, and bound for another node.
+func (p *Proc) coalescable(dst int, msg []byte) bool {
+	return p.co.Enabled && len(msg) <= p.co.MaxMsgSize && !IsImmediate(msg) &&
+		(dst < p.nodeLo || dst >= p.nodeHi)
 }
 
 // stageMsg copies msg into dst's pack, flushing first when the pack is
@@ -237,9 +248,15 @@ func packSeg(data []byte, off int) (seg []byte, next int, err error) {
 }
 
 // unpack splits a pack into its messages, charging the per-message
-// unpack cost, and recycles the pack buffer. A malformed pack is a
+// unpack cost, and releases the pack buffer. A malformed pack is a
 // runtime-integrity failure (the sender staged it, so it was well
 // formed when it left): unpack fails the processor loudly.
+//
+// On a network substrate the spent pack goes straight to the node's
+// depot rather than this processor's pool: packs are read by link
+// readers, which draw from the depot, while this processor allocates
+// pack-sized buffers only to stage its own sends. Pooling them here
+// would park up to a class's worth of 4 KB buffers per receiving PE.
 func (p *Proc) unpack(data []byte, src int) {
 	for off := HeaderSize; off < len(data); {
 		seg, next, err := packSeg(data, off)
@@ -254,6 +271,10 @@ func (p *Proc) unpack(data []byte, src int) {
 			p.met.CoalesceUnpacked()
 		}
 		p.netq.PushBack(netMsg{data: buf, src: src})
+	}
+	if ci := machine.RecycleClass(cap(data)); ci >= 0 && p.pool.depot != nil {
+		mcSpill(p.pool.depot, ci, data[:cap(data)])
+		return
 	}
 	p.recycle(data)
 }

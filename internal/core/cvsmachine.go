@@ -77,8 +77,10 @@ type Config struct {
 	// volume. It must have been built for the same number of PEs. When
 	// nil, the instrumented hot paths cost one nil check.
 	Metrics *metrics.Registry
-	// Coalesce tunes sender-side small-message coalescing (see
-	// CoalesceConfig). The zero value leaves coalescing off.
+	// Coalesce tunes sender-side small-message coalescing on the
+	// simulated machine (see CoalesceConfig), its ablation knob; the
+	// zero value leaves coalescing off. The network machine ignores it:
+	// it always coalesces inter-node sends at the default limits.
 	Coalesce CoalesceConfig
 	// FailurePolicy selects the network substrate's reaction to link
 	// faults: FailFast (the default) or FailRetry. It overrides the
@@ -173,7 +175,8 @@ func NewMachine(cfg Config) *Machine {
 // one or more PEs), and Run coordinates with the peers through the
 // substrate's lifecycle. Most callers use NewMachine with
 // Config.Transport instead; this constructor is the seam tests and
-// alternative launchers plug into.
+// alternative launchers plug into. Its processors always coalesce small
+// inter-node sends at the default limits; Config.Coalesce is ignored.
 func NewMachineOn(sub NetSubstrate, cfg Config) *Machine {
 	if cfg.Metrics != nil && cfg.Metrics.NumPEs() != cfg.PEs {
 		panic(fmt.Sprintf("core: metrics registry built for %d PEs, machine has %d",
@@ -189,7 +192,7 @@ func NewMachineOn(sub NetSubstrate, cfg Config) *Machine {
 		if s.NumPEs() != cfg.PEs {
 			panic(fmt.Sprintf("core: substrate joined a %d-PE machine, Config.PEs is %d", s.NumPEs(), cfg.PEs))
 		}
-		p := newProc(s, cfg.Coalesce)
+		p := newProc(s, CoalesceConfig{Enabled: true})
 		p.job = cfg.Job
 		if cfg.Tracer != nil {
 			p.SetTracer(cfg.Tracer(s.ID()))

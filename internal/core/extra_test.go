@@ -193,6 +193,32 @@ func TestPoolBounded(t *testing.T) {
 	}
 }
 
+// TestPoolReuseClearsImmediate recycles an immediate message and
+// allocates again from the same class: the reused buffer must come back
+// with a zero header, not marked immediate — otherwise the next message
+// built in it would preempt GetSpecificMsg and bypass coalescing.
+func TestPoolReuseClearsImmediate(t *testing.T) {
+	cm := newTestMachine(1)
+	err := cm.Run(func(p *Proc) {
+		msg := p.Alloc(16)
+		SetFlags(msg, 5)
+		SetImmediate(msg)
+		first := &msg[0]
+		p.recycle(msg)
+		again := p.Alloc(16)
+		if &again[0] != first {
+			t.Fatal("the pool did not hand back the recycled buffer")
+		}
+		if IsImmediate(again) || FlagsOf(again) != 0 || HandlerOf(again) != 0 {
+			t.Errorf("reused buffer header: immediate=%v flags=%d handler=%d, want all zero",
+				IsImmediate(again), FlagsOf(again), HandlerOf(again))
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestZeroLengthPayload(t *testing.T) {
 	cm := newTestMachine(2)
 	ok := false

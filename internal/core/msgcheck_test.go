@@ -42,21 +42,32 @@ func toString(r interface{}) string {
 	return "non-string panic"
 }
 
-// allocTransferAndLeak runs a 1-PE coalescing machine, allocates a
+// newStagingMachine builds a 2-PE coalescing machine. Every PE is its
+// own node on the flat map, so PE 0's small sends to PE 1 are staged
+// (copied into a pack) and the original buffer recycled at once; the
+// tests below drive PE 0 only.
+func newStagingMachine() *Machine {
+	return NewMachine(Config{
+		PEs: 2, Watchdog: 10 * time.Second,
+		Coalesce: CoalesceConfig{Enabled: true},
+	})
+}
+
+// allocTransferAndLeak runs PE 0 of a staging machine, allocates a
 // buffer (the allocation site the panic must name), transfers it with
 // SyncSendAndFree, and leaks the stale slice to the caller.
 func allocTransferAndLeak(t *testing.T) []byte {
 	t.Helper()
-	cm := NewMachine(Config{
-		PEs: 1, Watchdog: 10 * time.Second,
-		Coalesce: CoalesceConfig{Enabled: true},
-	})
+	cm := newStagingMachine()
 	h := cm.RegisterHandler(func(p *Proc, msg []byte) {})
 	var leaked []byte
 	err := cm.Run(func(p *Proc) {
+		if p.MyPe() != 0 {
+			return
+		}
 		msg := p.Alloc(16)
 		SetHandler(msg, h)
-		p.SyncSendAndFree(0, msg) // staged (copied) and recycled: ownership gone
+		p.SyncSendAndFree(1, msg) // staged (copied) and recycled: ownership gone
 		leaked = msg
 	})
 	if err != nil {
@@ -97,14 +108,14 @@ func TestMsgCheckUseAfterTransferPanics(t *testing.T) {
 }
 
 func TestMsgCheckGenerationReuseDetected(t *testing.T) {
-	cm := NewMachine(Config{
-		PEs: 1, Watchdog: 10 * time.Second,
-		Coalesce: CoalesceConfig{Enabled: true},
-	})
+	cm := newStagingMachine()
 	h := cm.RegisterHandler(func(p *Proc, msg []byte) {})
 	var stale, fresh []byte
 	var staleGen uint64
 	err := cm.Run(func(p *Proc) {
+		if p.MyPe() != 0 {
+			return
+		}
 		stale = p.Alloc(16)
 		SetHandler(stale, h)
 		var live bool
@@ -112,7 +123,7 @@ func TestMsgCheckGenerationReuseDetected(t *testing.T) {
 		if !live {
 			t.Error("freshly allocated buffer not live")
 		}
-		p.SyncSendAndFree(0, stale)
+		p.SyncSendAndFree(1, stale)
 		// The pool is LIFO, so the next Alloc of the same class hands
 		// the same backing array back out under a new generation.
 		fresh = p.Alloc(16)
@@ -138,18 +149,18 @@ func TestMsgCheckGenerationReuseDetected(t *testing.T) {
 }
 
 func TestMsgCheckCanaryCatchesRawWriteAfterFree(t *testing.T) {
-	cm := NewMachine(Config{
-		PEs: 1, Watchdog: 10 * time.Second,
-		Coalesce: CoalesceConfig{Enabled: true},
-	})
+	cm := newStagingMachine()
 	h := cm.RegisterHandler(func(p *Proc, msg []byte) {})
 	// The violation happens on a PE goroutine, where the machine layer
 	// converts the msgcheck panic into Run's error.
 	err := cm.Run(func(p *Proc) {
+		if p.MyPe() != 0 {
+			return
+		}
 		msg := p.Alloc(16)
 		SetHandler(msg, h)
 		body := Payload(msg) // alias taken while still live
-		p.SyncSendAndFree(0, msg)
+		p.SyncSendAndFree(1, msg)
 		// A raw index write through the stale alias goes around
 		// every checked accessor...
 		body[0] = 42
@@ -168,16 +179,16 @@ func TestMsgCheckCanaryCatchesRawWriteAfterFree(t *testing.T) {
 }
 
 func TestMsgCheckDoubleFreePanics(t *testing.T) {
-	cm := NewMachine(Config{
-		PEs: 1, Watchdog: 10 * time.Second,
-		Coalesce: CoalesceConfig{Enabled: true},
-	})
+	cm := newStagingMachine()
 	h := cm.RegisterHandler(func(p *Proc, msg []byte) {})
 	err := cm.Run(func(p *Proc) {
+		if p.MyPe() != 0 {
+			return
+		}
 		msg := p.Alloc(16)
 		SetHandler(msg, h)
-		p.SyncSendAndFree(0, msg)
-		p.SyncSendAndFree(0, msg)
+		p.SyncSendAndFree(1, msg)
+		p.SyncSendAndFree(1, msg)
 	})
 	if err == nil {
 		t.Fatal("expected the double transfer to fail the run")

@@ -89,9 +89,11 @@ func (p *Proc) reuse(buf []byte) []byte {
 	// Stamp before the header writes below: the buffer is still in the
 	// freed state until mcStamp revives it.
 	mcStamp(buf)
-	//lint:ignore handlerreg Alloc hands out messages with the handler field deliberately zeroed; the caller must SetHandler a registered index before sending.
-	SetHandler(buf, 0)
-	SetFlags(buf, 0)
+	// Zero the whole header: the handler, which the caller must set,
+	// and the flags word including the immediate bit, which SetFlags
+	// preserves — a recycled immediate message must not make its
+	// buffer's next message immediate.
+	clear(buf[:HeaderSize])
 	p.notePoolHit()
 	return buf
 }

@@ -135,8 +135,10 @@ type Proc struct {
 
 	// nodeFirst caches each node's first global PE (the topology is
 	// immutable for the life of the machine), so the two-level
-	// collectives pay O(1) per tree edge.
-	nodeFirst []int
+	// collectives pay O(1) per tree edge. [nodeLo, nodeHi) is this
+	// processor's own node, which coalescing never stages for.
+	nodeFirst      []int
+	nodeLo, nodeHi int
 
 	// Collective state (reduce.go): the built-in reduction and barrier
 	// handlers, the combiner registry, in-flight reductions keyed by
@@ -209,6 +211,8 @@ func newProc(pe Substrate, co CoalesceConfig) *Proc {
 	for g := 1; g < nn; g++ {
 		p.nodeFirst[g] = p.nodeFirst[g-1] + pe.NodeSize(g-1)
 	}
+	p.nodeLo = p.nodeFirst[pe.Node()]
+	p.nodeHi = p.nodeLo + pe.NodeSize(pe.Node())
 	return p
 }
 

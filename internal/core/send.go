@@ -54,9 +54,10 @@ const (
 //	Send(BroadcastAll, msg, Transfer)   = CmiSyncBroadcastAllAndFree
 //
 // dst is a processor number or one of the Broadcast* sentinels. With
-// coalescing enabled, small non-immediate messages are staged into a
-// per-destination pack and flushed by the progress engine; ordering to
-// any single destination is preserved regardless.
+// coalescing on (always on the network machine), small non-immediate
+// messages to another node are staged into a per-destination pack and
+// flushed by the progress engine; ordering to any single destination
+// is preserved regardless.
 func (p *Proc) Send(dst int, msg []byte, opts ...SendOpt) {
 	var o SendOpt
 	for _, opt := range opts {
@@ -86,7 +87,7 @@ func (p *Proc) send(dst int, msg []byte, transfer bool) {
 	p.chargeSend()
 	p.trace(EvSend, p.MyPe(), dst, len(msg), HandlerOf(msg), 0)
 	p.noteSend(dst, len(msg))
-	if p.coalescable(msg) {
+	if p.coalescable(dst, msg) {
 		p.stageMsg(dst, msg)
 		if transfer {
 			p.recycle(msg)

@@ -24,11 +24,16 @@ type Inbox struct {
 	ring *packetRing
 
 	// mu guards overflow and the sleep/wake handshake. cond is
-	// broadcast by producers that observe the consumer asleep and by
-	// Stop.
+	// signalled by the one producer that claims a sleep's wake, and
+	// broadcast by Stop.
 	mu       sync.Mutex
 	cond     *sync.Cond
 	overflow queue.Deque[Packet]
+
+	// parks counts the consumer's sleep announcements and wakes the
+	// producers' claimed wakes (both under mu); a claim consumes an
+	// announcement, so wakes never exceeds parks (stress tests).
+	parks, wakes uint64
 
 	// overflowN mirrors overflow.Len() atomically. While nonzero, every
 	// producer routes through the overflow queue (not the ring), so a
@@ -37,7 +42,10 @@ type Inbox struct {
 	overflowN atomic.Int64
 
 	// sleeping is set (under mu) by the consumer before blocking in
-	// Pop; producers check it after publishing and wake the consumer.
+	// Pop. A producer that finds it set after publishing claims the
+	// wake by swapping it back to false, so exactly one producer per
+	// sleep takes the mutex to wake the consumer; the rest see false
+	// and go on without touching mu.
 	sleeping atomic.Bool
 
 	// pending is the consumer-local staging queue: refill moves whole
@@ -70,13 +78,16 @@ func (ib *Inbox) Put(pkt Packet) {
 		ib.mu.Lock()
 		ib.overflow.PushBack(pkt)
 		ib.overflowN.Add(1)
-		ib.cond.Broadcast()
 		ib.mu.Unlock()
-		return
 	}
-	if ib.sleeping.Load() {
+	// The plain load keeps the common no-sleeper case read-only; the
+	// swap picks the one producer that wakes this sleep. It takes mu
+	// before signalling, and the consumer holds mu from announcing the
+	// sleep until it waits, so the signal cannot fall in between.
+	if ib.sleeping.Load() && ib.sleeping.CompareAndSwap(true, false) {
 		ib.mu.Lock()
-		ib.cond.Broadcast()
+		ib.wakes++
+		ib.cond.Signal()
 		ib.mu.Unlock()
 	}
 }
@@ -139,9 +150,12 @@ func (ib *Inbox) Pop() (Packet, bool) {
 		}
 		ib.mu.Lock()
 		ib.sleeping.Store(true)
+		ib.parks++
 		// Recheck after announcing sleep: a producer that published
 		// before seeing sleeping=true is visible here (seq-cst
-		// ordering), so the wakeup cannot be lost.
+		// ordering), so the wakeup cannot be lost. A producer that
+		// claimed an earlier sleep's wake but has not signalled yet
+		// only causes a spurious wake, after which the loop rechecks.
 		if ib.ring.len() > 0 || ib.overflow.Len() > 0 {
 			ib.sleeping.Store(false)
 			ib.mu.Unlock()

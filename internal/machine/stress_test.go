@@ -3,6 +3,7 @@ package machine
 import (
 	"encoding/binary"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -133,5 +134,102 @@ func TestSendOwnedNoCopy(t *testing.T) {
 	pkt, ok := pe.TryRecv()
 	if !ok || &pkt.Data[0] != &buf[0] {
 		t.Fatal("SendOwned copied the buffer")
+	}
+}
+
+// TestInboxWakeNoLostWakeup drives one Inbox with many producers and a
+// consumer that parks whenever it runs dry. Every packet must arrive
+// once, in per-producer order, with no wakeup lost (the watchdog
+// timer), and the wake path — taking the mutex to signal — may be
+// entered at most once per sleep the consumer announced: producers
+// that publish while a wake is already claimed must not pile onto the
+// mutex.
+func TestInboxWakeNoLostWakeup(t *testing.T) {
+	const producers = 8
+	const per = 20000
+	ib := NewInbox()
+	for p := 0; p < producers; p++ {
+		go func(p int) {
+			for i := 0; i < per; i++ {
+				ib.Put(Packet{Src: p, Dst: i})
+				if i%64 == 0 {
+					// Let the consumer drain and park between bursts.
+					time.Sleep(time.Microsecond)
+				}
+			}
+		}(p)
+	}
+	var next [producers]int
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for n := 0; n < producers*per; n++ {
+			pkt, ok := ib.Pop()
+			if !ok {
+				t.Error("Pop reported stopped")
+				return
+			}
+			if pkt.Dst != next[pkt.Src] {
+				t.Errorf("producer %d: got %d, want %d", pkt.Src, pkt.Dst, next[pkt.Src])
+				return
+			}
+			next[pkt.Src]++
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatalf("consumer stuck (lost wakeup) after %v", next)
+	}
+	ib.mu.Lock()
+	parks, wakes := ib.parks, ib.wakes
+	ib.mu.Unlock()
+	if parks == 0 {
+		t.Fatal("the consumer never parked; the test exercised no wake")
+	}
+	if wakes > parks {
+		t.Fatalf("%d wake-path entries for %d parks: wakes are not claimed once per sleep", wakes, parks)
+	}
+	t.Logf("%d packets, %d parks, %d wakes", producers*per, parks, wakes)
+}
+
+// TestInboxStopRacesPark races Stop against a consumer that is about
+// to park, with producers still publishing: the consumer must always
+// come back with ok=false once it has drained, never sleep through
+// the Stop.
+func TestInboxStopRacesPark(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for round := 0; round < 300; round++ {
+		ib := NewInbox()
+		var wg sync.WaitGroup
+		for p := 0; p < 4; p++ {
+			wg.Add(1)
+			go func(n int) {
+				defer wg.Done()
+				for i := 0; i < n; i++ {
+					ib.Put(Packet{Src: p})
+				}
+			}(rng.Intn(50))
+		}
+		stopAfter := time.Duration(rng.Intn(50)) * time.Microsecond
+		go func() {
+			time.Sleep(stopAfter)
+			ib.Stop()
+		}()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for {
+				if _, ok := ib.Pop(); !ok {
+					return
+				}
+			}
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("round %d: consumer slept through Stop", round)
+		}
+		wg.Wait()
 	}
 }

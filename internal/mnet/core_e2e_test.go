@@ -35,11 +35,9 @@ func TestCoreMachineOnNet(t *testing.T) {
 				errs[rank] = err
 				return
 			}
-			// Coalescing on: PR 2's packs must survive the wire unchanged.
-			cm := core.NewMachineOn(n, core.Config{
-				PEs: pes, Watchdog: 30 * time.Second,
-				Coalesce: core.CoalesceConfig{Enabled: true},
-			})
+			// The network machine always coalesces: its packs must
+			// survive the wire unchanged.
+			cm := core.NewMachineOn(n, core.Config{PEs: pes, Watchdog: 30 * time.Second})
 			var hCount, hStop int
 			hCount = cm.RegisterHandler(func(p *core.Proc, msg []byte) {
 				counts[rank]++

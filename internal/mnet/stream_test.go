@@ -5,7 +5,9 @@ package mnet_test
 // messages to PE 2 (node 1), which checks every payload byte and the
 // per-pair FIFO order and acks each window. The same fixture drives the
 // reliability test (FailRetry under a fault plan) and the allocation
-// gate (BenchmarkNetStream, run by `make overhead`).
+// gate (BenchmarkNetStream, run by `make overhead`). runNodes, the
+// two-node bring-up beneath it, also runs BenchmarkNetPingPong and the
+// coalescing contract tests.
 
 import (
 	"encoding/binary"
@@ -72,7 +74,22 @@ func streamCheck(pl []byte, want uint64) string {
 // run brings up the job and streams to completion.
 func (sj *streamJob) run(tb testing.TB, hb time.Duration) {
 	tb.Helper()
-	addr, failCh := mnet.StartTestJob(tb, 2, hb, 2)
+	runNodes(tb, 2, hb, sj.reg, sj.cfg, func(rank int, n *mnet.Node, cm *core.Machine) func(*core.Proc) {
+		sj.nodes[rank] = n
+		return sj.program(cm)
+	})
+}
+
+// runNodes runs one core program on two in-process nodes of ppn PEs
+// each, failing tb on any node error. adjust (may be nil) changes each
+// node's config before it joins; reg (may be nil) is attached to both
+// nodes; program registers its handlers on a node's machine and
+// returns the PE driver.
+func runNodes(tb testing.TB, ppn int, hb time.Duration, reg *metrics.Registry, adjust func(*mnet.Config),
+	program func(rank int, n *mnet.Node, cm *core.Machine) func(*core.Proc)) {
+	tb.Helper()
+	pes := 2 * ppn
+	addr, failCh := mnet.StartTestJob(tb, 2, hb, ppn)
 	var wg sync.WaitGroup
 	errs := make([]error, 2)
 	for rank := 0; rank < 2; rank++ {
@@ -81,23 +98,23 @@ func (sj *streamJob) run(tb testing.TB, hb time.Duration) {
 			defer wg.Done()
 			cfg := mnet.Config{
 				Launcher: addr, Token: mnet.TestToken,
-				Rank: rank, NP: 2, PEs: streamPEs, PPN: 2, Round: 1,
+				Rank: rank, NP: 2, PEs: pes, PPN: ppn, Round: 1,
 				Heartbeat: hb, Handshake: 10 * time.Second,
 			}
-			if sj.cfg != nil {
-				sj.cfg(&cfg)
+			if adjust != nil {
+				adjust(&cfg)
 			}
 			n, err := mnet.Join(cfg)
 			if err != nil {
 				errs[rank] = err
 				return
 			}
-			sj.nodes[rank] = n
-			cm := core.NewMachineOn(n, core.Config{PEs: streamPEs, Watchdog: 60 * time.Second, Metrics: sj.reg})
-			if sj.reg != nil {
-				n.SetMetrics(sj.reg.PE(n.ID()))
+			defer n.Close()
+			cm := core.NewMachineOn(n, core.Config{PEs: pes, Watchdog: 60 * time.Second, Metrics: reg})
+			if reg != nil {
+				n.SetMetrics(reg.PE(n.ID()))
 			}
-			errs[rank] = cm.Run(sj.program(cm))
+			errs[rank] = cm.Run(program(rank, n, cm))
 		}(rank)
 	}
 	done := make(chan struct{})
@@ -231,4 +248,51 @@ func BenchmarkNetStream(b *testing.B) {
 	if sj.nbad != 0 {
 		b.Fatalf("%d messages arrived wrong, first: %v", sj.nbad, sj.bad)
 	}
+}
+
+// BenchmarkNetPingPong is the one-message tcp gate: one op is a 64 B
+// SyncSendAndFree from PE 0 to PE 1 on the other node and the 64 B
+// reply back, each a pack of one on the coalescing path. Like the
+// stream, the steady state allocates nothing.
+func BenchmarkNetPingPong(b *testing.B) {
+	const (
+		warm  = 500
+		bytes = 64 // whole message, header included
+	)
+	// pongs has PE 0 as its one writer; stop[pe] has pe.
+	var (
+		pongs int
+		stop  [2]bool
+	)
+	runNodes(b, 1, time.Second, nil, nil, func(_ int, _ *mnet.Node, cm *core.Machine) func(*core.Proc) {
+		var hPing, hPong, hStop int
+		hPing = cm.RegisterHandler(func(p *core.Proc, msg []byte) {
+			pong := p.Alloc(bytes - core.HeaderSize)
+			core.SetHandler(pong, hPong)
+			p.SyncSendAndFree(0, pong)
+		})
+		hPong = cm.RegisterHandler(func(p *core.Proc, msg []byte) { pongs++ })
+		hStop = cm.RegisterHandler(func(p *core.Proc, msg []byte) { stop[p.MyPe()] = true })
+		return func(p *core.Proc) {
+			if p.MyPe() == 1 {
+				p.ServeUntil(func() bool { return stop[1] })
+				return
+			}
+			want := 0
+			ponged := func() bool { return pongs == want }
+			for i := 0; i < warm+b.N; i++ {
+				if i == warm {
+					b.ReportAllocs()
+					b.ResetTimer()
+				}
+				ping := p.Alloc(bytes - core.HeaderSize)
+				core.SetHandler(ping, hPing)
+				p.SyncSendAndFree(1, ping)
+				want++
+				p.ServeUntil(ponged)
+			}
+			b.StopTimer()
+			p.SyncSendAndFree(1, core.MakeMsg(hStop, nil))
+		}
+	})
 }

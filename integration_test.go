@@ -4,7 +4,9 @@
 package converse_test
 
 import (
+	"bytes"
 	"encoding/binary"
+	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -14,6 +16,10 @@ import (
 	"converse/internal/core"
 	"converse/internal/emi"
 	"converse/internal/lang/charm"
+	"converse/internal/lang/dp"
+	"converse/internal/lang/mdt"
+	"converse/internal/lang/mpi"
+	"converse/internal/lang/nx"
 	"converse/internal/lang/pvmc"
 	"converse/internal/lang/sm"
 	"converse/internal/lang/tsm"
@@ -256,18 +262,26 @@ func TestEMIScatterIntoSPM(t *testing.T) {
 	})
 	err := cm.Run(func(p *converse.Proc) {
 		emi.Init(p)
+		s := sm.Attach(p)
 		if p.MyPe() == 1 {
 			msg := converse.NewMsg(payloadHandler, 12)
 			pl := converse.Payload(msg)
 			binary.LittleEndian.PutUint32(pl[0:], 0xfeed)
 			copy(pl[4:], "datablob")
 			p.SyncSendAndFree(0, msg)
+			s.Send(0, 7, []byte("after"))
 			return
 		}
 		dst := make([]byte, 8)
 		reg := emi.RegisterScatter(p,
 			[]emi.Match{{Offset: converse.HeaderSize, Value: 0xfeed}},
 			[]emi.Segment{{MsgOffset: converse.HeaderSize + 4, Dst: dst}})
+		// The SPM receive picks the scatter payload up first, while it
+		// waits for the SM message behind it; the pre-dispatch hook must
+		// see it there, not when the set-aside message is replayed.
+		if d, _, _ := s.Recv(7); string(d) != "after" {
+			t.Errorf("sm.Recv = %q", d)
+		}
 		p.ServeUntil(reg.Done)
 		if string(dst) != "datablob" {
 			t.Errorf("scattered %q", dst)
@@ -381,5 +395,121 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	}
 	if seeds != pes*5 {
 		t.Errorf("seeds deposited=%d, want %d", seeds, pes*5)
+	}
+}
+
+// TestSevenDialectsIsolated attaches all seven messaging languages — SM,
+// NX, PVM, MPI, DP, tSM and MDT — on the same two processors and
+// interleaves their traffic under the same tag numbers, with wildcard
+// receives, while MPI and DP collectives draw the same reserved tags.
+// Each language must receive exactly its own messages, in per-pair FIFO
+// order and byte for byte: every language has its own mailbox.
+func TestSevenDialectsIsolated(t *testing.T) {
+	const rounds = 4
+	tags := []int{1, 2, 3}
+	payload := func(lang string, src, r, tag int) []byte {
+		b := []byte(fmt.Sprintf("%s:%d:%d:%d:", lang, src, r, tag))
+		for i := 0; i < (r*7+tag)%23; i++ {
+			b = append(b, byte(src*31+r*7+tag+i))
+		}
+		return b
+	}
+	cm := converse.NewMachine(converse.Config{PEs: 2, Watchdog: 20 * time.Second})
+	err := cm.Run(func(p *converse.Proc) {
+		me, peer := p.MyPe(), 1-p.MyPe()
+		s, x, v, m := sm.Attach(p), nx.Attach(p), pvmc.Attach(p), mpi.Attach(p)
+		d, ts, md := dp.Attach(p), tsm.Attach(p), mdt.Attach(p)
+		check := func(lang string, r, tag, src, rtag int, got []byte) {
+			if want := payload(lang, peer, r, tag); src != peer || rtag != tag || !bytes.Equal(got, want) {
+				t.Errorf("pe %d: %s round %d tag %d: got %q from %d tag %d, want %q", me, lang, r, tag, got, src, rtag, want)
+			}
+		}
+		for r := 0; r < rounds; r++ {
+			for _, tag := range tags {
+				s.Send(peer, tag, payload("sm", me, r, tag))
+				x.Csend(tag, payload("nx", me, r, tag), peer)
+				v.InitSend().PackBytes(payload("pvm", me, r, tag))
+				v.Send(peer, tag)
+				m.Send(payload("mpi", me, r, tag), peer, tag)
+				ts.Send(peer, tag, payload("tsm", me, r, tag))
+				md.Send(peer, tag, payload("mdt", me, r, tag))
+			}
+		}
+
+		// MPI and DP collectives, interleaved, reserve the same tag
+		// numbers above the user range in their own mailboxes.
+		buf := []byte("........")
+		if me == 0 {
+			copy(buf, "mpibcast")
+		}
+		m.Bcast(buf, 0)
+		if string(buf) != "mpibcast" {
+			t.Errorf("pe %d: mpi Bcast = %q", me, buf)
+		}
+		if got := d.BroadcastScalar(float64(me) + 2.5); got != 2.5 {
+			t.Errorf("pe %d: dp BroadcastScalar = %v", me, got)
+		}
+		if g := m.Gather([]byte{byte(me + 10)}, 1); me == 1 && !bytes.Equal(g, []byte{10, 11}) {
+			t.Errorf("mpi Gather = %v", g)
+		}
+		vec := d.NewVector(6, func(i int) float64 { return float64(i) })
+		if all := vec.Shift(1).Gather(); me == 0 && fmt.Sprint(all) != "[1 2 3 4 5 0]" {
+			t.Errorf("dp Shift+Gather = %v", all)
+		}
+
+		// SM: wildcard tag, so the order is the send order.
+		for r := 0; r < rounds; r++ {
+			for _, tag := range tags {
+				data, src, rtag := s.Recv(sm.Wildcard)
+				check("sm", r, tag, src, rtag, data)
+			}
+		}
+		// NX: by type, highest first, so the other types park meanwhile.
+		nbuf := make([]byte, 64)
+		for i := len(tags) - 1; i >= 0; i-- {
+			for r := 0; r < rounds; r++ {
+				n := x.Crecv(tags[i], nbuf)
+				check("nx", r, tags[i], x.Infonode(), x.Infotype(), nbuf[:n])
+			}
+		}
+		// PVM: source and tag both wildcards.
+		for r := 0; r < rounds; r++ {
+			for _, tag := range tags {
+				src, rtag := v.Recv(pvmc.Any, pvmc.Any)
+				check("pvm", r, tag, src, rtag, v.RecvBuf().UnpackBytes())
+			}
+		}
+		// MPI: any source, by tag, probing first.
+		for _, tag := range tags {
+			for r := 0; r < rounds; r++ {
+				st := m.Probe(mpi.AnySource, tag)
+				rb := make([]byte, st.Count)
+				if got := m.Recv(rb, mpi.AnySource, tag); got != st {
+					t.Errorf("pe %d: mpi Recv status %+v after Probe %+v", me, got, st)
+				}
+				check("mpi", r, tag, st.Source, st.Tag, rb)
+			}
+		}
+		// tSM threads receive by wildcard, MDT threads by tag.
+		ts.Create(func() {
+			for r := 0; r < rounds; r++ {
+				for _, tag := range tags {
+					data, src, rtag := ts.Recv(tsm.Wildcard)
+					check("tsm", r, tag, src, rtag, data)
+				}
+			}
+		})
+		for _, tag := range tags {
+			md.CreateThread(func() {
+				for r := 0; r < rounds; r++ {
+					check("mdt", r, tag, peer, tag, md.Recv(tag))
+				}
+			})
+		}
+		ts.Run()
+		md.Run()
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

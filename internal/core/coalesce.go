@@ -188,27 +188,6 @@ func (p *Proc) pullNet() (netMsg, bool) {
 	}
 }
 
-// recvNetBlock returns the next inbound message, blocking until one
-// arrives. It flushes this processor's own staged packs first — the
-// receiver a pack is waiting on may be waiting on us — and returns
-// ok=false when the machine stops.
-func (p *Proc) recvNetBlock() (netMsg, bool) {
-	for {
-		if m, ok := p.pullNet(); ok {
-			return m, true
-		}
-		p.flushAll()
-		pkt, ok := p.pe.Recv()
-		if !ok {
-			return netMsg{}, false
-		}
-		p.ingest(pkt)
-		if m, ok := p.netq.PopFront(); ok {
-			return m, true
-		}
-	}
-}
-
 // ingest turns one machine-level packet into queued Converse messages,
 // unpacking coalesced packs. Unpacked segments are copied into pool
 // buffers so the buffer-ownership protocol (grab or recycle) works

@@ -15,10 +15,19 @@ import (
 // handlers. There are two kinds of messages waiting to be scheduled:
 // messages that have come from the network, and locally generated ones
 // sitting in the scheduler's queue. Per the paper's pseudocode
-// (Figure 3), each scheduler iteration first extracts as many messages
-// as it can from the network, calling the handler for each, and then
-// dequeues one message from the scheduler's queue and delivers it to its
-// handler.
+// (Figure 3), each scheduler iteration — step — first extracts as many
+// messages as it can from the network, calling the handler for each,
+// and then dequeues one message from the scheduler's queue and delivers
+// it to its handler. Scheduler, ScheduleUntilIdle and ServeUntil are
+// three exit policies over that one step and one idle wait.
+
+// halted reports whether the underlying machine has been stopped out
+// from under this processor. The scheduler loops poll it each
+// iteration (one atomic load) so that a PE churning through local
+// messages — which never reaches the blocking receive where a stop
+// normally surfaces — still winds down promptly on watchdog expiry,
+// job abort, or machine teardown.
+func (p *Proc) halted() bool { return p.stopq != nil && p.stopq.Stopped() }
 
 // Scheduler runs the Converse scheduler loop (CsdScheduler). If nMsgs is
 // negative, it loops — blocking when idle — until ExitScheduler is
@@ -28,49 +37,11 @@ import (
 // queue are empty; this is the ScheduleFor(n) form that lets a
 // single-process module grant a bounded amount of execution to
 // concurrent modules while it waits for its own data.
-// halted reports whether the underlying machine has been stopped out
-// from under this processor. The scheduler loops poll it each
-// iteration (one atomic load) so that a PE churning through local
-// messages — which never reaches the blocking receive where a stop
-// normally surfaces — still winds down promptly on watchdog expiry,
-// job abort, or machine teardown.
-func (p *Proc) halted() bool { return p.stopq != nil && p.stopq.Stopped() }
-
 func (p *Proc) Scheduler(nMsgs int) {
 	defer func() { p.exit = false }() // re-arming: scheduler may be re-entered
-	remaining := nMsgs
-	for !p.exit && remaining != 0 {
-		if p.halted() {
-			return
-		}
-		delivered := p.deliverFromNetwork(&remaining)
-		if p.exit || remaining == 0 {
-			return
-		}
-		if msg, ok := p.q.Deq(); ok {
-			p.chargeSched()
-			p.dispatch(msg)
-			if remaining > 0 {
-				remaining--
-			}
-			continue
-		}
-		if delivered == 0 {
-			// Nothing from the network and nothing queued.
-			if nMsgs >= 0 {
-				return // bounded form never blocks
-			}
-			p.nIdle++
-			idleFrom := p.noteIdleStart()
-			m, ok := p.recvNetBlock() // block for the network
-			if !ok {
-				return // machine stopped
-			}
-			p.noteIdleEnd(idleFrom)
-			p.dispatchNet(m.data, m.src)
-			if remaining > 0 {
-				remaining--
-			}
+	for remaining := nMsgs; !p.exit && remaining != 0 && !p.halted(); {
+		if p.step(&remaining, true) == 0 && (nMsgs >= 0 || !p.idleWait()) {
+			return // the bounded form never blocks; a stopped machine ends the loop
 		}
 	}
 }
@@ -80,24 +51,11 @@ func (p *Proc) Scheduler(nMsgs int) {
 // It also honors ExitScheduler.
 func (p *Proc) ScheduleUntilIdle() {
 	defer func() { p.exit = false }()
-	for !p.exit {
-		if p.halted() {
+	for !p.exit && !p.halted() {
+		n := -1 // unbounded within this sweep
+		if p.step(&n, true) == 0 {
 			return
 		}
-		n := -1 // sentinel: unbounded within this sweep
-		delivered := p.deliverFromNetwork(&n)
-		if p.exit {
-			return
-		}
-		msg, ok := p.q.Deq()
-		if !ok {
-			if delivered == 0 {
-				return
-			}
-			continue
-		}
-		p.chargeSched()
-		p.dispatch(msg)
 	}
 }
 
@@ -114,27 +72,43 @@ func (p *Proc) ExitScheduler() { p.exit = true }
 // calls need to avoid cross-PE deadlock. pred is evaluated between
 // messages; the call returns as soon as it holds.
 func (p *Proc) ServeUntil(pred func() bool) {
-	for !pred() {
-		if p.halted() {
-			return
-		}
+	for !pred() && !p.halted() {
 		one := 1
-		if p.deliverFromNetwork(&one) > 0 {
-			continue
-		}
-		if msg, ok := p.q.Deq(); ok {
-			p.chargeSched()
-			p.dispatch(msg)
-			continue
-		}
-		idleFrom := p.noteIdleStart()
-		m, ok := p.recvNetBlock() // idle: block for the network
-		if !ok {
+		if p.step(&one, false) == 0 && !p.idleWait() {
 			panic(fmt.Sprintf("core: pe %d: machine stopped in ServeUntil", p.MyPe()))
 		}
-		p.noteIdleEnd(idleFrom)
-		p.dispatchNet(m.data, m.src)
 	}
+}
+
+// step is one scheduler iteration: deliver network messages within
+// *budget (<0 = unbounded), then — unless that spent the budget, or a
+// handler called ExitScheduler and the caller honors it — dispatch one
+// message from the scheduler's queue. It returns how many messages it
+// handled; zero means the processor is idle.
+func (p *Proc) step(budget *int, honorExit bool) int {
+	n := p.deliverFromNetwork(budget)
+	if *budget == 0 || honorExit && p.exit {
+		return n
+	}
+	if msg, ok := p.q.Deq(); ok {
+		p.chargeSched()
+		p.dispatch(msg)
+		if *budget > 0 {
+			*budget--
+		}
+		n++
+	}
+	return n
+}
+
+// idleWait blocks for the next network message and dispatches it,
+// reporting false once the machine stops.
+func (p *Proc) idleWait() bool {
+	m, ok := p.waitNet()
+	if ok && p.pickup(m) {
+		p.dispatch(m.data)
+	}
+	return ok
 }
 
 // Enqueue places a generalized message in the scheduler's queue in FIFO
@@ -223,18 +197,12 @@ func (p *Proc) deliverFromNetwork(budget *int) int {
 	n := 0
 	for *budget != 0 && !p.exit && !p.halted() {
 		if msg, ok := p.deferred.PopFront(); ok {
-			p.dispatch(msg) // already charged receive costs at pickup
-			n++
-			if *budget > 0 {
-				*budget--
-			}
-			continue
-		}
-		m, ok := p.pullNet()
-		if !ok {
+			p.dispatch(msg) // picked up (hooks run, costs charged) when deferred
+		} else if m, ok := p.pullNet(); !ok {
 			break
+		} else if p.pickup(m) {
+			p.dispatch(m.data)
 		}
-		p.dispatchNet(m.data, m.src)
 		n++
 		if *budget > 0 {
 			*budget--
@@ -253,15 +221,16 @@ func (p *Proc) GetMsg() (msg []byte, ok bool) {
 		p.setGot(m)
 		return m, true
 	}
-	m, ok := p.pullNet()
-	if !ok {
-		return nil, false
+	for {
+		m, ok := p.pullNet()
+		if !ok {
+			return nil, false
+		}
+		if p.pickup(m) {
+			p.setGot(m.data)
+			return m.data, true
+		}
 	}
-	p.chargeRecv()
-	p.trace(EvRecv, m.src, p.MyPe(), len(m.data), HandlerOf(m.data), 0)
-	p.noteRecv(m.src, len(m.data))
-	p.setGot(m.data)
-	return m.data, true
 }
 
 // GetSpecificMsg waits until a message for the specified handler is
@@ -273,54 +242,80 @@ func (p *Proc) GetMsg() (msg []byte, ok bool) {
 // unless GrabBuffer is called.
 func (p *Proc) GetSpecificMsg(handler int) []byte {
 	p.Progress()
-	// First check messages previously set aside.
-	for i := 0; i < p.deferred.Len(); i++ {
+	// First check messages previously set aside: take the oldest match
+	// and rotate the others through once, so they keep arrival order.
+	var got []byte
+	for n := p.deferred.Len(); n > 0; n-- {
 		m, _ := p.deferred.PopFront()
-		if HandlerOf(m) == handler {
-			p.setGot(m)
-			return m
+		if got == nil && HandlerOf(m) == handler {
+			got = m
+			continue
 		}
 		p.deferred.PushBack(m)
 	}
+	if got != nil {
+		p.setGot(got)
+		return got
+	}
 	for {
-		idleFrom := p.noteIdleStart()
-		m, ok := p.recvNetBlock()
+		m, ok := p.waitNet()
 		if !ok {
 			panic(fmt.Sprintf("core: pe %d: machine stopped while waiting in GetSpecificMsg(%d)", p.MyPe(), handler))
 		}
-		p.noteIdleEnd(idleFrom)
-		p.chargeRecv()
-		p.trace(EvRecv, m.src, p.MyPe(), len(m.data), HandlerOf(m.data), 0)
-		p.noteRecv(m.src, len(m.data))
-		if HandlerOf(m.data) == handler {
+		switch {
+		case !p.pickup(m):
+		case HandlerOf(m.data) == handler:
 			p.setGot(m.data)
 			return m.data
-		}
-		if IsImmediate(m.data) {
+		case IsImmediate(m.data):
 			// Preemptive message: its handler runs now, even though
 			// this processor is blocked waiting for another handler.
 			p.dispatch(m.data)
-			continue
+		default:
+			p.deferred.PushBack(m.data)
 		}
-		p.deferred.PushBack(m.data)
+	}
+}
+
+// waitNet returns the next network message, blocking while none is
+// available. Before blocking it flushes this processor's staged packs —
+// the receiver a pack is waiting on may be waiting on us — and it books
+// the blocked time as one idle period. ok is false once the machine
+// stops.
+func (p *Proc) waitNet() (netMsg, bool) {
+	for {
+		if m, ok := p.pullNet(); ok {
+			return m, true
+		}
+		p.flushAll()
+		p.nIdle++
+		idleFrom := p.noteIdleStart()
+		pkt, ok := p.pe.Recv()
+		if !ok {
+			return netMsg{}, false
+		}
+		p.noteIdleEnd(idleFrom)
+		p.ingest(pkt)
 	}
 }
 
 // --- dispatch & buffer ownership ---
 
-// dispatchNet delivers a fresh network message: pre-dispatch hooks
-// (EMI scatter) run first; if none consumes it, the receive cost is
-// charged and the handler invoked under the ownership protocol.
-func (p *Proc) dispatchNet(msg []byte, src int) {
+// pickup runs once per network message, where it is first taken off the
+// network — by the scheduler, GetMsg or GetSpecificMsg alike:
+// pre-dispatch hooks (EMI scatter) see it first and may consume it;
+// otherwise the receive cost is charged and the receive recorded. It
+// reports whether the message is still to be handled.
+func (p *Proc) pickup(m netMsg) bool {
 	for _, hook := range p.pre {
-		if hook(msg) {
-			return
+		if hook(m.data) {
+			return false
 		}
 	}
 	p.chargeRecv()
-	p.trace(EvRecv, src, p.MyPe(), len(msg), HandlerOf(msg), 0)
-	p.noteRecv(src, len(msg))
-	p.dispatch(msg)
+	p.trace(EvRecv, m.src, p.MyPe(), len(m.data), HandlerOf(m.data), 0)
+	p.noteRecv(m.src, len(m.data))
+	return true
 }
 
 // dispatch invokes a message's handler under the buffer-ownership

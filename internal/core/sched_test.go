@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -381,6 +382,67 @@ func TestSchedulerBlocksIdleUntilMessage(t *testing.T) {
 	}
 	if !got {
 		t.Fatal("late message not processed")
+	}
+}
+
+// TestBlockingWaitsCountIdle: every blocking wait — ServeUntil and
+// GetSpecificMsg as well as Scheduler(-1) — shows in IdleCount. PE 1
+// sends only once PE 0 is asleep in its receive, so each wait blocks.
+func TestBlockingWaitsCountIdle(t *testing.T) {
+	cm := newTestMachine(2)
+	got := false
+	h := cm.RegisterHandler(func(p *Proc, msg []byte) { got = true })
+	var afterServe, afterSpecific uint64
+	err := cm.Run(func(p *Proc) {
+		if p.MyPe() == 0 {
+			p.ServeUntil(func() bool { return got })
+			afterServe = p.IdleCount()
+			p.SyncSend(1, MakeMsg(h, nil)) // awake again
+			p.GetSpecificMsg(h)
+			afterSpecific = p.IdleCount()
+			return
+		}
+		for i := 0; i < 2; i++ {
+			if i > 0 {
+				p.GetSpecificMsg(h)
+			}
+			for !cm.m.PE(0).BlockState().RecvWait {
+				runtime.Gosched()
+			}
+			p.SyncSend(0, MakeMsg(h, nil))
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if afterServe == 0 || afterSpecific <= afterServe {
+		t.Fatalf("IdleCount after ServeUntil = %d, after GetSpecificMsg = %d; each blocked wait must count", afterServe, afterSpecific)
+	}
+}
+
+// TestGetSpecificMsgKeepsDeferredOrder: taking a match out of the
+// set-aside messages leaves the others in arrival order.
+func TestGetSpecificMsgKeepsDeferredOrder(t *testing.T) {
+	cm := newTestMachine(1)
+	nop := func(p *Proc, msg []byte) {}
+	hA, hB, hC := cm.RegisterHandler(nop), cm.RegisterHandler(nop), cm.RegisterHandler(nop)
+	var got []string
+	err := cm.Run(func(p *Proc) {
+		for _, m := range []struct {
+			h    int
+			data string
+		}{{hA, "a1"}, {hB, "b1"}, {hA, "a2"}, {hC, "c1"}} {
+			p.SyncSendAndFree(0, MakeMsg(m.h, []byte(m.data)))
+		}
+		for _, h := range []int{hC, hB, hA, hA} { // sets a1, b1, a2 aside
+			got = append(got, string(Payload(p.GetSpecificMsg(h))))
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got) != "[c1 b1 a1 a2]" {
+		t.Fatalf("GetSpecificMsg order %v, want [c1 b1 a1 a2]", got)
 	}
 }
 

@@ -27,10 +27,7 @@ type DP struct {
 	p   *core.Proc
 	s   *emi.State
 	all *emi.Pgrp
-
-	h   int
-	mm  *msgmgr.M
-	seq int
+	mb  *msgmgr.Mailbox // every DP message carries a collective tag
 }
 
 // extKey locates the DP state in a Proc.
@@ -42,13 +39,9 @@ func Attach(p *core.Proc) *DP {
 	if d, ok := p.Ext(extKey).(*DP); ok {
 		return d
 	}
-	d := &DP{p: p, s: emi.Init(p), mm: msgmgr.New()}
+	d := &DP{p: p, s: emi.Init(p)}
 	d.all = d.s.AllGroup()
-	d.h = p.RegisterHandler(func(p *core.Proc, msg []byte) {
-		pl := p.GrabBuffer()[core.HeaderSize:]
-		tag := int(binary.LittleEndian.Uint32(pl))
-		d.mm.Put(pl[4:], tag)
-	})
+	d.mb = msgmgr.NewMailbox(p, "dp", nil)
 	p.SetExt(extKey, d)
 	return d
 }
@@ -56,34 +49,10 @@ func Attach(p *core.Proc) *DP {
 // Proc returns the runtime's processor.
 func (d *DP) Proc() *core.Proc { return d.p }
 
-// send ships a tagged data block to another processor's DP runtime.
-func (d *DP) send(dst, tag int, data []byte) {
-	d.p.SyncSendAndFree(dst, d.message(tag, data))
-}
-
-// message builds a DP message carrying data under tag.
-func (d *DP) message(tag int, data []byte) []byte {
-	msg := core.NewMsg(d.h, 4+len(data))
-	pl := core.Payload(msg)
-	binary.LittleEndian.PutUint32(pl, uint32(tag))
-	copy(pl[4:], data)
-	return msg
-}
-
-// recv blocks (SPM-style) for a tagged block.
-func (d *DP) recv(tag int) []byte {
-	for {
-		if msg, _, ok := d.mm.Get(tag); ok {
-			return msg
-		}
-		d.p.GetSpecificMsg(d.h)
-		buf := d.p.GrabBuffer()[core.HeaderSize:]
-		mtag := int(binary.LittleEndian.Uint32(buf))
-		if mtag == tag {
-			return buf[4:]
-		}
-		d.mm.Put(buf[4:], mtag)
-	}
+// recv blocks (SPM-style) for a block under a collective tag.
+func (d *DP) recv(ctag int) []byte {
+	data, _, _ := d.mb.Recv(msgmgr.Wildcard, ctag)
+	return data
 }
 
 // Vector is a block-distributed vector of float64: element i lives on
@@ -217,19 +186,8 @@ func (d *DP) allReduce(contrib float64, op emi.ReduceOp) float64 {
 // through the core Broadcast, and the others serve the scheduler —
 // relaying the tree's envelopes — until their copy is parked.
 func (d *DP) BroadcastScalar(x float64) float64 {
-	d.seq++
-	tag := 1<<27 + d.seq
-	if d.p.MyPe() == 0 {
-		bits := make([]byte, 8)
-		binary.LittleEndian.PutUint64(bits, math.Float64bits(x))
-		d.p.Broadcast(d.message(tag, bits), core.ExcludeSelf, core.Transfer)
-		return x
-	}
-	d.p.ServeUntil(func() bool {
-		_, _, ok := d.mm.Probe(tag)
-		return ok
-	})
-	return math.Float64frombits(binary.LittleEndian.Uint64(d.recv(tag)))
+	bits := binary.LittleEndian.AppendUint64(nil, math.Float64bits(x))
+	return math.Float64frombits(binary.LittleEndian.Uint64(d.mb.Bcast(0, bits)))
 }
 
 // Shift returns a new vector w with w_i = v_{(i+k+n) mod n} — a cyclic
@@ -239,8 +197,7 @@ func (v *Vector) Shift(k int) *Vector {
 	d := v.dp
 	n := v.n
 	k = ((k % n) + n) % n
-	d.seq++
-	tag := 1<<26 + d.seq*64 // room for a per-destination offset below
+	tag := d.mb.CollTag()
 
 	// Every element v_j must travel to global position (j-k+n) mod n.
 	// Group the local block by destination processor and ship slices.
@@ -274,7 +231,7 @@ func (v *Vector) Shift(k int) *Vector {
 			for i, x := range c.vals {
 				binary.LittleEndian.PutUint64(buf[4+8*i:], math.Float64bits(x))
 			}
-			d.send(dstPE, tag, buf)
+			d.mb.SendColl(dstPE, tag, buf)
 		}
 	}
 
@@ -297,15 +254,14 @@ func (v *Vector) Shift(k int) *Vector {
 // there; nil elsewhere). Collective.
 func (v *Vector) Gather() []float64 {
 	d := v.dp
-	d.seq++
-	tag := 1<<25 + d.seq
+	tag := d.mb.CollTag()
 	if d.p.MyPe() != 0 {
 		buf := make([]byte, 4+8*len(v.local))
 		binary.LittleEndian.PutUint32(buf, uint32(v.lo))
 		for i, x := range v.local {
 			binary.LittleEndian.PutUint64(buf[4+8*i:], math.Float64bits(x))
 		}
-		d.send(0, tag, buf)
+		d.mb.SendColl(0, tag, buf)
 		return nil
 	}
 	out := make([]float64, v.n)

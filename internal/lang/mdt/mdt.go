@@ -13,8 +13,6 @@
 package mdt
 
 import (
-	"encoding/binary"
-
 	"converse/internal/core"
 	"converse/internal/cth"
 	"converse/internal/msgmgr"
@@ -24,8 +22,7 @@ import (
 type MDT struct {
 	p       *core.Proc
 	rt      *cth.Runtime
-	mm      *msgmgr.M
-	h       int
+	mb      *msgmgr.Mailbox
 	waiting map[int][]*cth.Thread
 	live    int
 }
@@ -35,8 +32,8 @@ func Attach(p *core.Proc) *MDT {
 	if m, ok := p.Ext("converse.lang.mdt").(*MDT); ok {
 		return m
 	}
-	m := &MDT{p: p, rt: cth.Init(p), mm: msgmgr.New(), waiting: map[int][]*cth.Thread{}}
-	m.h = p.RegisterHandler(m.onMsg)
+	m := &MDT{p: p, rt: cth.Init(p), waiting: map[int][]*cth.Thread{}}
+	m.mb = msgmgr.NewMailbox(p, "mdt", m.wake)
 	p.SetExt("converse.lang.mdt", m)
 	return m
 }
@@ -50,20 +47,16 @@ func (m *MDT) CreateThread(fn func()) {
 	m.rt.Awaken(th)
 }
 
-// Send transmits data under tag to processor pe.
-func (m *MDT) Send(pe, tag int, data []byte) {
-	msg := core.NewMsg(m.h, 4+len(data))
-	binary.LittleEndian.PutUint32(core.Payload(msg), uint32(tag))
-	copy(core.Payload(msg)[4:], data)
-	m.p.SyncSendAndFree(pe, msg)
-}
+// Send transmits data under tag, which must lie in [0, 1<<30), to
+// processor pe.
+func (m *MDT) Send(pe, tag int, data []byte) { m.mb.Send(pe, tag, data) }
 
 // Recv blocks the calling thread until a message with the given tag
 // arrives and returns its data.
 func (m *MDT) Recv(tag int) []byte {
 	for {
-		if msg, _, ok := m.mm.Get(tag); ok {
-			return msg[4:]
+		if data, _, _, ok := m.mb.TryRecv(msgmgr.Wildcard, tag); ok {
+			return data
 		}
 		self := m.rt.Self()
 		m.waiting[tag] = append(m.waiting[tag], self)
@@ -71,12 +64,8 @@ func (m *MDT) Recv(tag int) []byte {
 	}
 }
 
-// onMsg parks an arriving message and awakens one thread blocked on its
-// tag, if any.
-func (m *MDT) onMsg(p *core.Proc, msg []byte) {
-	pl := p.GrabBuffer()[core.HeaderSize:]
-	tag := int(binary.LittleEndian.Uint32(pl))
-	m.mm.Put(pl, tag)
+// wake awakens one thread blocked on a just-parked tag, if any.
+func (m *MDT) wake(tag int) {
 	if ws := m.waiting[tag]; len(ws) > 0 {
 		m.waiting[tag] = ws[1:]
 		m.rt.Awaken(ws[0])

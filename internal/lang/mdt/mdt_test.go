@@ -118,6 +118,20 @@ func TestMessageBeforeThread(t *testing.T) {
 	}
 }
 
+// TestBadTagPanics: tags outside [0, 1<<30) are refused. -1 would
+// otherwise be stored as 0xFFFFFFFF, and 1<<32 would alias tag 0.
+func TestBadTagPanics(t *testing.T) {
+	for _, tag := range []int{-1, 1 << 32, 1 << 30} {
+		cm := newMachine(1)
+		err := cm.Run(func(p *core.Proc) {
+			Attach(p).Send(0, tag, []byte("x"))
+		})
+		if err == nil {
+			t.Errorf("Send with tag %d did not error", tag)
+		}
+	}
+}
+
 // TestRuntimeIsAboutAHundredLines verifies the paper's §4 claim holds
 // for this implementation too: the entire runtime (mdt.go) is on the
 // order of 100 lines.

@@ -17,9 +17,6 @@
 package mpi
 
 import (
-	"encoding/binary"
-	"fmt"
-
 	"converse/internal/core"
 	"converse/internal/emi"
 	"converse/internal/msgmgr"
@@ -51,16 +48,8 @@ type MPI struct {
 	p   *core.Proc
 	s   *emi.State
 	all *emi.Pgrp
-	h   int
-	mm  *msgmgr.M
-	seq int
+	mb  *msgmgr.Mailbox
 }
-
-// wire format: [tag u32][src u32][data...]
-const mpiHeader = 8
-
-// collTagBase reserves the upper tag range for collectives.
-const collTagBase = 1 << 29
 
 // extKey locates the MPI state in a Proc.
 const extKey = "converse.lang.mpi"
@@ -71,11 +60,9 @@ func Attach(p *core.Proc) *MPI {
 	if m, ok := p.Ext(extKey).(*MPI); ok {
 		return m
 	}
-	m := &MPI{p: p, s: emi.Init(p), mm: msgmgr.New()}
+	m := &MPI{p: p, s: emi.Init(p)}
 	m.all = m.s.AllGroup()
-	m.h = p.RegisterHandler(func(p *core.Proc, msg []byte) {
-		m.park(p.GrabBuffer())
-	})
+	m.mb = msgmgr.NewMailbox(p, "mpi", nil)
 	p.SetExt(extKey, m)
 	return m
 }
@@ -86,75 +73,32 @@ func (m *MPI) Rank() int { return m.p.MyPe() }
 // Size returns the communicator size (MPI_Comm_size).
 func (m *MPI) Size() int { return m.p.NumPes() }
 
-// Send transmits data to rank dst under tag (MPI_Send). The buffer may
-// be reused on return.
-func (m *MPI) Send(data []byte, dst, tag int) {
-	if tag < 0 || tag >= collTagBase {
-		panic(fmt.Sprintf("mpi: rank %d: tag %d outside the user range", m.Rank(), tag))
-	}
-	m.send(data, dst, tag)
-}
-
-func (m *MPI) send(data []byte, dst, tag int) {
-	m.p.SyncSendAndFree(dst, m.message(data, tag))
-}
-
-// message builds an MPI message carrying data under tag from this rank.
-func (m *MPI) message(data []byte, tag int) []byte {
-	msg := core.NewMsg(m.h, mpiHeader+len(data))
-	pl := core.Payload(msg)
-	binary.LittleEndian.PutUint32(pl[0:], uint32(tag))
-	binary.LittleEndian.PutUint32(pl[4:], uint32(m.Rank()))
-	copy(pl[mpiHeader:], data)
-	return msg
-}
+// Send transmits data to rank dst under tag, which must lie in
+// [0, 1<<30) (MPI_Send). The buffer may be reused on return.
+func (m *MPI) Send(data []byte, dst, tag int) { m.mb.Send(dst, tag, data) }
 
 // Recv blocks until a message matching (src, tag) — either may be a
 // wildcard — arrives, copies at most len(buf) bytes into buf, and
 // returns the status (MPI_Recv). Matching is FIFO among candidates, so
 // pairwise delivery order is preserved, as MPI requires.
 func (m *MPI) Recv(buf []byte, src, tag int) Status {
-	for {
-		if msg, t1, t2, ok := m.mm.Get2(tag, src); ok {
-			return m.complete(msg, t1, t2, buf)
-		}
-		m.p.GetSpecificMsg(m.h)
-		raw := m.p.GrabBuffer()
-		pl := core.Payload(raw)
-		mtag := int(binary.LittleEndian.Uint32(pl[0:]))
-		msrc := int(binary.LittleEndian.Uint32(pl[4:]))
-		if (tag == AnyTag || mtag == tag) && (src == AnySource || msrc == src) {
-			return m.complete(pl, mtag, msrc, buf)
-		}
-		m.mm.Put2(pl, mtag, msrc)
-	}
-}
-
-func (m *MPI) complete(pl []byte, tag, src int, buf []byte) Status {
-	copy(buf, pl[mpiHeader:])
-	return Status{Source: src, Tag: tag, Count: len(pl) - mpiHeader}
+	data, rsrc, rtag := m.mb.Recv(src, tag)
+	copy(buf, data)
+	return Status{Source: rsrc, Tag: rtag, Count: len(data)}
 }
 
 // Probe blocks until a matching message is available and returns its
 // status without receiving it (MPI_Probe).
 func (m *MPI) Probe(src, tag int) Status {
-	for {
-		if size, t1, t2, ok := m.mm.Probe2(tag, src); ok {
-			return Status{Source: t2, Tag: t1, Count: size - mpiHeader}
-		}
-		m.p.GetSpecificMsg(m.h)
-		m.park(m.p.GrabBuffer())
-	}
+	size, rsrc, rtag := m.mb.WaitProbe(src, tag)
+	return Status{Source: rsrc, Tag: rtag, Count: size}
 }
 
 // Iprobe reports whether a matching message is available, without
 // blocking (MPI_Iprobe).
 func (m *MPI) Iprobe(src, tag int) (Status, bool) {
-	m.drain()
-	if size, t1, t2, ok := m.mm.Probe2(tag, src); ok {
-		return Status{Source: t2, Tag: t1, Count: size - mpiHeader}, true
-	}
-	return Status{}, false
+	size, rsrc, rtag, ok := m.mb.Probe(src, tag)
+	return Status{Source: rsrc, Tag: rtag, Count: size}, ok
 }
 
 // Sendrecv performs a combined send and receive (MPI_Sendrecv), safe
@@ -162,28 +106,6 @@ func (m *MPI) Iprobe(src, tag int) (Status, bool) {
 func (m *MPI) Sendrecv(sendBuf []byte, dst, sendTag int, recvBuf []byte, src, recvTag int) Status {
 	m.Send(sendBuf, dst, sendTag)
 	return m.Recv(recvBuf, src, recvTag)
-}
-
-func (m *MPI) park(raw []byte) {
-	pl := core.Payload(raw)
-	mtag := int(binary.LittleEndian.Uint32(pl[0:]))
-	msrc := int(binary.LittleEndian.Uint32(pl[4:]))
-	m.mm.Put2(pl, mtag, msrc)
-}
-
-func (m *MPI) drain() {
-	for {
-		msg, ok := m.p.GetMsg()
-		if !ok {
-			return
-		}
-		if core.HandlerOf(msg) == m.h {
-			m.park(m.p.GrabBuffer())
-			continue
-		}
-		m.p.GrabBuffer()
-		m.p.Enqueue(msg)
-	}
 }
 
 // --- collectives (the core's two-level spanning tree) ---
@@ -197,19 +119,7 @@ func (m *MPI) Barrier() { m.p.Barrier() }
 // the same length. The root sends one collective-tagged message through
 // the core Broadcast; the others serve the scheduler — relaying the
 // tree's envelopes — until their copy is parked, then receive it.
-func (m *MPI) Bcast(buf []byte, root int) {
-	m.seq++
-	tag := collTagBase + m.seq
-	if m.Rank() == root {
-		m.p.Broadcast(m.message(buf, tag), core.ExcludeSelf, core.Transfer)
-		return
-	}
-	m.p.ServeUntil(func() bool {
-		_, _, _, ok := m.mm.Probe2(tag, AnySource)
-		return ok
-	})
-	m.Recv(buf, AnySource, tag)
-}
+func (m *MPI) Bcast(buf []byte, root int) { copy(buf, m.mb.Bcast(root, buf)) }
 
 // Reduce combines every rank's contribution with op, delivering the
 // result at the requested root; other ranks get 0 (MPI_Reduce over
@@ -231,18 +141,17 @@ func (m *MPI) Allreduce(contrib int64, op emi.ReduceOp) int64 {
 // Gather collects every rank's fixed-size block at the root, ordered by
 // rank (MPI_Gather). Returns the concatenation at root, nil elsewhere.
 func (m *MPI) Gather(block []byte, root int) []byte {
-	m.seq++
-	tag := collTagBase + m.seq
+	ctag := m.mb.CollTag()
 	if m.Rank() != root {
-		m.send(block, root, tag)
+		m.mb.SendColl(root, ctag, block)
 		return nil
 	}
-	out := make([]byte, len(block)*m.Size())
-	copy(out[root*len(block):], block)
+	n := len(block)
+	out := make([]byte, n*m.Size())
+	copy(out[root*n:], block)
 	for i := 0; i < m.Size()-1; i++ {
-		tmp := make([]byte, len(block))
-		st := m.Recv(tmp, AnySource, tag)
-		copy(out[st.Source*len(block):], tmp)
+		data, src, _ := m.mb.Recv(AnySource, ctag)
+		copy(out[src*n:(src+1)*n], data)
 	}
 	return out
 }

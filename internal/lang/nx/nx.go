@@ -12,9 +12,6 @@
 package nx
 
 import (
-	"encoding/binary"
-	"fmt"
-
 	"converse/internal/core"
 	"converse/internal/msgmgr"
 )
@@ -25,8 +22,7 @@ const AnyType = msgmgr.Wildcard
 // NX is the per-processor NX-flavoured runtime.
 type NX struct {
 	p  *core.Proc
-	h  int
-	mm *msgmgr.M
+	mb *msgmgr.Mailbox
 
 	// last-received message info (infotype/infocount/infonode)
 	lastType, lastCount, lastNode int
@@ -56,8 +52,11 @@ func (r *Recv) Node() int { return r.node }
 // Type returns the received message type (valid once done).
 func (r *Recv) Type() int { return r.rtyp }
 
-// wire format of an NX message payload: [type u32][src u32][data...]
-const nxHeader = 8
+// complete fills the posted buffer from a matched message.
+func (r *Recv) complete(data []byte, node, typ int) {
+	r.n = copy(r.buf, data)
+	r.node, r.rtyp, r.done = node, typ, true
+}
 
 // extKey locates the NX state in a Proc.
 const extKey = "converse.lang.nx"
@@ -67,13 +66,9 @@ func Attach(p *core.Proc) *NX {
 	if x, ok := p.Ext(extKey).(*NX); ok {
 		return x
 	}
-	x := &NX{p: p, mm: msgmgr.New(), lastType: -1, lastNode: -1}
-	x.h = p.RegisterHandler(func(p *core.Proc, msg []byte) {
-		// Dispatched while the scheduler serves (Gsync, say): park the
-		// message and let it complete a posted irecv.
-		x.park(p.GrabBuffer())
-		x.satisfyPending()
-	})
+	x := &NX{p: p, lastType: -1, lastNode: -1}
+	// Every parked message may complete a posted irecv.
+	x.mb = msgmgr.NewMailbox(p, "nx", func(int) { x.satisfyPending() })
 	p.SetExt(extKey, x)
 	return x
 }
@@ -84,26 +79,15 @@ func (x *NX) Mynode() int { return x.p.MyPe() }
 // Numnodes returns the machine size (numnodes()).
 func (x *NX) Numnodes() int { return x.p.NumPes() }
 
-// Csend synchronously sends data of the given type to node (csend).
-// The buffer may be reused when it returns.
-func (x *NX) Csend(typ int, data []byte, node int) {
-	x.checkType(typ)
-	x.p.SyncSendAndFree(node, x.message(typ, data))
-}
-
-// checkType validates a user message type.
-func (x *NX) checkType(typ int) {
-	if typ < 0 || typ >= typeLimit {
-		panic(fmt.Sprintf("nx: pe %d: message type %d outside the user range [0, 1<<30)", x.p.MyPe(), typ))
-	}
-}
+// Csend synchronously sends data of the given type, which must lie in
+// [0, 1<<30), to node (csend). The buffer may be reused when it returns.
+func (x *NX) Csend(typ int, data []byte, node int) { x.mb.Send(node, typ, data) }
 
 // Isend initiates an asynchronous send and returns its handle; poll or
 // wait on it with the core's progress rules (isend/msgwait). The data
 // is captured at call time.
 func (x *NX) Isend(typ int, data []byte, node int) *core.CommHandle {
-	x.checkType(typ)
-	return x.p.AsyncSend(node, x.message(typ, data))
+	return x.p.AsyncSend(node, x.mb.Message(typ, data))
 }
 
 // Msgwait blocks until an asynchronous send completes (msgwait).
@@ -117,27 +101,9 @@ func (x *NX) Msgwait(h *core.CommHandle) {
 // other types are buffered; messages for other handlers stay deferred
 // in the CMI.
 func (x *NX) Crecv(typ int, buf []byte) int {
-	for {
-		if msg, rtyp, ok := x.mm.Get(typ); ok {
-			return x.complete(msg, rtyp, buf)
-		}
-		x.p.GetSpecificMsg(x.h)
-		raw := x.p.GrabBuffer()
-		pl := core.Payload(raw)
-		mtyp := int(binary.LittleEndian.Uint32(pl[0:]))
-		if typ == AnyType || mtyp == typ {
-			return x.complete(pl, mtyp, buf)
-		}
-		x.mm.Put(pl, mtyp)
-	}
-}
-
-// complete fills buf and the info fields from a matched raw payload.
-func (x *NX) complete(pl []byte, typ int, buf []byte) int {
-	src := int(binary.LittleEndian.Uint32(pl[4:]))
-	n := copy(buf, pl[nxHeader:])
-	x.lastType, x.lastCount, x.lastNode = typ, len(pl)-nxHeader, src
-	return n
+	data, node, rtyp := x.mb.Recv(msgmgr.Wildcard, typ)
+	x.lastType, x.lastCount, x.lastNode = rtyp, len(data), node
+	return copy(buf, data)
 }
 
 // Irecv posts an asynchronous receive for the given type into buf
@@ -146,9 +112,9 @@ func (x *NX) complete(pl []byte, typ int, buf []byte) int {
 func (x *NX) Irecv(typ int, buf []byte) *Recv {
 	r := &Recv{typ: typ, buf: buf}
 	// Try to satisfy immediately from buffered traffic.
-	x.drain()
-	x.trySatisfy(r)
-	if !r.done {
+	if data, node, rtyp, ok := x.mb.Poll(msgmgr.Wildcard, typ); ok {
+		r.complete(data, node, rtyp)
+	} else {
 		x.pending = append(x.pending, r)
 	}
 	return r
@@ -156,34 +122,17 @@ func (x *NX) Irecv(typ int, buf []byte) *Recv {
 
 // MsgwaitRecv blocks until the posted receive completes.
 func (x *NX) MsgwaitRecv(r *Recv) {
-	for !r.done {
-		x.p.GetSpecificMsg(x.h)
-		raw := x.p.GrabBuffer()
-		pl := core.Payload(raw)
-		mtyp := int(binary.LittleEndian.Uint32(pl[0:]))
-		x.mm.Put(pl, mtyp)
-		x.satisfyPending()
-	}
+	x.mb.Wait(r.Done)
 	x.lastType, x.lastCount, x.lastNode = r.rtyp, r.n, r.node
-}
-
-// trySatisfy completes r from the message manager if a match is stored.
-func (x *NX) trySatisfy(r *Recv) {
-	msg, rtyp, ok := x.mm.Get(r.typ)
-	if !ok {
-		return
-	}
-	src := int(binary.LittleEndian.Uint32(msg[4:]))
-	r.n = copy(r.buf, msg[nxHeader:])
-	r.node, r.rtyp, r.done = src, rtyp, true
 }
 
 // satisfyPending completes as many posted receives as possible.
 func (x *NX) satisfyPending() {
 	kept := x.pending[:0]
 	for _, r := range x.pending {
-		x.trySatisfy(r)
-		if !r.done {
+		if data, node, rtyp, ok := x.mb.TryRecv(msgmgr.Wildcard, r.typ); ok {
+			r.complete(data, node, rtyp)
+		} else {
 			kept = append(kept, r)
 		}
 	}
@@ -193,32 +142,8 @@ func (x *NX) satisfyPending() {
 // Iprobe reports whether a message of the given type is available
 // without blocking (iprobe).
 func (x *NX) Iprobe(typ int) bool {
-	x.drain()
-	_, _, ok := x.mm.Probe(typ)
+	_, _, _, ok := x.mb.Probe(msgmgr.Wildcard, typ)
 	return ok
-}
-
-// drain parks all currently available NX messages and feeds posted
-// receives; non-NX traffic is enqueued for its handlers.
-func (x *NX) drain() {
-	for {
-		msg, ok := x.p.GetMsg()
-		if !ok {
-			break
-		}
-		if core.HandlerOf(msg) == x.h {
-			x.park(x.p.GrabBuffer())
-			continue
-		}
-		x.p.GrabBuffer()
-		x.p.Enqueue(msg)
-	}
-	x.satisfyPending()
-}
-
-func (x *NX) park(raw []byte) {
-	pl := core.Payload(raw)
-	x.mm.Put(pl, int(binary.LittleEndian.Uint32(pl[0:])))
 }
 
 // Infotype returns the type of the last completed receive (infotype).
@@ -236,16 +161,3 @@ func (x *NX) Infonode() int { return x.lastNode }
 // AllReduce over the two-level spanning tree. It serves the scheduler
 // while it waits; NX messages that arrive are parked for a later crecv.
 func (x *NX) Gsync() { x.p.Barrier() }
-
-// typeLimit bounds user message types: they must lie in [0, typeLimit).
-const typeLimit = 1 << 30
-
-// message builds an NX message carrying data under typ from this node.
-func (x *NX) message(typ int, data []byte) []byte {
-	msg := core.NewMsg(x.h, nxHeader+len(data))
-	pl := core.Payload(msg)
-	binary.LittleEndian.PutUint32(pl[0:], uint32(typ))
-	binary.LittleEndian.PutUint32(pl[4:], uint32(x.p.MyPe()))
-	copy(pl[nxHeader:], data)
-	return msg
-}

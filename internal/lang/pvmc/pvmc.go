@@ -26,18 +26,11 @@ const Any = msgmgr.Wildcard
 // PVM is the per-processor PVM-flavoured runtime.
 type PVM struct {
 	p  *core.Proc
-	h  int
-	mm *msgmgr.M
+	mb *msgmgr.Mailbox
 
 	sendBuf *Buffer
 	recvBuf *Buffer
 }
-
-// wire format: [tag u32][src u32][packed data...]
-const pvmHeader = 8
-
-// tagLimit bounds user tags: they must lie in [0, tagLimit).
-const tagLimit = 1 << 30
 
 // extKey locates the PVM state in a Proc.
 const extKey = "converse.lang.pvmc"
@@ -47,10 +40,7 @@ func Attach(p *core.Proc) *PVM {
 	if v, ok := p.Ext(extKey).(*PVM); ok {
 		return v
 	}
-	v := &PVM{p: p, mm: msgmgr.New()}
-	v.h = p.RegisterHandler(func(p *core.Proc, msg []byte) {
-		v.park(p.GrabBuffer())
-	})
+	v := &PVM{p: p, mb: msgmgr.NewMailbox(p, "pvmc", nil)}
 	p.SetExt(extKey, v)
 	return v
 }
@@ -79,20 +69,10 @@ func (v *PVM) SendBuf() *Buffer {
 	return v.sendBuf
 }
 
-// Send ships the active send buffer to task tid under tag (pvm_send).
-// The buffer remains intact and may be sent again.
-func (v *PVM) Send(tid, tag int) {
-	if tag < 0 || tag >= tagLimit {
-		panic(fmt.Sprintf("pvmc: pe %d: tag %d outside the user range", v.p.MyPe(), tag))
-	}
-	data := v.SendBuf().bytes
-	msg := core.NewMsg(v.h, pvmHeader+len(data))
-	pl := core.Payload(msg)
-	binary.LittleEndian.PutUint32(pl[0:], uint32(tag))
-	binary.LittleEndian.PutUint32(pl[4:], uint32(v.p.MyPe()))
-	copy(pl[pvmHeader:], data)
-	v.p.SyncSendAndFree(tid, msg)
-}
+// Send ships the active send buffer to task tid under tag, which must
+// lie in [0, 1<<30) (pvm_send). The buffer remains intact and may be
+// sent again.
+func (v *PVM) Send(tid, tag int) { v.mb.Send(tid, tag, v.SendBuf().bytes) }
 
 // Mcast ships the active send buffer to every listed task (pvm_mcast).
 func (v *PVM) Mcast(tids []int, tag int) {
@@ -117,66 +97,27 @@ func (v *PVM) Bcast(tag int) {
 // are buffered by the CMI and PVM messages with other addresses are
 // parked.
 func (v *PVM) Recv(src, tag int) (rsrc, rtag int) {
-	for {
-		if msg, t1, t2, ok := v.mm.Get2(tag, src); ok {
-			v.recvBuf = &Buffer{bytes: msg[pvmHeader:]}
-			return t2, t1
-		}
-		v.p.GetSpecificMsg(v.h)
-		buf := v.p.GrabBuffer()
-		pl := core.Payload(buf)
-		mtag := int(binary.LittleEndian.Uint32(pl[0:]))
-		msrc := int(binary.LittleEndian.Uint32(pl[4:]))
-		if (tag == Any || mtag == tag) && (src == Any || msrc == src) {
-			v.recvBuf = &Buffer{bytes: pl[pvmHeader:]}
-			return msrc, mtag
-		}
-		v.mm.Put2(pl, mtag, msrc)
-	}
+	data, rsrc, rtag := v.mb.Recv(src, tag)
+	v.recvBuf = &Buffer{bytes: data}
+	return rsrc, rtag
 }
 
 // Nrecv is the non-blocking receive (pvm_nrecv): if a matching message
 // is available it becomes the active receive buffer and ok is true.
+// Messages for other handlers that it drains are enqueued for them.
 func (v *PVM) Nrecv(src, tag int) (rsrc, rtag int, ok bool) {
-	v.drain()
-	msg, t1, t2, ok := v.mm.Get2(tag, src)
-	if !ok {
-		return 0, 0, false
+	data, rsrc, rtag, ok := v.mb.Poll(src, tag)
+	if ok {
+		v.recvBuf = &Buffer{bytes: data}
 	}
-	v.recvBuf = &Buffer{bytes: msg[pvmHeader:]}
-	return t2, t1, true
+	return rsrc, rtag, ok
 }
 
 // Probe reports whether a matching message is available without
 // receiving it (pvm_probe).
 func (v *PVM) Probe(src, tag int) bool {
-	v.drain()
-	_, _, _, ok := v.mm.Probe2(tag, src)
+	_, _, _, ok := v.mb.Probe(src, tag)
 	return ok
-}
-
-// drain parks all currently available PVM network messages; non-PVM
-// messages are enqueued for their handlers.
-func (v *PVM) drain() {
-	for {
-		msg, ok := v.p.GetMsg()
-		if !ok {
-			return
-		}
-		if core.HandlerOf(msg) == v.h {
-			v.park(v.p.GrabBuffer())
-			continue
-		}
-		v.p.GrabBuffer()
-		v.p.Enqueue(msg)
-	}
-}
-
-func (v *PVM) park(buf []byte) {
-	pl := core.Payload(buf)
-	mtag := int(binary.LittleEndian.Uint32(pl[0:]))
-	msrc := int(binary.LittleEndian.Uint32(pl[4:]))
-	v.mm.Put2(pl, mtag, msrc)
 }
 
 // RecvBuf returns the active receive buffer (set by Recv/Nrecv).

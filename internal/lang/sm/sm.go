@@ -2,9 +2,9 @@
 // single-process-module (SPM) messaging system in the no-concurrency
 // category of §2.1. A module blocks in Recv for a specific message;
 // while it blocks, no other user-space activity takes place on the
-// processor — messages for other handlers are buffered by the CMI
-// (CmiGetSpecificMsg) and messages for SM with the wrong tag are parked
-// in a message manager.
+// processor — messages for other handlers are set aside by the CMI and
+// messages for SM with the wrong tag are parked in the layer's mailbox
+// (msgmgr.Mailbox).
 //
 // The API is tag+source addressed, which also covers the NX-style
 // (csend/crecv) layer the paper lists alongside SM and PVM: all three
@@ -12,9 +12,6 @@
 package sm
 
 import (
-	"encoding/binary"
-	"fmt"
-
 	"converse/internal/core"
 	"converse/internal/msgmgr"
 )
@@ -26,15 +23,8 @@ const Wildcard = msgmgr.Wildcard
 // one on every processor at the same point of startup.
 type SM struct {
 	p  *core.Proc
-	h  int
-	mm *msgmgr.M
+	mb *msgmgr.Mailbox
 }
-
-// tagLimit bounds user tags: they must lie in [0, tagLimit).
-const tagLimit = 1 << 30
-
-// wire format of an SM message payload: [tag u32][src u32][data...]
-const smHeader = 8
 
 // extKey locates the SM state in a Proc.
 const extKey = "converse.lang.sm"
@@ -44,13 +34,7 @@ func Attach(p *core.Proc) *SM {
 	if s, ok := p.Ext(extKey).(*SM); ok {
 		return s
 	}
-	s := &SM{p: p, mm: msgmgr.New()}
-	s.h = p.RegisterHandler(func(p *core.Proc, msg []byte) {
-		// SM messages are consumed by Recv, never dispatched; reaching
-		// here means the program mixed Scheduler dispatch with pending
-		// SM traffic — park the message for a later Recv.
-		s.park(p.GrabBuffer())
-	})
+	s := &SM{p: p, mb: msgmgr.NewMailbox(p, "sm", nil)}
 	p.SetExt(extKey, s)
 	return s
 }
@@ -58,19 +42,10 @@ func Attach(p *core.Proc) *SM {
 // Proc returns the layer's processor.
 func (s *SM) Proc() *core.Proc { return s.p }
 
-// Send transmits data to processor dst under the given tag. The data is
-// copied; the caller may reuse it immediately.
-func (s *SM) Send(dst, tag int, data []byte) {
-	if tag < 0 || tag >= tagLimit {
-		panic(fmt.Sprintf("sm: pe %d: tag %d outside the user range [0, 1<<30)", s.p.MyPe(), tag))
-	}
-	msg := core.NewMsg(s.h, smHeader+len(data))
-	pl := core.Payload(msg)
-	binary.LittleEndian.PutUint32(pl[0:], uint32(tag))
-	binary.LittleEndian.PutUint32(pl[4:], uint32(s.p.MyPe()))
-	copy(pl[smHeader:], data)
-	s.p.SyncSendAndFree(dst, msg)
-}
+// Send transmits data to processor dst under the given tag, which must
+// lie in [0, 1<<30). The data is copied; the caller may reuse it
+// immediately.
+func (s *SM) Send(dst, tag int, data []byte) { s.mb.Send(dst, tag, data) }
 
 // Broadcast sends data under tag to every other processor.
 func (s *SM) Broadcast(tag int, data []byte) {
@@ -85,71 +60,22 @@ func (s *SM) Broadcast(tag int, data []byte) {
 // and returns its data, source and actual tag. Messages with other tags
 // that arrive meanwhile are buffered in arrival order.
 func (s *SM) Recv(tag int) (data []byte, src, rettag int) {
-	return s.recv(tag, Wildcard)
+	return s.mb.Recv(Wildcard, tag)
 }
 
 // RecvFrom is Recv restricted to a particular source processor (the
 // NX/PVM-style addressing); both tag and src may be Wildcard.
 func (s *SM) RecvFrom(src, tag int) (data []byte, rettag int) {
-	d, _, rt := s.recv(tag, src)
-	return d, rt
-}
-
-func (s *SM) recv(tag, src int) (data []byte, msgSrc, rettag int) {
-	for {
-		if msg, t1, t2, ok := s.mm.Get2(tag, src); ok {
-			return msg[smHeader:], t2, t1
-		}
-		s.p.GetSpecificMsg(s.h)
-		buf := s.p.GrabBuffer()
-		pl := core.Payload(buf)
-		mtag := int(binary.LittleEndian.Uint32(pl[0:]))
-		msrc := int(binary.LittleEndian.Uint32(pl[4:]))
-		if (tag == Wildcard || mtag == tag) && (src == Wildcard || msrc == src) {
-			return pl[smHeader:], msrc, mtag
-		}
-		s.mm.Put2(pl, mtag, msrc)
-	}
-}
-
-// park stores an already-grabbed SM message for a later Recv.
-func (s *SM) park(buf []byte) {
-	pl := core.Payload(buf)
-	mtag := int(binary.LittleEndian.Uint32(pl[0:]))
-	msrc := int(binary.LittleEndian.Uint32(pl[4:]))
-	s.mm.Put2(pl, mtag, msrc)
+	data, _, rettag = s.mb.Recv(src, tag)
+	return data, rettag
 }
 
 // Probe reports whether a message matching tag is buffered or can be
 // drained from the network without blocking, returning its size and tag.
+// Messages for other handlers that it drains are enqueued for them.
 func (s *SM) Probe(tag int) (size, rettag int, ok bool) {
-	s.drain()
-	size, rettag, ok = s.mm.Probe(tag)
-	if ok {
-		size -= smHeader
-	}
+	size, _, rettag, ok = s.mb.Probe(Wildcard, tag)
 	return size, rettag, ok
-}
-
-// drain moves all currently available SM network messages into the
-// message manager without blocking. Non-SM messages stay deferred for
-// their own handlers.
-func (s *SM) drain() {
-	for {
-		msg, ok := s.p.GetMsg()
-		if !ok {
-			return
-		}
-		if core.HandlerOf(msg) == s.h {
-			s.park(s.p.GrabBuffer())
-			continue
-		}
-		// Not ours: hand it to its handler the way the scheduler
-		// would. SPM purists would buffer it, but Probe is already an
-		// "impatient" call; dispatching keeps the system live.
-		s.p.GrabBuffer()
-		s.p.Enqueue(msg)
-	}
 }
 
 // Barrier synchronizes all processors: the core Barrier, an AllReduce

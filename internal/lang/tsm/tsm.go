@@ -12,7 +12,6 @@
 package tsm
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"converse/internal/core"
@@ -27,8 +26,7 @@ const Wildcard = msgmgr.Wildcard
 type TSM struct {
 	p  *core.Proc
 	rt *cth.Runtime
-	mm *msgmgr.M
-	h  int
+	mb *msgmgr.Mailbox
 
 	waiting []waiter
 	live    int
@@ -39,9 +37,6 @@ type waiter struct {
 	th  *cth.Thread
 }
 
-// wire format of a tSM message payload: [tag u32][src u32][data...]
-const tsmHeader = 8
-
 // extKey locates the tSM state in a Proc.
 const extKey = "converse.lang.tsm"
 
@@ -51,8 +46,8 @@ func Attach(p *core.Proc) *TSM {
 	if ts, ok := p.Ext(extKey).(*TSM); ok {
 		return ts
 	}
-	ts := &TSM{p: p, rt: cth.Init(p), mm: msgmgr.New()}
-	ts.h = p.RegisterHandler(ts.onMsg)
+	ts := &TSM{p: p, rt: cth.Init(p)}
+	ts.mb = msgmgr.NewMailbox(p, "tsm", ts.wake)
 	p.SetExt(extKey, ts)
 	return ts
 }
@@ -82,19 +77,10 @@ func (ts *TSM) Create(fn func()) *cth.Thread {
 	return th
 }
 
-// Send transmits data under tag to a tSM runtime on processor dst. It
-// may be called from threads or from the main context.
-func (ts *TSM) Send(dst, tag int, data []byte) {
-	if tag < 0 {
-		panic(fmt.Sprintf("tsm: pe %d: negative tag %d (reserved)", ts.p.MyPe(), tag))
-	}
-	msg := core.NewMsg(ts.h, tsmHeader+len(data))
-	pl := core.Payload(msg)
-	binary.LittleEndian.PutUint32(pl[0:], uint32(tag))
-	binary.LittleEndian.PutUint32(pl[4:], uint32(ts.p.MyPe()))
-	copy(pl[tsmHeader:], data)
-	ts.p.SyncSendAndFree(dst, msg)
-}
+// Send transmits data under tag, which must lie in [0, 1<<30), to a tSM
+// runtime on processor dst. It may be called from threads or from the
+// main context.
+func (ts *TSM) Send(dst, tag int, data []byte) { ts.mb.Send(dst, tag, data) }
 
 // Recv blocks the calling thread until a message matching tag (or
 // Wildcard) is available and returns its data, source, and actual tag
@@ -106,22 +92,16 @@ func (ts *TSM) Recv(tag int) (data []byte, src, rettag int) {
 		panic(fmt.Sprintf("tsm: pe %d: Recv called outside a tSM thread", ts.p.MyPe()))
 	}
 	for {
-		if msg, t1, t2, ok := ts.mm.Get2(tag, msgmgr.Wildcard); ok {
-			return msg[tsmHeader:], t2, t1
+		if data, src, rettag, ok := ts.mb.TryRecv(Wildcard, tag); ok {
+			return data, src, rettag
 		}
 		ts.waiting = append(ts.waiting, waiter{tag: tag, th: self})
 		ts.rt.Suspend()
 	}
 }
 
-// onMsg parks an arriving message and awakens the first thread whose
-// Recv matches its tag.
-func (ts *TSM) onMsg(p *core.Proc, msg []byte) {
-	buf := p.GrabBuffer()
-	pl := core.Payload(buf)
-	tag := int(binary.LittleEndian.Uint32(pl[0:]))
-	src := int(binary.LittleEndian.Uint32(pl[4:]))
-	ts.mm.Put2(pl, tag, src)
+// wake awakens the first thread whose Recv matches a just-parked tag.
+func (ts *TSM) wake(tag int) {
 	for i, w := range ts.waiting {
 		if w.tag == Wildcard || w.tag == tag {
 			ts.waiting = append(ts.waiting[:i], ts.waiting[i+1:]...)

@@ -238,6 +238,20 @@ func TestNegativeTagPanics(t *testing.T) {
 	}
 }
 
+// TestTagAliasingPanics: tags outside [0, 1<<30) are refused rather
+// than truncated to 32 bits, where 1<<32 would arrive as tag 0.
+func TestTagAliasingPanics(t *testing.T) {
+	for _, tag := range []int{1 << 32, 1<<32 + 5, 1 << 30} {
+		cm := newMachine(1)
+		err := cm.Run(func(p *core.Proc) {
+			Attach(p).Send(0, tag, []byte("big"))
+		})
+		if err == nil {
+			t.Errorf("Send with tag %#x did not error", tag)
+		}
+	}
+}
+
 func TestTreeOfThreadsAcrossPEs(t *testing.T) {
 	// The paper's FMA sketch: cell logic as threads communicating along
 	// tree edges. A 7-node binary tree spread over 4 PEs computes a

@@ -172,3 +172,62 @@ func TestCoreMachineWithSurplusRank(t *testing.T) {
 		}
 	}
 }
+
+// TestSurplusRankOutlivesActiveRanks holds the surplus rank of a 3-rank
+// job for a 2-PE machine between Start and Finish until both active
+// ranks have run, been released and torn down their links. A surplus
+// rank hosts no driver, so losing those links loses nothing: no failure
+// may be raised and its Finish must succeed.
+func TestSurplusRankOutlivesActiveRanks(t *testing.T) {
+	const np, pes = 3, 2
+	addr, _ := mnet.StartTestJob(t, np, time.Second)
+	join := func(rank int) (*mnet.Node, error) {
+		return mnet.Join(mnet.Config{
+			Launcher: addr, Token: mnet.TestToken,
+			Rank: rank, NP: np, PEs: pes, Round: 1,
+			Handshake: 10 * time.Second,
+		})
+	}
+
+	var active sync.WaitGroup
+	errs := make([]error, pes)
+	for rank := 0; rank < pes; rank++ {
+		active.Add(1)
+		go func(rank int) {
+			defer active.Done()
+			n, err := join(rank)
+			if err != nil {
+				errs[rank] = err
+				return
+			}
+			cm := core.NewMachineOn(n, core.Config{PEs: pes, Watchdog: 30 * time.Second})
+			h := cm.RegisterHandler(func(p *core.Proc, msg []byte) { p.ExitScheduler() })
+			errs[rank] = cm.Run(func(p *core.Proc) {
+				p.SyncSendAndFree(1-p.MyPe(), core.MakeMsg(h, nil))
+				p.Scheduler(-1)
+			})
+		}(rank)
+	}
+
+	n, err := join(pes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Start(); err != nil {
+		t.Fatal(err)
+	}
+	active.Wait()
+	for rank, err := range errs {
+		if err != nil {
+			t.Fatalf("active rank %d: Run = %v", rank, err)
+		}
+	}
+	select {
+	case err := <-n.Failure():
+		t.Fatalf("surplus rank failed after the active ranks left: %v", err)
+	case <-time.After(300 * time.Millisecond):
+	}
+	if err := n.Finish(); err != nil {
+		t.Fatalf("surplus rank: Finish = %v", err)
+	}
+}

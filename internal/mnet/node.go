@@ -531,6 +531,13 @@ func (n *Node) Start() error {
 		n.Fail(err)
 		return err
 	}
+	// A surplus node hosts no driver, so no traffic of its own can be
+	// lost: from here on its link loss is expected. The release waits
+	// only for the active ranks, which may tear down their links
+	// before this node reaches Finish.
+	if len(n.lpes) == 0 {
+		n.closing.Store(true)
+	}
 	if err := n.writeCtrl(fMeshOK, meshOKMsg{Round: n.round, Rank: n.cfg.Rank}); err != nil {
 		n.Fail(err)
 		return err

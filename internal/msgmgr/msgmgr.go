@@ -3,8 +3,10 @@
 // yet to be processed. Messages are inserted with one or two integer
 // identification tags and retrieved (or probed) by tag, with wildcard
 // matching; among equal matches retrieval is FIFO. Message managers are
-// the storage half of blocking-receive languages: tSM and the PVM layer
-// both keep their out-of-order arrivals here.
+// the storage half of blocking-receive languages: Mailbox binds one to a
+// handler and the CMI retrieval calls, and every tagged messaging
+// language (SM, NX, PVM, MPI, DP, tSM, MDT) keeps its out-of-order
+// arrivals in its own Mailbox.
 //
 // Per the paper, a manager instance can be customized to one or two tags
 // "placed at arbitrary positions within the messages": NewAtOffset

@@ -38,13 +38,15 @@
 #                      pass also proves the .vetx fact cache replays
 #   make msgcheck-test full test suite with the dynamic ownership
 #                      checker compiled in (-tags msgcheck)
+#   make fuzz-smoke    every byte-stream decoder fuzzed for a short fixed
+#                      time past its seed corpus
 #   make ci            tier1 + race gates + overhead + lint + msgcheck + smokes
 
 GO ?= go
 
-.PHONY: ci tier1 vet build test race machine-race overhead bench bench-faults bench-collectives bench-jobs commbench-smoke net-smoke chaos-smoke collectives-smoke monitor-smoke service-smoke chaos-service-smoke profile lint msgcheck-test
+.PHONY: ci tier1 vet build test race machine-race overhead bench bench-faults bench-collectives bench-jobs commbench-smoke net-smoke chaos-smoke collectives-smoke monitor-smoke service-smoke chaos-service-smoke profile lint msgcheck-test fuzz-smoke
 
-ci: tier1 race machine-race overhead lint msgcheck-test commbench-smoke net-smoke chaos-smoke collectives-smoke monitor-smoke service-smoke chaos-service-smoke
+ci: tier1 race machine-race overhead lint msgcheck-test fuzz-smoke commbench-smoke net-smoke chaos-smoke collectives-smoke monitor-smoke service-smoke chaos-service-smoke
 
 tier1: vet build test
 
@@ -79,6 +81,19 @@ lint:
 # accessors). Catches use-after-transfer the static analyzer cannot see.
 msgcheck-test:
 	$(GO) test -tags msgcheck ./...
+
+# Fuzz smoke: `go test` runs each fuzzer's seed corpus only; this runs
+# every decoder that reads bytes from a socket (the coalesced pack
+# unpacker, the mnet frame, data-payload and stream-reader decoders, and
+# the shared JSON request/reply reader) under the fuzzing engine for a
+# short fixed time. A crasher fails the target and is saved under the
+# package's testdata/fuzz for replay.
+fuzz-smoke:
+	$(GO) test ./internal/core/ -run '^$$' -fuzz '^FuzzUnpack$$' -fuzztime 10s -parallel 2
+	$(GO) test ./internal/mnet/ -run '^$$' -fuzz '^FuzzFrameDecode$$' -fuzztime 10s -parallel 2
+	$(GO) test ./internal/mnet/ -run '^$$' -fuzz '^FuzzDataPayload$$' -fuzztime 10s -parallel 2
+	$(GO) test ./internal/mnet/ -run '^$$' -fuzz '^FuzzFrameReader$$' -fuzztime 10s -parallel 2
+	$(GO) test ./internal/wire/ -run '^$$' -fuzz '^FuzzReadJSON$$' -fuzztime 10s -parallel 2
 
 # The MPSC inbox ring is the one lock-free structure in the tree; gate
 # it separately so a failure names the layer directly.

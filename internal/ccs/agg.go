@@ -1,7 +1,6 @@
 package ccs
 
 import (
-	"encoding/json"
 	"fmt"
 	"net"
 	"sort"
@@ -17,93 +16,22 @@ import (
 // backends concurrently and merge; profile requests are proxied to the
 // requested rank's endpoint frame-by-frame.
 type Aggregate struct {
-	token string
-	ln    net.Listener
+	*server
 	// backends reports the current rank -> endpoint address map; the
 	// launcher updates it as workers report in, so the aggregate is
 	// valid from the first reported rank onward.
 	backends func() map[int]string
-
-	mu     sync.Mutex
-	closed bool
 }
 
 // ServeAggregate opens the mesh-wide monitor socket on addr. backends
 // must be safe for concurrent calls.
 func ServeAggregate(addr, token string, backends func() map[int]string) (*Aggregate, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("ccs: listen %s: %w", addr, err)
+	a := &Aggregate{backends: backends}
+	a.server = &server{token: token, ops: a}
+	if err := a.start(addr); err != nil {
+		return nil, err
 	}
-	a := &Aggregate{token: token, ln: ln, backends: backends}
-	go a.acceptLoop()
 	return a, nil
-}
-
-// Addr is the aggregate's actual listen address.
-func (a *Aggregate) Addr() string { return a.ln.Addr().String() }
-
-// Close stops the aggregate socket.
-func (a *Aggregate) Close() error {
-	a.mu.Lock()
-	a.closed = true
-	a.mu.Unlock()
-	return a.ln.Close()
-}
-
-func (a *Aggregate) acceptLoop() {
-	for {
-		c, err := a.ln.Accept()
-		if err != nil {
-			a.mu.Lock()
-			done := a.closed
-			a.mu.Unlock()
-			if done {
-				return
-			}
-			time.Sleep(50 * time.Millisecond)
-			continue
-		}
-		go a.serveConn(c)
-	}
-}
-
-func (a *Aggregate) serveConn(c net.Conn) {
-	defer c.Close()
-	c.SetReadDeadline(time.Now().Add(ioTimeout))
-	k, payload, err := wire.ReadFrame(c)
-	if err != nil {
-		return
-	}
-	if k != kReq {
-		writeErr(c, fmt.Sprintf("ccs: unexpected frame kind %d, want request", k))
-		return
-	}
-	var req reqMsg
-	if err := json.Unmarshal(payload, &req); err != nil {
-		writeErr(c, fmt.Sprintf("ccs: bad request: %v", err))
-		return
-	}
-	if a.token != "" && req.Token != a.token {
-		writeErr(c, "ccs: bad token")
-		return
-	}
-	c.SetReadDeadline(time.Time{})
-	switch req.Op {
-	case OpSnapshot:
-		snap := a.snapshot()
-		payload, err := json.Marshal(snap)
-		if err != nil {
-			writeErr(c, fmt.Sprintf("ccs: encoding snapshot: %v", err))
-			return
-		}
-		c.SetWriteDeadline(time.Now().Add(ioTimeout))
-		wire.WriteFrame(c, kSnap, payload)
-	case OpProfile:
-		a.proxyProfile(c, req)
-	default:
-		writeErr(c, fmt.Sprintf("ccs: unknown op %q", req.Op))
-	}
 }
 
 // snapshot fans out to every known backend and merges the per-rank
@@ -153,39 +81,31 @@ func (a *Aggregate) snapshot() *Snapshot {
 	return out
 }
 
-// proxyProfile forwards a profile request to the requested rank's
-// endpoint and relays the response frames verbatim.
-func (a *Aggregate) proxyProfile(c net.Conn, req reqMsg) {
-	be := a.backends()
-	addr, ok := be[req.Rank]
+// profile forwards a profile request to the requested rank's endpoint
+// and relays the response frames verbatim.
+func (a *Aggregate) profile(c net.Conn, req reqMsg) error {
+	addr, ok := a.backends()[req.Rank]
 	if !ok {
-		writeErr(c, fmt.Sprintf("ccs: no monitor endpoint known for rank %d", req.Rank))
-		return
+		return fmt.Errorf("ccs: no monitor endpoint known for rank %d", req.Rank)
 	}
-	up, err := net.DialTimeout("tcp", addr, dialTimeout)
+	up, err := wire.Dial(addr, dialTimeout)
 	if err != nil {
-		writeErr(c, fmt.Sprintf("ccs: dialing rank %d monitor: %v", req.Rank, err))
-		return
+		return fmt.Errorf("ccs: dialing rank %d monitor: %v", req.Rank, err)
 	}
 	defer up.Close()
-	if err := sendReq(up, req); err != nil {
-		writeErr(c, err.Error())
-		return
+	if err := wire.WriteJSON(up, kReq, req); err != nil {
+		return fmt.Errorf("ccs: sending request to rank %d: %w", req.Rank, err)
 	}
 	wait := ioTimeout + time.Duration(req.Seconds*float64(time.Second))
 	for {
 		up.SetReadDeadline(time.Now().Add(wait))
 		k, payload, err := wire.ReadFrame(up)
 		if err != nil {
-			writeErr(c, fmt.Sprintf("ccs: relaying from rank %d: %v", req.Rank, err))
-			return
+			return fmt.Errorf("ccs: relaying from rank %d: %v", req.Rank, err)
 		}
 		c.SetWriteDeadline(time.Now().Add(ioTimeout))
-		if err := wire.WriteFrame(c, k, payload); err != nil {
-			return
-		}
-		if k == kProfEnd || k == kErr {
-			return
+		if err := wire.WriteFrame(c, k, payload); err != nil || k == kProfEnd || k == kErr {
+			return err
 		}
 	}
 }

@@ -28,7 +28,6 @@
 package ccs
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -49,7 +48,7 @@ const (
 	kSnap                       // snapshot response (JSON, Snapshot)
 	kProfChunk                  // one chunk of a pprof capture
 	kProfEnd                    // end of a pprof capture stream
-	kErr                        // request failed (JSON, errMsg)
+	kErr                        // request failed (JSON, wire.Error)
 )
 
 // Ops a request can ask for.
@@ -165,10 +164,6 @@ type reqMsg struct {
 	Rank int `json:"rank,omitempty"`
 }
 
-type errMsg struct {
-	Error string `json:"error"`
-}
-
 // Config parameterizes a per-process Monitor endpoint.
 type Config struct {
 	// Addr is the TCP listen address ("127.0.0.1:0" for an ephemeral
@@ -191,13 +186,32 @@ type Config struct {
 	Job string
 }
 
-// Monitor is a running per-process introspection endpoint.
-type Monitor struct {
-	cfg Config
-	ln  net.Listener
+// server is the request loop Monitor and Aggregate share: one accept
+// loop and one request reader (read, kind check, decode, token check),
+// then dispatch to the owner's snapshot or profile op. Any error a
+// request meets becomes its one kErr reply.
+type server struct {
+	ln    net.Listener
+	token string
+	ops   ops
 
 	mu     sync.Mutex
 	closed bool
+}
+
+// ops answers a server's requests: Monitor for its own process,
+// Aggregate for the mesh behind it.
+type ops interface {
+	snapshot() *Snapshot
+	// profile streams one capture to c; an error it returns is sent as
+	// the request's kErr reply.
+	profile(c net.Conn, req reqMsg) error
+}
+
+// Monitor is a running per-process introspection endpoint.
+type Monitor struct {
+	*server
+	cfg Config
 }
 
 // cpuMu serializes CPU profiling process-wide: the runtime supports one
@@ -207,33 +221,43 @@ var cpuMu sync.Mutex
 // NewMonitor opens an endpoint and serves it on background goroutines
 // until Close.
 func NewMonitor(cfg Config) (*Monitor, error) {
-	ln, err := net.Listen("tcp", cfg.Addr)
-	if err != nil {
-		return nil, fmt.Errorf("ccs: listen %s: %w", cfg.Addr, err)
+	m := &Monitor{cfg: cfg}
+	m.server = &server{token: cfg.Token, ops: m}
+	if err := m.start(cfg.Addr); err != nil {
+		return nil, err
 	}
-	m := &Monitor{cfg: cfg, ln: ln}
-	go m.acceptLoop()
 	return m, nil
 }
 
-// Addr is the endpoint's actual listen address.
-func (m *Monitor) Addr() string { return m.ln.Addr().String() }
-
-// Close stops the endpoint. In-flight requests finish on their own.
-func (m *Monitor) Close() error {
-	m.mu.Lock()
-	m.closed = true
-	m.mu.Unlock()
-	return m.ln.Close()
+// start opens addr and serves it on a background goroutine until Close.
+func (s *server) start(addr string) error {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return fmt.Errorf("ccs: listen %s: %w", addr, err)
+	}
+	s.ln = ln
+	go s.acceptLoop()
+	return nil
 }
 
-func (m *Monitor) acceptLoop() {
+// Addr is the endpoint's actual listen address.
+func (s *server) Addr() string { return s.ln.Addr().String() }
+
+// Close stops the endpoint. In-flight requests finish on their own.
+func (s *server) Close() error {
+	s.mu.Lock()
+	s.closed = true
+	s.mu.Unlock()
+	return s.ln.Close()
+}
+
+func (s *server) acceptLoop() {
 	for {
-		c, err := m.ln.Accept()
+		c, err := s.ln.Accept()
 		if err != nil {
-			m.mu.Lock()
-			done := m.closed
-			m.mu.Unlock()
+			s.mu.Lock()
+			done := s.closed
+			s.mu.Unlock()
 			if done {
 				return
 			}
@@ -241,46 +265,34 @@ func (m *Monitor) acceptLoop() {
 			time.Sleep(50 * time.Millisecond)
 			continue
 		}
-		go m.serveConn(c)
+		go s.serveConn(c)
 	}
 }
 
 // serveConn handles one request-response exchange and closes.
-func (m *Monitor) serveConn(c net.Conn) {
+func (s *server) serveConn(c net.Conn) {
 	defer c.Close()
 	c.SetReadDeadline(time.Now().Add(ioTimeout))
-	k, payload, err := wire.ReadFrame(c)
-	if err != nil {
-		return
-	}
-	if k != kReq {
-		writeErr(c, fmt.Sprintf("ccs: unexpected frame kind %d, want request", k))
-		return
-	}
 	var req reqMsg
-	if err := json.Unmarshal(payload, &req); err != nil {
-		writeErr(c, fmt.Sprintf("ccs: bad request: %v", err))
-		return
+	err := wire.ReadJSON(c, kReq, kErr, &req)
+	if err == nil && s.token != "" && req.Token != s.token {
+		err = errors.New("ccs: bad token")
 	}
-	if m.cfg.Token != "" && req.Token != m.cfg.Token {
-		writeErr(c, "ccs: bad token")
-		return
-	}
-	c.SetReadDeadline(time.Time{})
-	switch req.Op {
-	case OpSnapshot:
-		snap := m.snapshot()
-		payload, err := json.Marshal(snap)
-		if err != nil {
-			writeErr(c, fmt.Sprintf("ccs: encoding snapshot: %v", err))
-			return
+	if err == nil {
+		c.SetReadDeadline(time.Time{})
+		switch req.Op {
+		case OpSnapshot:
+			c.SetWriteDeadline(time.Now().Add(ioTimeout))
+			err = wire.WriteJSON(c, kSnap, s.ops.snapshot())
+		case OpProfile:
+			err = s.ops.profile(c, req)
+		default:
+			err = fmt.Errorf("ccs: unknown op %q", req.Op)
 		}
+	}
+	if err != nil {
 		c.SetWriteDeadline(time.Now().Add(ioTimeout))
-		wire.WriteFrame(c, kSnap, payload)
-	case OpProfile:
-		m.serveProfile(c, req)
-	default:
-		writeErr(c, fmt.Sprintf("ccs: unknown op %q", req.Op))
+		wire.WriteJSON(c, kErr, wire.Error{Text: err.Error()})
 	}
 }
 
@@ -331,8 +343,8 @@ func (m *Monitor) snapshot() *Snapshot {
 	return snap
 }
 
-// serveProfile streams one pprof capture back as chunk frames.
-func (m *Monitor) serveProfile(c net.Conn, req reqMsg) {
+// profile streams one pprof capture back as chunk frames.
+func (m *Monitor) profile(c net.Conn, req reqMsg) error {
 	w := &chunkWriter{c: c}
 	switch req.Profile {
 	case ProfileCPU:
@@ -344,8 +356,7 @@ func (m *Monitor) serveProfile(c net.Conn, req reqMsg) {
 			secs = maxProfileSeconds
 		}
 		if !cpuMu.TryLock() {
-			writeErr(c, "ccs: a CPU profile is already being captured")
-			return
+			return errors.New("ccs: a CPU profile is already being captured")
 		}
 		err := pprof.StartCPUProfile(w)
 		if err == nil {
@@ -354,24 +365,21 @@ func (m *Monitor) serveProfile(c net.Conn, req reqMsg) {
 		}
 		cpuMu.Unlock()
 		if err != nil {
-			writeErr(c, fmt.Sprintf("ccs: cpu profile: %v", err))
-			return
+			return fmt.Errorf("ccs: cpu profile: %v", err)
 		}
 	case ProfileHeap:
 		runtime.GC() // material allocations only, per pprof convention
 		if err := pprof.WriteHeapProfile(w); err != nil {
-			writeErr(c, fmt.Sprintf("ccs: heap profile: %v", err))
-			return
+			return fmt.Errorf("ccs: heap profile: %v", err)
 		}
 	default:
-		writeErr(c, fmt.Sprintf("ccs: unknown profile %q (want %q or %q)", req.Profile, ProfileCPU, ProfileHeap))
-		return
+		return fmt.Errorf("ccs: unknown profile %q (want %q or %q)", req.Profile, ProfileCPU, ProfileHeap)
 	}
 	if w.err != nil {
-		return // client went away mid-stream
+		return w.err // client went away mid-stream
 	}
 	c.SetWriteDeadline(time.Now().Add(ioTimeout))
-	wire.WriteFrame(c, kProfEnd, nil)
+	return wire.WriteFrame(c, kProfEnd, nil)
 }
 
 // chunkWriter frames every Write as one profile chunk.
@@ -390,21 +398,6 @@ func (w *chunkWriter) Write(p []byte) (int, error) {
 		return 0, err
 	}
 	return len(p), nil
-}
-
-func writeErr(c net.Conn, msg string) {
-	payload, _ := json.Marshal(errMsg{Error: msg})
-	c.SetWriteDeadline(time.Now().Add(ioTimeout))
-	wire.WriteFrame(c, kErr, payload)
-}
-
-// decodeErr turns a kErr payload into an error.
-func decodeErr(payload []byte) error {
-	var e errMsg
-	if json.Unmarshal(payload, &e) == nil && e.Error != "" {
-		return errors.New(e.Error)
-	}
-	return errors.New("ccs: remote error")
 }
 
 var _ io.Writer = (*chunkWriter)(nil)

@@ -96,6 +96,38 @@ func TestSnapshotRejectsBadToken(t *testing.T) {
 	}
 }
 
+// TestServersRejectBadToken: the per-process Monitor and the
+// launcher-side Aggregate share one request reader, and both refuse a
+// wrong token for either op before doing any work.
+func TestServersRejectBadToken(t *testing.T) {
+	mon, err := ccs.NewMonitor(ccs.Config{Addr: "127.0.0.1:0", Token: "t", NumPEs: 1,
+		Sources: []ccs.Source{fakeSource{pe: 0}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mon.Close()
+	agg, err := ccs.ServeAggregate("127.0.0.1:0", "t", func() map[int]string { return map[int]string{0: mon.Addr()} })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer agg.Close()
+	for _, srv := range []struct{ name, addr string }{{"monitor", mon.Addr()}, {"aggregate", agg.Addr()}} {
+		if _, err := ccs.Fetch(srv.addr, "wrong"); err == nil || !strings.Contains(err.Error(), "bad token") {
+			t.Errorf("%s snapshot with wrong token: err = %v, want token rejection", srv.name, err)
+		}
+		var buf bytes.Buffer
+		if err := ccs.FetchProfile(srv.addr, "wrong", ccs.ProfileHeap, 0, 0, &buf); err == nil || !strings.Contains(err.Error(), "bad token") {
+			t.Errorf("%s profile with wrong token: err = %v, want token rejection", srv.name, err)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("%s streamed %d profile bytes to a rejected client", srv.name, buf.Len())
+		}
+		if _, err := ccs.Fetch(srv.addr, "t"); err != nil {
+			t.Errorf("%s snapshot with right token: %v", srv.name, err)
+		}
+	}
+}
+
 func TestHeapProfileRoundTrip(t *testing.T) {
 	cm, release := startServing(t, 2, nil)
 	defer release()

@@ -1,10 +1,8 @@
 package ccs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"time"
 
 	"converse/internal/wire"
@@ -15,31 +13,20 @@ const dialTimeout = 5 * time.Second
 
 // Fetch requests a snapshot from the monitor endpoint at addr.
 func Fetch(addr, token string) (*Snapshot, error) {
-	c, err := net.DialTimeout("tcp", addr, dialTimeout)
+	c, err := wire.Dial(addr, dialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("ccs: dial %s: %w", addr, err)
 	}
 	defer c.Close()
-	if err := sendReq(c, reqMsg{Token: token, Op: OpSnapshot}); err != nil {
-		return nil, err
+	if err := wire.WriteJSON(c, kReq, reqMsg{Token: token, Op: OpSnapshot}); err != nil {
+		return nil, fmt.Errorf("ccs: sending request: %w", err)
 	}
 	c.SetReadDeadline(time.Now().Add(ioTimeout))
-	k, payload, err := wire.ReadFrame(c)
-	if err != nil {
+	var snap Snapshot
+	if err := wire.ReadJSON(c, kSnap, kErr, &snap); err != nil {
 		return nil, fmt.Errorf("ccs: reading snapshot from %s: %w", addr, err)
 	}
-	switch k {
-	case kSnap:
-		var snap Snapshot
-		if err := json.Unmarshal(payload, &snap); err != nil {
-			return nil, fmt.Errorf("ccs: decoding snapshot: %w", err)
-		}
-		return &snap, nil
-	case kErr:
-		return nil, decodeErr(payload)
-	default:
-		return nil, fmt.Errorf("ccs: unexpected frame kind %d, want snapshot", k)
-	}
+	return &snap, nil
 }
 
 // FetchProfile requests one pprof capture (ProfileCPU or ProfileHeap)
@@ -48,14 +35,14 @@ func Fetch(addr, token string) (*Snapshot, error) {
 // through an aggregator to one rank's process (pass 0 for a per-process
 // endpoint).
 func FetchProfile(addr, token, profile string, seconds float64, rank int, w io.Writer) error {
-	c, err := net.DialTimeout("tcp", addr, dialTimeout)
+	c, err := wire.Dial(addr, dialTimeout)
 	if err != nil {
 		return fmt.Errorf("ccs: dial %s: %w", addr, err)
 	}
 	defer c.Close()
 	req := reqMsg{Token: token, Op: OpProfile, Profile: profile, Seconds: seconds, Rank: rank}
-	if err := sendReq(c, req); err != nil {
-		return err
+	if err := wire.WriteJSON(c, kReq, req); err != nil {
+		return fmt.Errorf("ccs: sending request: %w", err)
 	}
 	// A CPU capture takes its whole window before the first chunk
 	// arrives; size the read deadline for it.
@@ -74,21 +61,13 @@ func FetchProfile(addr, token, profile string, seconds float64, rank int, w io.W
 		case kProfEnd:
 			return nil
 		case kErr:
-			return decodeErr(payload)
+			var e wire.Error
+			if err := wire.DecodeJSON(k, payload, &e); err != nil {
+				return err
+			}
+			return e
 		default:
 			return fmt.Errorf("ccs: unexpected frame kind %d in profile stream", k)
 		}
 	}
-}
-
-func sendReq(c net.Conn, req reqMsg) error {
-	payload, err := json.Marshal(req)
-	if err != nil {
-		return fmt.Errorf("ccs: encoding request: %w", err)
-	}
-	c.SetWriteDeadline(time.Now().Add(ioTimeout))
-	if err := wire.WriteFrame(c, kReq, payload); err != nil {
-		return fmt.Errorf("ccs: sending request: %w", err)
-	}
-	return nil
 }

@@ -57,6 +57,10 @@ func TestWireKinds(t *testing.T) {
 	analysistest.MustFind(t, diags, `collides with JKBad in the same package`)
 	analysistest.MustFind(t, diags, `imported frame-kind planes overlap`)
 	analysistest.MustFind(t, diags, `kind-dispatch switch has no default clause and misses declared kinds: AK3`)
+	// A plane written only through wire.WriteJSON: raw kinds are still
+	// flagged and its kinds are still exported.
+	analysistest.MustFind(t, diags, `raw integer literal 203 as frame kind`)
+	analysistest.MustFind(t, diags, `collides with .*/wirekinds/js\.JRep`)
 }
 
 func TestAtomicMix(t *testing.T) {

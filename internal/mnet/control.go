@@ -17,6 +17,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"converse/internal/wire"
 )
 
 // ControlCallbacks connect a ControlServer to its owner. All callbacks
@@ -199,7 +201,7 @@ func (s *ControlServer) handleConn(conn net.Conn) {
 		switch k {
 		case fHello:
 			var h helloMsg
-			if err := decodeJSON(k, payload, &h); err != nil {
+			if err := wire.DecodeJSON(byte(k), payload, &h); err != nil {
 				s.fail(err)
 				return
 			}
@@ -213,21 +215,21 @@ func (s *ControlServer) handleConn(conn net.Conn) {
 			s.mu.Unlock()
 		case fMeshOK:
 			var m meshOKMsg
-			if err := decodeJSON(k, payload, &m); err != nil {
+			if err := wire.DecodeJSON(byte(k), payload, &m); err != nil {
 				s.fail(err)
 				return
 			}
 			s.meshOK(m)
 		case fDone:
 			var d doneMsg
-			if err := decodeJSON(k, payload, &d); err != nil {
+			if err := wire.DecodeJSON(byte(k), payload, &d); err != nil {
 				s.fail(err)
 				return
 			}
 			s.workerDone(d)
 		case fConsole:
 			var c consoleMsg
-			if err := decodeJSON(k, payload, &c); err != nil {
+			if err := wire.DecodeJSON(byte(k), payload, &c); err != nil {
 				s.fail(err)
 				return
 			}
@@ -236,7 +238,7 @@ func (s *ControlServer) handleConn(conn net.Conn) {
 			}
 		case fFail:
 			var f failMsg
-			if decodeJSON(k, payload, &f) == nil {
+			if wire.DecodeJSON(byte(k), payload, &f) == nil {
 				s.fail(fmt.Errorf("mnet: worker rank %d reports fatal error: %s", f.Rank, f.Text))
 			} else {
 				s.fail(fmt.Errorf("mnet: worker rank %d reports fatal error", rank))
@@ -244,7 +246,7 @@ func (s *ControlServer) handleConn(conn net.Conn) {
 			return
 		case fMonitorAddr:
 			var m monitorAddrMsg
-			if err := decodeJSON(k, payload, &m); err != nil {
+			if err := wire.DecodeJSON(byte(k), payload, &m); err != nil {
 				s.fail(err)
 				return
 			}
@@ -306,7 +308,7 @@ func (s *ControlServer) hello(conn net.Conn, h helloMsg) error {
 	if rd.hellos == s.np {
 		tbl := tableMsg{Round: rd.num, PEs: rd.pes, Addrs: rd.addrs}
 		for _, c := range rd.conns {
-			if err := writeJSONFrame(c, fTable, tbl); err != nil {
+			if err := wire.WriteJSON(c, byte(fTable), tbl); err != nil {
 				return fmt.Errorf("mnet: broadcasting node table: %w", err)
 			}
 		}
@@ -326,7 +328,7 @@ func (s *ControlServer) meshOK(m meshOKMsg) {
 	if rd.meshoks == s.np {
 		for _, c := range rd.conns {
 			if c != nil {
-				writeJSONFrame(c, fGo, goMsg{Round: rd.num})
+				wire.WriteJSON(c, byte(fGo), goMsg{Round: rd.num})
 			}
 		}
 	}
@@ -361,7 +363,7 @@ func (s *ControlServer) maybeRelease(rd *round) bool {
 	rd.released = true
 	for _, c := range rd.conns {
 		if c != nil {
-			writeJSONFrame(c, fRelease, releaseMsg{Round: rd.num})
+			wire.WriteJSON(c, byte(fRelease), releaseMsg{Round: rd.num})
 		}
 	}
 	return true

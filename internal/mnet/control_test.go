@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"converse/internal/wire"
 )
 
 // TestControlRejectsOldProtocolVersion pins the protocol bump: a worker
@@ -19,7 +21,7 @@ func TestControlRejectsOldProtocolVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	err = writeJSONFrame(conn, fHello, helloMsg{
+	err = wire.WriteJSON(conn, byte(fHello), helloMsg{
 		Magic: protoMagic, Version: 3, Token: TestToken,
 		Round: 1, Rank: 0, PEs: 2, Nodes: 2, Addr: "127.0.0.1:1",
 	})

@@ -12,6 +12,7 @@ import (
 	"converse/internal/faultnet"
 	"converse/internal/machine"
 	"converse/internal/metrics"
+	"converse/internal/wire"
 )
 
 // Config describes one worker node's place in a converserun job. Most
@@ -501,7 +502,7 @@ func (n *Node) Start() error {
 			n.Fail(err)
 			return err
 		}
-		if err := writeJSONFrame(conn, fPeerHello, peerHelloMsg{
+		if err := wire.WriteJSON(conn, byte(fPeerHello), peerHelloMsg{
 			Token: n.cfg.Token, Round: n.round, From: n.cfg.Rank,
 		}); err != nil {
 			conn.Close()
@@ -615,7 +616,7 @@ func (n *Node) handleAccept(conn net.Conn) {
 		return
 	}
 	var ph peerHelloMsg
-	if decodeJSON(k, payload, &ph) != nil ||
+	if wire.DecodeJSON(byte(k), payload, &ph) != nil ||
 		ph.Token != n.cfg.Token || ph.Round != n.round {
 		conn.Close()
 		return
@@ -635,7 +636,7 @@ func (n *Node) handleAccept(conn net.Conn) {
 			conn.Close()
 			return
 		}
-		if writeJSONFrame(conn, fPeerHelloAck, peerHelloAckMsg{Ack: pl.rxDelivered.Load()}) != nil {
+		if wire.WriteJSON(conn, byte(fPeerHelloAck), peerHelloAckMsg{Ack: pl.rxDelivered.Load()}) != nil {
 			conn.Close()
 			return
 		}
@@ -679,7 +680,7 @@ func (n *Node) console(isErr bool, text string) {
 func (n *Node) writeCtrl(k kind, msg any) error {
 	n.ctrlMu.Lock()
 	defer n.ctrlMu.Unlock()
-	return writeJSONFrame(n.ctrl, k, msg)
+	return wire.WriteJSON(n.ctrl, byte(k), msg)
 }
 
 // ctrlReadLoop dispatches launcher frames to the rendezvous channels.
@@ -705,21 +706,21 @@ func (n *Node) ctrlReadLoop() {
 		switch k {
 		case fTable:
 			var tbl tableMsg
-			if err := decodeJSON(k, payload, &tbl); err != nil {
+			if err := wire.DecodeJSON(byte(k), payload, &tbl); err != nil {
 				n.Fail(err)
 				return
 			}
 			n.tableCh <- tbl
 		case fGo:
 			var g goMsg
-			if err := decodeJSON(k, payload, &g); err != nil {
+			if err := wire.DecodeJSON(byte(k), payload, &g); err != nil {
 				n.Fail(err)
 				return
 			}
 			n.goCh <- g
 		case fRelease:
 			var rel releaseMsg
-			if err := decodeJSON(k, payload, &rel); err != nil {
+			if err := wire.DecodeJSON(byte(k), payload, &rel); err != nil {
 				n.Fail(err)
 				return
 			}

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"converse/internal/faultnet"
+	"converse/internal/wire"
 )
 
 const (
@@ -799,7 +800,7 @@ func (pl *peerLink) redial(deadline time.Time) (net.Conn, uint64, error) {
 func (pl *peerLink) resumeHello(conn net.Conn) (uint64, error) {
 	conn.SetDeadline(time.Now().Add(5 * time.Second))
 	defer conn.SetDeadline(time.Time{})
-	err := writeJSONFrame(conn, fPeerHello, peerHelloMsg{
+	err := wire.WriteJSON(conn, byte(fPeerHello), peerHelloMsg{
 		Token: pl.n.cfg.Token, Round: pl.n.round, From: pl.n.cfg.Rank,
 		Resume: true, Ack: pl.rxDelivered.Load(),
 	})
@@ -814,7 +815,7 @@ func (pl *peerLink) resumeHello(conn net.Conn) (uint64, error) {
 		return 0, fmt.Errorf("unexpected %v frame answering session resume", k)
 	}
 	var ack peerHelloAckMsg
-	if err := decodeJSON(k, payload, &ack); err != nil {
+	if err := wire.DecodeJSON(byte(k), payload, &ack); err != nil {
 		return 0, err
 	}
 	return ack.Ack, nil

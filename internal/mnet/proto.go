@@ -1,9 +1,7 @@
 package mnet
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"strconv"
 	"time"
@@ -160,22 +158,6 @@ type peerHelloAckMsg struct {
 type monitorAddrMsg struct {
 	Rank int    `json:"rank"`
 	Addr string `json:"addr"`
-}
-
-// writeJSONFrame marshals msg and writes it as one frame of kind k.
-func writeJSONFrame(w io.Writer, k kind, msg any) error {
-	payload, err := json.Marshal(msg)
-	if err != nil {
-		return fmt.Errorf("mnet: encoding %v frame: %w", k, err)
-	}
-	return writeFrame(w, k, payload)
-}
-
-func decodeJSON(k kind, payload []byte, into any) error {
-	if err := json.Unmarshal(payload, into); err != nil {
-		return fmt.Errorf("mnet: decoding %v frame: %w", k, err)
-	}
-	return nil
 }
 
 // InJob reports whether this process was started by the converserun

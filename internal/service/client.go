@@ -30,18 +30,29 @@ type connectError struct{ err error }
 func (e *connectError) Error() string { return e.err.Error() }
 func (e *connectError) Unwrap() error { return e.err }
 
-// roundTrip dials, sends one request frame, and decodes one reply.
-func (c *Client) roundTrip(reqKind byte, req any, repKind byte, rep any) error {
-	conn, err := net.DialTimeout("tcp", c.Addr, reqTimeout)
+// head is the version and token every request carries.
+func (c *Client) head() reqHead { return reqHead{V: protoV, Token: c.Token} }
+
+// dial connects to the gateway with one request's deadline.
+func (c *Client) dial() (net.Conn, error) {
+	conn, err := wire.Dial(c.Addr, reqTimeout)
 	if err != nil {
-		return &connectError{fmt.Errorf("service: dialing gateway %s: %w", c.Addr, err)}
+		return nil, &connectError{fmt.Errorf("service: dialing gateway %s: %w", c.Addr, err)}
 	}
-	defer conn.Close()
-	deadlineConn(conn, reqTimeout)
-	if err := writeMsg(conn, reqKind, req); err != nil {
+	return conn, nil
+}
+
+// roundTrip dials, sends one request frame, and decodes one reply.
+func (c *Client) roundTrip(kind byte, req, rep any) error {
+	conn, err := c.dial()
+	if err != nil {
 		return err
 	}
-	return readMsg(conn, repKind, rep)
+	defer conn.Close()
+	if err := wire.WriteJSON(conn, kind, req); err != nil {
+		return err
+	}
+	return wire.ReadJSON(conn, kind, kErr, rep)
 }
 
 // SubmitSpec is one job submission with its resource limits and the
@@ -84,12 +95,12 @@ func (c *Client) SubmitJob(sp SubmitSpec) (string, error) {
 		raw = b
 	}
 	msg := submitMsg{
-		V: protoV, Token: c.Token, Name: sp.Name, Workload: sp.Workload,
+		reqHead: c.head(), Name: sp.Name, Workload: sp.Workload,
 		Args: raw, Gang: sp.Gang,
 		DeadlineMS: sp.Deadline.Milliseconds(), MaxMemMB: sp.MaxMemMB,
 	}
 	var rep submitReply
-	err := c.roundTrip(kSubmit, msg, kSubmit, &rep)
+	err := c.roundTrip(kSubmit, msg, &rep)
 	if sp.RetryWindow > 0 && err != nil {
 		h := fnv.New64a()
 		h.Write([]byte(sp.Name))
@@ -102,7 +113,7 @@ func (c *Client) SubmitJob(sp SubmitSpec) (string, error) {
 			if backoff < time.Second {
 				backoff *= 2
 			}
-			err = c.roundTrip(kSubmit, msg, kSubmit, &rep)
+			err = c.roundTrip(kSubmit, msg, &rep)
 		}
 	}
 	if err != nil {
@@ -114,20 +125,20 @@ func (c *Client) SubmitJob(sp SubmitSpec) (string, error) {
 // Status fetches one job's current view.
 func (c *Client) Status(id string) (JobInfo, error) {
 	var rep JobInfo
-	err := c.roundTrip(kStatus, statusMsg{V: protoV, Token: c.Token, ID: id}, kStatus, &rep)
+	err := c.roundTrip(kStatus, statusMsg{reqHead: c.head(), ID: id}, &rep)
 	return rep, err
 }
 
 // Cancel aborts one job. Cancelling a finished job is not an error.
 func (c *Client) Cancel(id string) error {
 	var rep okMsg
-	return c.roundTrip(kCancel, cancelMsg{V: protoV, Token: c.Token, ID: id}, kCancel, &rep)
+	return c.roundTrip(kCancel, cancelMsg{reqHead: c.head(), ID: id}, &rep)
 }
 
 // Jobs lists every job the gateway knows, in submit order.
 func (c *Client) Jobs() ([]JobInfo, error) {
 	var rep jobListMsg
-	err := c.roundTrip(kJobs, jobsMsg{V: protoV, Token: c.Token}, kJobs, &rep)
+	err := c.roundTrip(kJobs, jobsMsg{reqHead: c.head()}, &rep)
 	return rep.Jobs, err
 }
 
@@ -153,7 +164,7 @@ type ClusterView struct {
 // ClusterInfo fetches the full cluster snapshot.
 func (c *Client) ClusterInfo() (ClusterView, error) {
 	var rep clusterInfoMsg
-	err := c.roundTrip(kCluster, clusterMsg{V: protoV, Token: c.Token}, kCluster, &rep)
+	err := c.roundTrip(kCluster, clusterMsg{reqHead: c.head()}, &rep)
 	return ClusterView{
 		Daemons: rep.Daemons, Backlog: rep.Backlog, BacklogCap: rep.BacklogCap,
 		Epoch: rep.Epoch, Recovering: rep.Recovering,
@@ -166,15 +177,16 @@ func (c *Client) ClusterInfo() (ClusterView, error) {
 // whatever the state was at that moment. sink receives text chunks in
 // arrival order (isErr distinguishes the CmiError stream).
 func (c *Client) Logs(id string, follow bool, sink func(text string, isErr bool)) (state string, jobErr string, err error) {
-	conn, err := net.DialTimeout("tcp", c.Addr, reqTimeout)
+	conn, err := c.dial()
 	if err != nil {
-		return "", "", fmt.Errorf("service: dialing gateway %s: %w", c.Addr, err)
-	}
-	defer conn.Close()
-	conn.SetWriteDeadline(time.Now().Add(reqTimeout))
-	if err := writeMsg(conn, kLogs, logsMsg{V: protoV, Token: c.Token, ID: id, Follow: follow}); err != nil {
 		return "", "", err
 	}
+	defer conn.Close()
+	if err := wire.WriteJSON(conn, kLogs, logsMsg{reqHead: c.head(), ID: id, Follow: follow}); err != nil {
+		return "", "", err
+	}
+	// A followed stream lasts as long as the job: no read deadline.
+	conn.SetReadDeadline(time.Time{})
 	for {
 		k, payload, err := wire.ReadFrame(conn)
 		if err != nil {
@@ -186,7 +198,7 @@ func (c *Client) Logs(id string, follow bool, sink func(text string, isErr bool)
 		switch k {
 		case kLogChunk:
 			var ch logChunk
-			if err := decode(payload, &ch); err != nil {
+			if err := wire.DecodeJSON(k, payload, &ch); err != nil {
 				return "", "", err
 			}
 			if sink != nil {
@@ -194,16 +206,16 @@ func (c *Client) Logs(id string, follow bool, sink func(text string, isErr bool)
 			}
 		case kLogEnd:
 			var end logEndMsg
-			if err := decode(payload, &end); err != nil {
+			if err := wire.DecodeJSON(k, payload, &end); err != nil {
 				return "", "", err
 			}
 			return end.State, end.Error, nil
 		case kErr:
-			var e errMsg
-			if decode(payload, &e) == nil && e.Error != "" {
-				return "", "", fmt.Errorf("%s", e.Error)
+			var e wire.Error
+			if err := wire.DecodeJSON(k, payload, &e); err != nil {
+				return "", "", err
 			}
-			return "", "", fmt.Errorf("service: remote error")
+			return "", "", e
 		default:
 			return "", "", fmt.Errorf("service: unexpected frame kind %d in log stream", k)
 		}

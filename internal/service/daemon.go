@@ -152,7 +152,7 @@ func StartDaemon(cfg DaemonConfig) (*Daemon, error) {
 // installed and the reply applied (uniquified name, gateway epoch,
 // fenced jobs killed, confirmed finished entries pruned).
 func (d *Daemon) dialRegister() error {
-	conn, err := net.DialTimeout("tcp", d.cfg.Gateway, reqTimeout)
+	conn, err := wire.Dial(d.cfg.Gateway, reqTimeout)
 	if err != nil {
 		return fmt.Errorf("service: dialing gateway %s: %w", d.cfg.Gateway, err)
 	}
@@ -160,25 +160,22 @@ func (d *Daemon) dialRegister() error {
 	if name == "" {
 		name = d.cfg.Name
 	}
-	conn.SetWriteDeadline(time.Now().Add(reqTimeout))
-	err = writeMsg(conn, kRegister, registerMsg{
-		V: protoV, Token: d.cfg.Token, Name: name, Slots: d.cfg.Slots,
+	err = wire.WriteJSON(conn, kRegister, registerMsg{
+		reqHead: reqHead{V: protoV, Token: d.cfg.Token}, Name: name, Slots: d.cfg.Slots,
 		Advertise: d.cfg.Advertise, Epoch: lastEpoch, Resume: resume,
 	})
 	if err != nil {
 		conn.Close()
 		return err
 	}
-	conn.SetReadDeadline(time.Now().Add(reqTimeout))
 	var rep registerReply
-	if err := readMsg(conn, kRegister, &rep); err != nil {
+	if err := wire.ReadJSON(conn, kRegister, kErr, &rep); err != nil {
 		conn.Close()
 		return fmt.Errorf("service: registering with gateway: %w", err)
 	}
 	// The register deadline must not outlive the handshake: the session
 	// is long-lived and may sit idle between assignments.
-	conn.SetReadDeadline(time.Time{})
-	conn.SetWriteDeadline(time.Time{})
+	conn.SetDeadline(time.Time{})
 
 	d.writeMu.Lock()
 	d.conn = conn
@@ -319,7 +316,7 @@ func (d *Daemon) write(kind byte, msg any) error {
 		return fmt.Errorf("service: no gateway session")
 	}
 	d.conn.SetWriteDeadline(time.Now().Add(reqTimeout))
-	return writeMsg(d.conn, kind, msg)
+	return wire.WriteJSON(d.conn, kind, msg)
 }
 
 func (d *Daemon) pingLoop() {
@@ -418,14 +415,14 @@ func (d *Daemon) serveConn() {
 		switch k {
 		case kAssign:
 			var a assignMsg
-			if err := decode(payload, &a); err != nil {
+			if err := wire.DecodeJSON(k, payload, &a); err != nil {
 				d.cfg.Logf("bad assign frame: %v", err)
 				return
 			}
 			d.startJob(a)
 		case kUnassign:
 			var u unassignMsg
-			if err := decode(payload, &u); err != nil {
+			if err := wire.DecodeJSON(k, payload, &u); err != nil {
 				d.cfg.Logf("bad unassign frame: %v", err)
 				return
 			}

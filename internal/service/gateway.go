@@ -74,7 +74,7 @@ func (d *daemonSession) send(kind byte, msg any) error {
 	d.writeMu.Lock()
 	defer d.writeMu.Unlock()
 	d.conn.SetWriteDeadline(time.Now().Add(reqTimeout))
-	return writeMsg(d.conn, kind, msg)
+	return wire.WriteJSON(d.conn, kind, msg)
 }
 
 // jobAttempt is the gateway-side state of one scheduled gang attempt:
@@ -266,7 +266,11 @@ func (g *Gateway) acceptLoop() {
 
 // handleConn serves one inbound connection: a single client request
 // (one frame in, reply out, close), a logs stream, or a daemon session
-// (persistent after kRegister).
+// (persistent after kRegister). Version and token are checked here,
+// once, for every kind, and every handler's error becomes the one kErr
+// reply written here. A handler returns the reply to a single request
+// (sent under the request's kind), or nil once it has served a stream
+// or session itself.
 func (g *Gateway) handleConn(conn net.Conn) {
 	defer conn.Close()
 	conn.SetReadDeadline(time.Now().Add(reqTimeout))
@@ -274,32 +278,50 @@ func (g *Gateway) handleConn(conn net.Conn) {
 	if err != nil {
 		return
 	}
+	var serve func(net.Conn, []byte) (any, error)
 	switch k {
 	case kSubmit:
-		g.serveSubmit(conn, payload)
+		serve = g.serveSubmit
 	case kStatus:
-		g.serveStatus(conn, payload)
+		serve = g.serveStatus
 	case kCancel:
-		g.serveCancel(conn, payload)
+		serve = g.serveCancel
 	case kJobs:
-		g.serveJobs(conn, payload)
+		serve = g.serveJobs
 	case kCluster:
-		g.serveCluster(conn, payload)
+		serve = g.serveCluster
 	case kLogs:
-		g.serveLogs(conn, payload)
+		serve = g.serveLogs
 	case kRegister:
-		g.serveDaemon(conn, payload)
+		serve = g.serveDaemon
 	default:
-		writeErr(conn, fmt.Errorf("service: unexpected frame kind %d", k))
+		err = fmt.Errorf("service: unexpected frame kind %d", k)
+	}
+	var h reqHead
+	if err == nil {
+		err = wire.DecodeJSON(k, payload, &h)
+	}
+	if err == nil {
+		err = g.auth(h)
+	}
+	var reply any
+	if err == nil {
+		reply, err = serve(conn, payload)
+	}
+	switch {
+	case err != nil:
+		wire.WriteJSON(conn, kErr, wire.Error{Text: err.Error()})
+	case reply != nil:
+		wire.WriteJSON(conn, k, reply)
 	}
 }
 
-// auth validates version and token for a client request.
-func (g *Gateway) auth(v int, token string) error {
-	if v != protoV {
-		return fmt.Errorf("service: protocol version %d (gateway speaks %d; mixed binaries?)", v, protoV)
+// auth validates a request's version and token.
+func (g *Gateway) auth(h reqHead) error {
+	if h.V != protoV {
+		return fmt.Errorf("service: protocol version %d (gateway speaks %d; mixed binaries?)", h.V, protoV)
 	}
-	if g.cfg.Token != "" && token != g.cfg.Token {
+	if g.cfg.Token != "" && h.Token != g.cfg.Token {
 		return fmt.Errorf("service: bad or missing service token")
 	}
 	return nil
@@ -320,9 +342,6 @@ func (g *Gateway) capacityLocked() int {
 // submit runs admission control and either queues the job or rejects
 // it with a reason. Exported through Client.Submit.
 func (g *Gateway) submit(m submitMsg) (string, error) {
-	if err := g.auth(m.V, m.Token); err != nil {
-		return "", err
-	}
 	if m.Gang < 1 {
 		return "", fmt.Errorf("service: gang must be >= 1, got %d", m.Gang)
 	}
@@ -375,18 +394,13 @@ func (g *Gateway) submit(m submitMsg) (string, error) {
 	return id, nil
 }
 
-func (g *Gateway) serveSubmit(conn net.Conn, payload []byte) {
+func (g *Gateway) serveSubmit(_ net.Conn, payload []byte) (any, error) {
 	var m submitMsg
-	if err := decode(payload, &m); err != nil {
-		writeErr(conn, err)
-		return
+	if err := wire.DecodeJSON(kSubmit, payload, &m); err != nil {
+		return nil, err
 	}
 	id, err := g.submit(m)
-	if err != nil {
-		writeErr(conn, err)
-		return
-	}
-	writeMsg(conn, kSubmit, submitReply{ID: id})
+	return submitReply{ID: id}, err
 }
 
 func (g *Gateway) lookupJob(id string) (*Job, error) {
@@ -399,22 +413,16 @@ func (g *Gateway) lookupJob(id string) (*Job, error) {
 	return j, nil
 }
 
-func (g *Gateway) serveStatus(conn net.Conn, payload []byte) {
+func (g *Gateway) serveStatus(_ net.Conn, payload []byte) (any, error) {
 	var m statusMsg
-	if err := decode(payload, &m); err != nil {
-		writeErr(conn, err)
-		return
-	}
-	if err := g.auth(m.V, m.Token); err != nil {
-		writeErr(conn, err)
-		return
+	if err := wire.DecodeJSON(kStatus, payload, &m); err != nil {
+		return nil, err
 	}
 	j, err := g.lookupJob(m.ID)
 	if err != nil {
-		writeErr(conn, err)
-		return
+		return nil, err
 	}
-	writeMsg(conn, kStatus, j.info())
+	return j.info(), nil
 }
 
 // cancel aborts one job wherever it is: a queued job leaves the queue,
@@ -452,33 +460,17 @@ func (g *Gateway) cancel(id string) error {
 	return nil
 }
 
-func (g *Gateway) serveCancel(conn net.Conn, payload []byte) {
+func (g *Gateway) serveCancel(_ net.Conn, payload []byte) (any, error) {
 	var m cancelMsg
-	if err := decode(payload, &m); err != nil {
-		writeErr(conn, err)
-		return
+	if err := wire.DecodeJSON(kCancel, payload, &m); err != nil {
+		return nil, err
 	}
-	if err := g.auth(m.V, m.Token); err != nil {
-		writeErr(conn, err)
-		return
-	}
-	if err := g.cancel(m.ID); err != nil {
-		writeErr(conn, err)
-		return
-	}
-	writeMsg(conn, kCancel, okMsg{OK: true})
+	return okMsg{OK: true}, g.cancel(m.ID)
 }
 
-func (g *Gateway) serveJobs(conn net.Conn, payload []byte) {
-	var m jobsMsg
-	if err := decode(payload, &m); err != nil {
-		writeErr(conn, err)
-		return
-	}
-	if err := g.auth(m.V, m.Token); err != nil {
-		writeErr(conn, err)
-		return
-	}
+// serveJobs and serveCluster carry nothing past the request head,
+// which handleConn has already decoded and checked.
+func (g *Gateway) serveJobs(net.Conn, []byte) (any, error) {
 	g.mu.Lock()
 	jobs := make([]*Job, 0, len(g.order))
 	for _, id := range g.order {
@@ -489,19 +481,10 @@ func (g *Gateway) serveJobs(conn net.Conn, payload []byte) {
 	for _, j := range jobs {
 		out.Jobs = append(out.Jobs, j.info())
 	}
-	writeMsg(conn, kJobs, out)
+	return out, nil
 }
 
-func (g *Gateway) serveCluster(conn net.Conn, payload []byte) {
-	var m clusterMsg
-	if err := decode(payload, &m); err != nil {
-		writeErr(conn, err)
-		return
-	}
-	if err := g.auth(m.V, m.Token); err != nil {
-		writeErr(conn, err)
-		return
-	}
+func (g *Gateway) serveCluster(net.Conn, []byte) (any, error) {
 	g.mu.Lock()
 	out := clusterInfoMsg{
 		Backlog: len(g.queue), BacklogCap: g.cfg.BacklogCap,
@@ -520,25 +503,19 @@ func (g *Gateway) serveCluster(conn net.Conn, payload []byte) {
 		})
 	}
 	g.mu.Unlock()
-	writeMsg(conn, kCluster, out)
+	return out, nil
 }
 
 // serveLogs streams a job's console output: the backlog first, then —
 // under Follow — new chunks until the job is terminal.
-func (g *Gateway) serveLogs(conn net.Conn, payload []byte) {
+func (g *Gateway) serveLogs(conn net.Conn, payload []byte) (any, error) {
 	var m logsMsg
-	if err := decode(payload, &m); err != nil {
-		writeErr(conn, err)
-		return
-	}
-	if err := g.auth(m.V, m.Token); err != nil {
-		writeErr(conn, err)
-		return
+	if err := wire.DecodeJSON(kLogs, payload, &m); err != nil {
+		return nil, err
 	}
 	j, err := g.lookupJob(m.ID)
 	if err != nil {
-		writeErr(conn, err)
-		return
+		return nil, err
 	}
 	conn.SetReadDeadline(time.Time{})
 	var ch chan struct{}
@@ -552,14 +529,14 @@ func (g *Gateway) serveLogs(conn net.Conn, payload []byte) {
 		from = next
 		for _, c := range chunks {
 			conn.SetWriteDeadline(time.Now().Add(reqTimeout))
-			if err := writeMsg(conn, kLogChunk, c); err != nil {
-				return
+			if err := wire.WriteJSON(conn, kLogChunk, c); err != nil {
+				return nil, nil
 			}
 		}
 		if !m.Follow || st.Terminal() {
 			conn.SetWriteDeadline(time.Now().Add(reqTimeout))
-			writeMsg(conn, kLogEnd, logEndMsg{State: string(st), Error: errText})
-			return
+			wire.WriteJSON(conn, kLogEnd, logEndMsg{State: string(st), Error: errText})
+			return nil, nil
 		}
 		select {
 		case <-ch:

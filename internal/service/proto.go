@@ -21,12 +21,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
-	"fmt"
-	"io"
-	"net"
 	"time"
-
-	"converse/internal/wire"
 )
 
 // Service frame kinds ride the shared internal/wire framing. The mnet
@@ -68,9 +63,17 @@ const (
 	reqTimeout       = 10 * time.Second
 )
 
-type submitMsg struct {
+// reqHead opens every client request and daemon registration: the
+// protocol version and the service token, checked once per connection
+// by the gateway before any handler runs. Request types embed it first,
+// so its fields lead their JSON encoding.
+type reqHead struct {
 	V     int    `json:"v"`
 	Token string `json:"token,omitempty"`
+}
+
+type submitMsg struct {
+	reqHead
 	// Name labels the job for humans; the gateway makes it unique.
 	Name string `json:"name,omitempty"`
 	// Workload names a registered workload (see workload.go).
@@ -92,31 +95,26 @@ type submitReply struct {
 }
 
 type statusMsg struct {
-	V     int    `json:"v"`
-	Token string `json:"token,omitempty"`
-	ID    string `json:"id"`
+	reqHead
+	ID string `json:"id"`
 }
 
 type cancelMsg struct {
-	V     int    `json:"v"`
-	Token string `json:"token,omitempty"`
-	ID    string `json:"id"`
+	reqHead
+	ID string `json:"id"`
 }
 
 type jobsMsg struct {
-	V     int    `json:"v"`
-	Token string `json:"token,omitempty"`
+	reqHead
 }
 
 type clusterMsg struct {
-	V     int    `json:"v"`
-	Token string `json:"token,omitempty"`
+	reqHead
 }
 
 type logsMsg struct {
-	V     int    `json:"v"`
-	Token string `json:"token,omitempty"`
-	ID    string `json:"id"`
+	reqHead
+	ID string `json:"id"`
 	// Follow streams new output until the job reaches a terminal state;
 	// false returns the buffered backlog and ends immediately.
 	Follow bool `json:"follow,omitempty"`
@@ -134,10 +132,6 @@ type logEndMsg struct {
 
 type okMsg struct {
 	OK bool `json:"ok"`
-}
-
-type errMsg struct {
-	Error string `json:"error"`
 }
 
 // JobInfo is the client-visible record of one job, served by status
@@ -226,8 +220,7 @@ type fenceEntry struct {
 }
 
 type registerMsg struct {
-	V     int    `json:"v"`
-	Token string `json:"token,omitempty"`
+	reqHead
 	Name  string `json:"name"`
 	Slots int    `json:"slots"`
 	// Advertise is the daemon's reachable host for cross-host meshes.
@@ -262,12 +255,12 @@ type assignMsg struct {
 	Workload string          `json:"workload"`
 	Args     json.RawMessage `json:"args,omitempty"`
 	// Launcher/JobToken address the job's private ControlServer.
-	Launcher string `json:"launcher"`
-	JobToken string `json:"job_token"`
-	Rank     int    `json:"rank"`
-	NP       int    `json:"np"`
-	PEs      int    `json:"pes"`
-	NodeSizes []int `json:"node_sizes"`
+	Launcher  string `json:"launcher"`
+	JobToken  string `json:"job_token"`
+	Rank      int    `json:"rank"`
+	NP        int    `json:"np"`
+	PEs       int    `json:"pes"`
+	NodeSizes []int  `json:"node_sizes"`
 	// HeartbeatMS is the job mesh's liveness interval; the rank must
 	// ping at the control server's expected rate or be declared dead.
 	HeartbeatMS int64 `json:"heartbeat_ms"`
@@ -307,62 +300,9 @@ type dPingMsg struct {
 	Name string `json:"name"`
 }
 
-// writeMsg frames one JSON message.
-func writeMsg(w io.Writer, kind byte, msg any) error {
-	b, err := json.Marshal(msg)
-	if err != nil {
-		return fmt.Errorf("service: encoding %d frame: %w", kind, err)
-	}
-	return wire.WriteFrame(w, kind, b)
-}
-
-// readMsg reads one frame and decodes it into msg, enforcing the
-// expected kind. An kErr frame decodes into the remote error instead.
-func readMsg(r io.Reader, want byte, msg any) error {
-	k, payload, err := wire.ReadFrame(r)
-	if err != nil {
-		return err
-	}
-	if k == kErr {
-		var e errMsg
-		if json.Unmarshal(payload, &e) == nil && e.Error != "" {
-			return fmt.Errorf("%s", e.Error)
-		}
-		return fmt.Errorf("service: remote error")
-	}
-	if k != want {
-		return fmt.Errorf("service: unexpected frame kind %d (want %d)", k, want)
-	}
-	if err := json.Unmarshal(payload, msg); err != nil {
-		return fmt.Errorf("service: decoding frame kind %d: %w", k, err)
-	}
-	return nil
-}
-
-// decode unmarshals one frame payload with error context.
-func decode(payload []byte, msg any) error {
-	if err := json.Unmarshal(payload, msg); err != nil {
-		return fmt.Errorf("service: decoding request: %w", err)
-	}
-	return nil
-}
-
-// writeErr frames a client-visible error.
-func writeErr(w io.Writer, err error) {
-	writeMsg(w, kErr, errMsg{Error: err.Error()})
-}
-
 // newID produces a short unique job identifier.
 func newID(prefix string) string {
 	var b [4]byte
 	rand.Read(b[:])
 	return prefix + "-" + hex.EncodeToString(b[:])
-}
-
-// deadlineConn applies an absolute deadline for one request/response
-// exchange on a client connection.
-func deadlineConn(c net.Conn, d time.Duration) {
-	if d > 0 {
-		c.SetDeadline(time.Now().Add(d))
-	}
 }

@@ -36,7 +36,9 @@ func (g *Gateway) schedLoop() {
 				}
 				at := g.placeLocked(j)
 				if at == nil {
-					remaining = append(remaining, j)
+					if j.State() == Queued { // else failed to place
+						remaining = append(remaining, j)
+					}
 					continue
 				}
 				launches = append(launches, at)
@@ -59,7 +61,10 @@ func (g *Gateway) schedLoop() {
 // placeLocked tries to carve a gang's PEs out of the live daemons' free
 // slots, preferring the emptiest daemons (spreads load, keeps node
 // counts small). On success the slots are held and the attempt is
-// registered. Caller holds mu.
+// registered, complete: its control listener, control server and
+// watchdog exist before anything else can reach it through g.attempts,
+// and never change afterwards. A job whose control port cannot be bound
+// fails here. Caller holds mu.
 func (g *Gateway) placeLocked(j *Job) *jobAttempt {
 	type cand struct {
 		d    *daemonSession
@@ -95,36 +100,6 @@ func (g *Gateway) placeLocked(j *Job) *jobAttempt {
 	if need > 0 {
 		return nil // not enough free slots right now
 	}
-	for i, d := range picked {
-		d.busy += sizes[i]
-	}
-	at := &jobAttempt{
-		job: j, daemons: picked, sizes: sizes,
-		ranks: len(picked), reported: make([]bool, len(picked)),
-	}
-	g.attempts[j.id] = at
-	names := make([]string, 0, len(picked))
-	for _, d := range picked {
-		names = append(names, d.name)
-	}
-	j.mu.Lock()
-	at.seq = j.requeues + 1 // attempt 1 is the first placement
-	j.daemons = append(j.daemons[:0], names...)
-	j.nodeSizes = append([]int(nil), sizes...)
-	j.mu.Unlock()
-	g.jn.assign(j.id, at.seq, names, sizes)
-	return at
-}
-
-// launch starts one placed attempt: private control server, watchdog,
-// and one assignment per rank. Runs without mu.
-func (g *Gateway) launch(at *jobAttempt) {
-	j := at.job
-	if !j.transition(Admitted) {
-		// Cancelled between placement and launch.
-		g.releaseAttempt(at)
-		return
-	}
 	bind := "127.0.0.1:0"
 	if g.cfg.Advertise != "" {
 		bind = ":0"
@@ -133,28 +108,22 @@ func (g *Gateway) launch(at *jobAttempt) {
 	if err != nil {
 		j.setError(fmt.Sprintf("binding job control port: %v", err))
 		j.transition(Failed)
-		g.releaseAttempt(at)
-		return
+		return nil
 	}
-	at.ls = ls
-	launcher := ls.Addr().String()
-	if g.cfg.Advertise != "" {
-		if _, port, perr := net.SplitHostPort(launcher); perr == nil {
-			launcher = net.JoinHostPort(g.cfg.Advertise, port)
-		}
+	for i, d := range picked {
+		d.busy += sizes[i]
 	}
-	at.token = newID("tok")
+	at := &jobAttempt{
+		job: j, daemons: picked, sizes: sizes, ls: ls, token: newID("tok"),
+		ranks: len(picked), reported: make([]bool, len(picked)),
+	}
 	maxPPN := 0
-	for _, s := range at.sizes {
+	for _, s := range sizes {
 		if s > maxPPN {
 			maxPPN = s
 		}
 	}
-	pes := 0
-	for _, s := range at.sizes {
-		pes += s
-	}
-	at.cs = mnet.NewControlServer(len(at.daemons), maxPPN, at.token, g.cfg.Heartbeat, mnet.ControlCallbacks{
+	at.cs = mnet.NewControlServer(len(picked), maxPPN, at.token, g.cfg.Heartbeat, mnet.ControlCallbacks{
 		Console: func(rank int, isErr bool, text string) {
 			j.appendLog(text, isErr)
 		},
@@ -176,11 +145,44 @@ func (g *Gateway) launch(at *jobAttempt) {
 			return true
 		},
 	})
-	go at.cs.Serve(ls)
 	at.wdog = time.AfterFunc(g.cfg.JobWatchdog, func() {
 		j.setError(fmt.Sprintf("job exceeded watchdog %v; state: %s", g.cfg.JobWatchdog, at.cs.Describe()))
 		g.abortAttempt(at, "watchdog expired")
 	})
+	names := make([]string, 0, len(picked))
+	for _, d := range picked {
+		names = append(names, d.name)
+	}
+	j.mu.Lock()
+	at.seq = j.requeues + 1 // attempt 1 is the first placement
+	j.daemons = append(j.daemons[:0], names...)
+	j.nodeSizes = append([]int(nil), sizes...)
+	j.mu.Unlock()
+	g.attempts[j.id] = at
+	g.jn.assign(j.id, at.seq, names, sizes)
+	return at
+}
+
+// launch starts one placed attempt: it serves the control server and
+// sends one assignment per rank. Runs without mu.
+func (g *Gateway) launch(at *jobAttempt) {
+	j := at.job
+	if !j.transition(Admitted) {
+		// Cancelled between placement and launch.
+		g.releaseAttempt(at)
+		return
+	}
+	go at.cs.Serve(at.ls)
+	launcher := at.ls.Addr().String()
+	if g.cfg.Advertise != "" {
+		if _, port, perr := net.SplitHostPort(launcher); perr == nil {
+			launcher = net.JoinHostPort(g.cfg.Advertise, port)
+		}
+	}
+	pes := 0
+	for _, s := range at.sizes {
+		pes += s
+	}
 
 	j.mu.Lock()
 	deadlineMS := int64(j.deadline / time.Millisecond)
@@ -188,15 +190,15 @@ func (g *Gateway) launch(at *jobAttempt) {
 	workload, args := j.workload, j.args
 	j.mu.Unlock()
 	asn := assignMsg{
-		Job:       j.id,
-		Attempt:   at.seq,
-		Workload:  workload,
-		Args:      args,
-		Launcher:  launcher,
-		JobToken:  at.token,
-		NP:        len(at.daemons),
-		PEs:       pes,
-		NodeSizes: append([]int(nil), at.sizes...),
+		Job:         j.id,
+		Attempt:     at.seq,
+		Workload:    workload,
+		Args:        args,
+		Launcher:    launcher,
+		JobToken:    at.token,
+		NP:          len(at.daemons),
+		PEs:         pes,
+		NodeSizes:   append([]int(nil), at.sizes...),
 		HeartbeatMS: g.cfg.Heartbeat.Milliseconds(),
 		DeadlineMS:  deadlineMS,
 		MaxMemMB:    maxMemMB,
@@ -366,27 +368,20 @@ func (g *Gateway) finalizeAttempt(at *jobAttempt) {
 
 // serveDaemon runs one daemon's persistent control session: register,
 // then read updates and pings until the connection dies, which is the
-// leave/churn event.
-func (g *Gateway) serveDaemon(conn net.Conn, payload []byte) {
+// leave/churn event. Only a refused registration returns an error.
+func (g *Gateway) serveDaemon(conn net.Conn, payload []byte) (any, error) {
 	var m registerMsg
-	if err := decode(payload, &m); err != nil {
-		writeErr(conn, err)
-		return
-	}
-	if err := g.auth(m.V, m.Token); err != nil {
-		writeErr(conn, err)
-		return
+	if err := wire.DecodeJSON(kRegister, payload, &m); err != nil {
+		return nil, err
 	}
 	if m.Slots < 1 {
-		writeErr(conn, fmt.Errorf("service: daemon %q registered with %d slots", m.Name, m.Slots))
-		return
+		return nil, fmt.Errorf("service: daemon %q registered with %d slots", m.Name, m.Slots)
 	}
 	d := &daemonSession{name: m.Name, slots: m.Slots, live: true, conn: conn, advertise: m.Advertise}
 	g.mu.Lock()
 	if g.closed {
 		g.mu.Unlock()
-		writeErr(conn, fmt.Errorf("service: gateway is shutting down"))
-		return
+		return nil, fmt.Errorf("service: gateway is shutting down")
 	}
 	if d.name == "" {
 		d.name = newID("d")
@@ -402,7 +397,7 @@ func (g *Gateway) serveDaemon(conn net.Conn, payload []byte) {
 	kills := g.adoptResume(d, m.Resume)
 	if err := d.send(kRegister, registerReply{Name: d.name, Epoch: g.epoch, Kill: kills}); err != nil {
 		g.dropDaemon(d, err)
-		return
+		return nil, nil
 	}
 	if m.Epoch != 0 || len(m.Resume) > 0 {
 		g.cfg.Logf("daemon %s re-joined with %d slots (last epoch %d, %d resumed ranks, %d fenced)",
@@ -418,16 +413,16 @@ func (g *Gateway) serveDaemon(conn net.Conn, payload []byte) {
 		k, pl, err := wire.ReadFrame(conn)
 		if err != nil {
 			g.dropDaemon(d, err)
-			return
+			return nil, nil
 		}
 		switch k {
 		case kDPing:
 			// The read itself refreshed the liveness deadline.
 		case kUpdate:
 			var u updateMsg
-			if err := decode(pl, &u); err != nil {
+			if err := wire.DecodeJSON(k, pl, &u); err != nil {
 				g.dropDaemon(d, err)
-				return
+				return nil, nil
 			}
 			if u.Epoch != g.epoch {
 				// A straggler stamped by a previous gateway incarnation:
@@ -449,7 +444,7 @@ func (g *Gateway) serveDaemon(conn net.Conn, payload []byte) {
 			g.cfg.Logf("daemon %s draining: no new placements", d.name)
 		default:
 			g.dropDaemon(d, fmt.Errorf("service: unexpected frame kind %d from daemon", k))
-			return
+			return nil, nil
 		}
 	}
 }

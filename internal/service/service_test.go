@@ -1,9 +1,16 @@
 package service
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"net"
+	"os"
 	"strings"
 	"testing"
 	"time"
+
+	"converse/internal/wire"
 )
 
 // startCluster brings up a gateway and n daemons with slots PEs each,
@@ -242,5 +249,151 @@ func TestDaemonChurnRequeues(t *testing.T) {
 	}
 	if in.State != string(Done) {
 		t.Fatalf("state = %s (err %q), want done after requeue", in.State, in.Error)
+	}
+}
+
+// TestGatewayAuthenticatesEveryKind: the gateway checks version and
+// token once, before any handler runs, so every request kind — and a
+// daemon registration — is refused with an error naming what was wrong.
+// The right head gets past the check for every kind.
+func TestGatewayAuthenticatesEveryKind(t *testing.T) {
+	g, _ := startCluster(t, 0, 0)
+	c := &Client{Addr: g.Addr()}
+	reqs := []struct {
+		name string
+		kind byte
+		msg  func(reqHead) any
+	}{
+		{"submit", kSubmit, func(h reqHead) any { return submitMsg{reqHead: h, Workload: "pingpong", Gang: 1} }},
+		{"status", kStatus, func(h reqHead) any { return statusMsg{reqHead: h, ID: "no-such-job"} }},
+		{"cancel", kCancel, func(h reqHead) any { return cancelMsg{reqHead: h, ID: "no-such-job"} }},
+		{"jobs", kJobs, func(h reqHead) any { return jobsMsg{reqHead: h} }},
+		{"cluster", kCluster, func(h reqHead) any { return clusterMsg{reqHead: h} }},
+		{"logs", kLogs, func(h reqHead) any { return logsMsg{reqHead: h, ID: "no-such-job"} }},
+		{"register", kRegister, func(h reqHead) any { return registerMsg{reqHead: h, Name: "auth-probe", Slots: 1} }},
+	}
+	heads := []struct {
+		head reqHead
+		want string
+	}{
+		{reqHead{V: protoV, Token: "wrong"}, "token"},
+		{reqHead{V: protoV, Token: ""}, "token"},
+		{reqHead{V: protoV + 1, Token: "svc-test"}, "version"},
+	}
+	for _, r := range reqs {
+		for _, h := range heads {
+			var rep any
+			err := c.roundTrip(r.kind, r.msg(h.head), &rep)
+			var remote wire.Error
+			if !errors.As(err, &remote) || !strings.Contains(err.Error(), h.want) {
+				t.Errorf("%s with %+v: err = %v, want a gateway rejection naming the %s", r.name, h.head, err, h.want)
+			}
+		}
+		var rep any
+		err := c.roundTrip(r.kind, r.msg(reqHead{V: protoV, Token: "svc-test"}), &rep)
+		if err != nil && (strings.Contains(err.Error(), "token") || strings.Contains(err.Error(), "version")) {
+			t.Errorf("%s with the right head: rejected by the auth check: %v", r.name, err)
+		}
+	}
+}
+
+// TestRequestHeadLeadsEncoding pins the request bytes binaries on
+// either side of the reqHead refactor exchange: the embedded head's
+// fields come first, in order, exactly as when each request declared
+// them itself.
+func TestRequestHeadLeadsEncoding(t *testing.T) {
+	h := reqHead{V: protoV, Token: "t"}
+	for _, tc := range []struct {
+		msg  any
+		want string
+	}{
+		{submitMsg{reqHead: h, Name: "n", Workload: "w", Gang: 2}, `{"v":2,"token":"t","name":"n","workload":"w","gang":2}`},
+		{logsMsg{reqHead: h, ID: "j", Follow: true}, `{"v":2,"token":"t","id":"j","follow":true}`},
+		{jobsMsg{reqHead: reqHead{V: protoV}}, `{"v":2}`},
+		{registerMsg{reqHead: h, Name: "d", Slots: 4}, `{"v":2,"token":"t","name":"d","slots":4}`},
+	} {
+		if b, err := json.Marshal(tc.msg); err != nil || string(b) != tc.want {
+			t.Errorf("%T encodes as %s (%v), want %s", tc.msg, b, err, tc.want)
+		}
+	}
+}
+
+// TestCancelBetweenPlacementAndLaunch: placement builds an attempt
+// complete (listener, control server, watchdog) before publishing it, so
+// a cancel landing before launch runs aborts a whole attempt, and launch
+// then releases it. The job ends Cancelled, through exactly one terminal
+// transition, and holds no slot, port or timer afterwards.
+func TestCancelBetweenPlacementAndLaunch(t *testing.T) {
+	jn, _, err := openJournal(t.TempDir(), t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jn.close()
+	g := &Gateway{
+		cfg:      GatewayConfig{Heartbeat: time.Second, JobWatchdog: time.Minute, Logf: t.Logf},
+		jn:       jn,
+		daemons:  map[string]*daemonSession{},
+		jobs:     map[string]*Job{},
+		attempts: map[string]*jobAttempt{},
+		schedCh:  make(chan struct{}, 1),
+	}
+	// The daemon's session is already gone, so the abort's unassign
+	// fails at once instead of waiting for a reader.
+	local, remote := net.Pipe()
+	remote.Close()
+	d := &daemonSession{name: "d", slots: 2, live: true, conn: local}
+	g.daemons[d.name] = d
+	j := newJob("job-1", "pp", "pingpong", nil, 2)
+	j.jn = jn
+	g.jobs[j.id] = j
+
+	g.mu.Lock()
+	at := g.placeLocked(j)
+	g.mu.Unlock()
+	if at == nil || at.ls == nil || at.cs == nil || at.wdog == nil {
+		t.Fatalf("placement published an incomplete attempt: %+v", at)
+	}
+	if err := g.cancel(j.id); err != nil {
+		t.Fatal(err)
+	}
+	g.launch(at)
+
+	if st := j.State(); st != Cancelled {
+		t.Fatalf("job state %s, want cancelled", st)
+	}
+	g.mu.Lock()
+	held, busy := len(g.attempts), d.busy
+	g.mu.Unlock()
+	if held != 0 || busy != 0 {
+		t.Errorf("after launch: %d attempts held, %d slots busy; want none", held, busy)
+	}
+	if _, err := at.ls.Accept(); !errors.Is(err, net.ErrClosed) {
+		t.Errorf("attempt listener still open: Accept err = %v", err)
+	}
+	at.cs.Serve(at.ls) // returns at once: nothing is left to serve
+	if at.wdog.Stop() {
+		t.Error("attempt watchdog was still armed")
+	}
+
+	data, err := os.ReadFile(jn.path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var edges []string
+	for r := bytes.NewReader(data); r.Len() > 0; {
+		k, payload, err := wire.ReadFrame(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tr jTransRec
+		if k != jkTrans || wire.DecodeJSON(k, payload, &tr) != nil {
+			continue
+		}
+		if State(tr.To).Terminal() || tr.To == string(Admitted) || tr.To == string(Running) {
+			edges = append(edges, tr.From+"->"+tr.To)
+		}
+	}
+	if len(edges) != 1 || edges[0] != "queued->cancelled" {
+		t.Errorf("journaled edges out of queued: %v, want exactly [queued->cancelled]", edges)
 	}
 }

@@ -1,29 +1,41 @@
-// Package wire is the checksummed frame format shared by the machine
-// layers that speak a byte stream: the TCP machine layer (internal/mnet)
-// and the live-introspection monitor endpoints (internal/ccs). Every
+// Package wire is the checksummed frame format shared by everything
+// that speaks a byte stream: the TCP machine layer (internal/mnet), the
+// live-introspection monitor endpoints (internal/ccs), the cluster
+// service (internal/service) and the service's journal file. Every
 // frame is
 //
 //	[u32 LE length][u8 kind][u32 LE crc32c][payload]
 //
 // where length covers the kind byte, the checksum, and the payload, and
 // the checksum (CRC32-Castagnoli) covers the kind byte and the payload.
-// The kind byte's meaning belongs to the caller: mnet and ccs each keep
-// their own enum over disjoint ranges so a monitor client that dials a
-// mesh port (or vice versa) fails loudly instead of misparsing.
+// The kind byte's meaning belongs to the caller: mnet, ccs and the
+// service each keep their own enum over disjoint ranges so a monitor
+// client that dials a mesh port (or vice versa) fails loudly instead of
+// misparsing.
 //
 // The header has one encoder (putHeader) and one parser (ParseHeader):
 // WriteFrame and ReadFrame use them, and so does mnet's data path,
 // which reads each message straight into a pooled buffer instead of
 // calling ReadFrame.
+//
+// The three request/reply planes (the mnet control session, the ccs
+// monitor and the service gateway) share one JSON layer on top: Dial
+// opens a connection with a deadline for one exchange, WriteJSON and
+// ReadJSON carry one JSON message per frame, DecodeJSON serves readers
+// that dispatch on the kind themselves, and Error is the one error
+// payload, {"error": text}, each plane sends under its own error kind.
 package wire
 
 import (
 	"bufio"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"net"
+	"time"
 )
 
 const (
@@ -213,4 +225,71 @@ func ReadFrame(r io.Reader) (byte, []byte, error) {
 		return h.Kind, nil, fmt.Errorf("%w: kind %d frame of %d bytes (crc %08x, want %08x)", ErrChecksum, h.Kind, n, got, h.Sum)
 	}
 	return h.Kind, payload, nil
+}
+
+// Error is the one error reply of every plane, {"error": text}, sent
+// with WriteJSON under the plane's own error kind. ReadJSON returns it
+// as the error when the peer replied with that kind; a reader that
+// dispatches on kinds itself decodes it with DecodeJSON.
+type Error struct {
+	Text string `json:"error"`
+}
+
+func (e Error) Error() string { return e.Text }
+
+// WriteJSON writes msg, JSON-encoded, as one frame of the given kind.
+func WriteJSON(w io.Writer, kind byte, msg any) error {
+	b, err := json.Marshal(msg)
+	if err != nil {
+		return fmt.Errorf("wire: encoding kind %d frame: %w", kind, err)
+	}
+	return WriteFrame(w, kind, b)
+}
+
+// DecodeJSON decodes the payload of a frame of the given kind into
+// into, for readers that dispatch on the kind themselves.
+func DecodeJSON(kind byte, payload []byte, into any) error {
+	if err := json.Unmarshal(payload, into); err != nil {
+		return fmt.Errorf("wire: decoding kind %d frame: %w", kind, err)
+	}
+	return nil
+}
+
+// ReadJSON reads one frame and decodes it into into. The frame must
+// have kind want; a frame of kind errKind is the peer's error reply and
+// comes back as an Error with the peer's text, and any other kind is
+// rejected with an error naming both kinds. Like ReadFrame it reads
+// exactly one frame and never sizes a buffer beyond MaxFrame.
+func ReadJSON(r io.Reader, want, errKind byte, into any) error {
+	k, payload, err := ReadFrame(r)
+	if err != nil {
+		return err
+	}
+	switch k {
+	case want:
+		return DecodeJSON(k, payload, into)
+	case errKind:
+		var e Error
+		if err := DecodeJSON(k, payload, &e); err != nil {
+			return err
+		}
+		return e
+	}
+	return fmt.Errorf("wire: unexpected frame kind %d (want %d)", k, want)
+}
+
+// Dial connects to addr over TCP within timeout and sets the
+// connection's deadline timeout from now, so one request/reply
+// exchange on it is bounded without further bookkeeping. Callers that
+// stream past the exchange move or clear the deadline themselves.
+func Dial(addr string, timeout time.Duration) (net.Conn, error) {
+	c, err := net.DialTimeout("tcp", addr, timeout)
+	if err != nil {
+		return nil, err
+	}
+	if err := c.SetDeadline(time.Now().Add(timeout)); err != nil {
+		c.Close()
+		return nil, err
+	}
+	return c, nil
 }

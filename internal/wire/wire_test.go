@@ -6,6 +6,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -88,4 +90,133 @@ func TestReadFrameLargeAndDamaged(t *testing.T) {
 	if _, _, err := ReadFrame(r); err != io.EOF {
 		t.Fatalf("at end: err=%v, want io.EOF", err)
 	}
+}
+
+const (
+	testReq byte = 200
+	testErr byte = 201
+)
+
+type testMsg struct {
+	V     int      `json:"v"`
+	Token string   `json:"token,omitempty"`
+	IDs   []string `json:"ids"`
+}
+
+func TestJSONRoundTrip(t *testing.T) {
+	in := testMsg{V: 2, Token: "t", IDs: []string{"a", "b"}}
+	var buf bytes.Buffer
+	if err := WriteJSON(&buf, testReq, in); err != nil {
+		t.Fatal(err)
+	}
+	// The frame is exactly the marshalled message under WriteFrame.
+	var want bytes.Buffer
+	WriteFrame(&want, testReq, []byte(`{"v":2,"token":"t","ids":["a","b"]}`))
+	if !bytes.Equal(buf.Bytes(), want.Bytes()) {
+		t.Fatalf("WriteJSON frame %q, want %q", buf.Bytes(), want.Bytes())
+	}
+	var out testMsg
+	if err := ReadJSON(&buf, testReq, testErr, &out); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(in, out) {
+		t.Fatalf("round trip: got %+v, want %+v", out, in)
+	}
+}
+
+func TestReadJSONErrorReply(t *testing.T) {
+	var buf bytes.Buffer
+	WriteJSON(&buf, testErr, Error{Text: "svc: bad or missing token"})
+	if got, want := buf.String()[HdrLen:], `{"error":"svc: bad or missing token"}`; got != want {
+		t.Fatalf("error reply payload %s, want %s", got, want)
+	}
+	var out testMsg
+	err := ReadJSON(&buf, testReq, testErr, &out)
+	var remote Error
+	if !errors.As(err, &remote) || err.Error() != "svc: bad or missing token" {
+		t.Fatalf("error reply: err = %v, want an Error with the remote text", err)
+	}
+	buf.Reset()
+	WriteFrame(&buf, testErr, []byte("not json"))
+	if err := ReadJSON(&buf, testReq, testErr, &out); err == nil || !strings.Contains(err.Error(), "decoding kind 201 frame") {
+		t.Fatalf("garbled error reply: err = %v", err)
+	}
+}
+
+func TestReadJSONWrongKind(t *testing.T) {
+	var buf bytes.Buffer
+	WriteJSON(&buf, 7, testMsg{})
+	var out testMsg
+	err := ReadJSON(&buf, testReq, testErr, &out)
+	if err == nil || !strings.Contains(err.Error(), "kind 7") || !strings.Contains(err.Error(), "want 200") {
+		t.Fatalf("wrong kind: err = %v, want one naming kinds 7 and 200", err)
+	}
+}
+
+// TestReadJSONOversizeBeforeAlloc: a header declaring more than
+// MaxFrame is refused from its first four bytes, before any buffer is
+// sized from it.
+func TestReadJSONOversizeBeforeAlloc(t *testing.T) {
+	var hdr [HdrLen]byte
+	binary.LittleEndian.PutUint32(hdr[:], MaxFrame+1)
+	var out testMsg
+	var err error
+	grew := allocated(func() { err = ReadJSON(bytes.NewReader(hdr[:]), testReq, testErr, &out) })
+	if err == nil || !strings.Contains(err.Error(), "exceeds limit") {
+		t.Fatalf("oversize frame: err = %v, want a limit error", err)
+	}
+	if grew > 1<<20 {
+		t.Fatalf("oversize frame allocated %d bytes before rejecting", grew)
+	}
+}
+
+// allocated reports the bytes fn allocated on the heap.
+func allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// FuzzReadJSON: on any byte stream ReadJSON returns an error or a
+// value, never panics, and never allocates beyond MaxFrame plus what
+// decoding the bytes actually present costs; whatever it accepts,
+// WriteJSON writes back as a frame ReadJSON reads to the same value.
+func FuzzReadJSON(f *testing.F) {
+	for _, msg := range []any{testMsg{V: 2, IDs: []string{"x"}}, map[string]any{"n": 1.5}, "s", nil} {
+		var buf bytes.Buffer
+		WriteJSON(&buf, testReq, msg)
+		f.Add(buf.Bytes())
+	}
+	var buf bytes.Buffer
+	WriteJSON(&buf, testErr, Error{Text: "remote"})
+	f.Add(buf.Bytes())
+	buf.Reset()
+	WriteJSON(&buf, 9, 1)
+	f.Add(buf.Bytes())
+	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, byte(testReq), 0, 0, 0, 0})
+	f.Add([]byte{5, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var v any
+		var err error
+		grew := allocated(func() { err = ReadJSON(bytes.NewReader(data), testReq, testErr, &v) })
+		if limit := uint64(MaxFrame) + 64*uint64(len(data)) + 1<<16; grew > limit {
+			t.Fatalf("%d-byte input allocated %d bytes (limit %d)", len(data), grew, limit)
+		}
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := WriteJSON(&out, testReq, v); err != nil {
+			t.Fatalf("re-encoding an accepted value: %v", err)
+		}
+		var back any
+		if err := ReadJSON(&out, testReq, testErr, &back); err != nil {
+			t.Fatalf("reading back a WriteJSON frame: %v", err)
+		}
+		if !reflect.DeepEqual(v, back) {
+			t.Fatalf("round trip changed the value: %#v -> %#v", v, back)
+		}
+	})
 }

@@ -18,8 +18,9 @@
 #                      writes BENCH_collectives.json
 #   make collectives-smoke
 #                      SMP-hybrid smoke: jacobi as a 4-node x 2-PE TCP
-#                      job (converserun -nodes/-ppn) plus the fast
-#                      collectives sweep
+#                      job (converserun -nodes/-ppn) plus the full
+#                      collectives sweep, byte-compared with
+#                      BENCH_collectives.json
 #   make monitor-smoke live-introspection gate: jacobi -np 4 with
 #                      converserun -monitor, scraped with conversetop
 #                      (tables, JSON, and a CPU capture)
@@ -192,15 +193,19 @@ bench-collectives:
 
 # SMP-hybrid smoke: the same jacobi binary as a 4-node x 2-PE TCP job
 # — 4 worker processes hosting 2 PEs each, intra-node traffic on the
-# in-memory path, inter-node on the wire — plus the fast collectives
-# sweep proving the flat-vs-tree harness end to end.
+# in-memory path, inter-node on the wire — plus the full collectives
+# sweep, regenerated and compared byte for byte with
+# BENCH_collectives.json: the sweep times broadcasts in virtual time,
+# so any change to the broadcast tree's shape or envelope sizes shows
+# up as a diff (reductions are not in the sweep).
 collectives-smoke:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) build -o $$tmp/converserun ./cmd/converserun && \
 	$(GO) build -o $$tmp/jacobi ./examples/jacobi && \
 	$$tmp/converserun -np 8 -nodes 4 -ppn 2 -timeout 120s $$tmp/jacobi && \
-	$(GO) run ./cmd/commbench -collectives -smoke -o /dev/null && \
-	echo 'collectives-smoke: jacobi ok as 4 nodes x 2 PEs; flat-vs-tree sweep ok'
+	$(GO) run ./cmd/commbench -collectives -o $$tmp/collectives.json >/dev/null && \
+	cmp $$tmp/collectives.json BENCH_collectives.json && \
+	echo 'collectives-smoke: jacobi ok as 4 nodes x 2 PEs; collectives sweep matches BENCH_collectives.json'
 
 # Live-introspection gate: jacobi as a 4-rank TCP job held open by
 # -minwall, its mesh monitor scraped three ways with conversetop — the

@@ -62,10 +62,13 @@
 // Proc.AllReduce (with a Combiner registered machine-wide via
 // RegisterCombiner) and Proc.Barrier (an AllReduce of empty
 // contributions) all run on one two-level spanning tree — binomial
-// across nodes, then a flat fan-out inside each node. The Send
-// sentinels BroadcastOthers/BroadcastAll and the language layers'
-// collectives (MPI, data-parallel, PVM, NX, SM barriers) delegate to the
-// same tree.
+// across nodes, then a flat fan-out inside each node. The same engine
+// also walks explicit trees given as a member/parent table
+// (Proc.MulticastTree, Proc.ReduceTree, Proc.AllReduceTree), which is
+// how the EMI's processor groups run. The Send sentinels
+// BroadcastOthers/BroadcastAll and the language layers' collectives
+// (MPI and data-parallel reductions, broadcasts and gathers, charm's
+// Rebalance, the PVM, NX and SM barriers) delegate to the same engine.
 //
 // # Quick start
 //
@@ -117,9 +120,11 @@ type Tracer = core.Tracer
 // TraceEvent is one trace record.
 type TraceEvent = core.TraceEvent
 
-// CoalesceConfig controls per-peer small-message coalescing on the
-// simulated machine (Config.Coalesce). The TCP network machine ignores
-// it and always coalesces at the default limits.
+// CoalesceConfig switches per-peer small-message coalescing on the
+// simulated machine (Config.Coalesce); its one field is Enabled. The
+// limits are fixed — messages up to 512 B are staged, and a pack holds
+// at most 32 messages and 4 KB. The TCP network machine ignores it and
+// always coalesces at those limits.
 type CoalesceConfig = core.CoalesceConfig
 
 // SendOpt is an option flag for Proc.Send.

@@ -21,20 +21,28 @@ import "encoding/binary"
 // processor before any user handler, so its index is uniform
 // machine-wide.
 
-// treeHdr is the forwarding envelope: [root u32][relLo u32][relHi u32]
-// — *node* ranks relative to the root PE's node (mod NumNodes) —
-// followed by the user message. The receiving representative owns
-// relative node range [relLo, relHi): it repeatedly splits off the
-// upper half to the representative at the half's start, fans out inside
-// its own node, and delivers the user message locally.
-const treeHdr = 12
+// treeHdr is the machine tree's forwarding envelope: [root u32][relLo
+// u32][relHi u32] — *node* ranks relative to the root PE's node (mod
+// NumNodes) — followed by the user message. The receiving
+// representative owns relative node range [relLo, relHi): it repeatedly
+// splits off the upper half to the representative at the half's start,
+// fans out inside its own node, and delivers the user message locally.
+//
+// An explicit tree's envelope is [caller u32 | treeExplicit][descriptor]
+// followed by the user message: each member forwards it to its children
+// and delivers the user message unless it is the caller.
+const (
+	treeHdr      = 12
+	treeExplicit = 1 << 31
+)
 
 // bcastTree ships msg to every PE except this one: inter-node envelopes
 // first (so wire transfers start before local work), then the intra-node
-// fan-out. All broadcast entry points — Broadcast, the Send sentinels
-// and the CmiSyncBroadcast family, AsyncBroadcast's progress arm, an
-// AllReduce's result — funnel here; this is the one fan-out
-// implementation ("at a lower level ... for the sake of efficiency").
+// fan-out. All machine-wide broadcast entry points — Broadcast, the Send
+// sentinels and the CmiSyncBroadcast family, AsyncBroadcast's progress
+// arm, an AllReduce's result — funnel here; with forwardTree for
+// explicit trees it is the one fan-out implementation ("at a lower
+// level ... for the sake of efficiency").
 func (p *Proc) bcastTree(msg []byte) {
 	if p.NumPes() == 1 {
 		return
@@ -79,17 +87,58 @@ func (p *Proc) fanOutNode(user []byte) {
 	}
 }
 
-// onTreeBcast runs on a node representative: it forwards the envelope's
-// sub-halves to further representatives, fans out inside its own node,
-// and delivers the user message locally.
+// MulticastTree sends msg to every member of tree except the calling
+// processor, which need not be a member (CmiAsyncMulticast). On the
+// machine tree (nil) it is Broadcast(msg, ExcludeSelf), rooted at the
+// caller. On an explicit tree the envelope, descriptor included, goes
+// to the tree's root — even when the caller is the root — and each
+// member hands copies to its children before handling its own. Every
+// recipient's handler owns its copy; the caller keeps msg.
+func (p *Proc) MulticastTree(tree, msg []byte) {
+	if tree == nil {
+		p.Broadcast(msg, ExcludeSelf)
+		return
+	}
+	p.checkSend(0, msg)
+	root, _ := treeMember(tree, 0)
+	p.SyncSendAndFree(root, p.treeEnvelope(tree, p.MyPe(), msg))
+}
+
+// treeEnvelope builds an explicit tree's multicast envelope.
+func (p *Proc) treeEnvelope(tree []byte, caller int, user []byte) []byte {
+	n := treeDescHdr + 8*treeLen(tree)
+	env := p.allocMsg(p.treeBcastHandler, 4+n+len(user))
+	pl := Payload(env)
+	binary.LittleEndian.PutUint32(pl, uint32(caller)|treeExplicit)
+	copy(pl[4:], tree[:n])
+	copy(pl[4+n:], user)
+	return env
+}
+
+// onTreeBcast runs on a tree member. On the machine tree (a node
+// representative) it forwards the envelope's sub-halves to further
+// representatives and fans out inside its own node; on an explicit tree
+// it forwards to its children. Then it delivers the user message
+// locally, unless it called the multicast.
 func onTreeBcast(p *Proc, msg []byte) {
 	pl := Payload(msg)
-	root := int(binary.LittleEndian.Uint32(pl[0:]))
-	lo := int(binary.LittleEndian.Uint32(pl[4:]))
-	hi := int(binary.LittleEndian.Uint32(pl[8:]))
-	user := pl[treeHdr:]
-	p.forwardTreeNodes(root, lo, hi, user)
-	p.fanOutNode(user)
+	word := binary.LittleEndian.Uint32(pl[0:])
+	var user []byte
+	if word&treeExplicit != 0 {
+		caller := int(word &^ treeExplicit)
+		tree := pl[4:]
+		user = tree[treeDescHdr+8*treeLen(tree):]
+		p.forwardTree(tree, caller, user)
+		if caller == p.MyPe() {
+			return
+		}
+	} else {
+		lo := int(binary.LittleEndian.Uint32(pl[4:]))
+		hi := int(binary.LittleEndian.Uint32(pl[8:]))
+		user = pl[treeHdr:]
+		p.forwardTreeNodes(int(word), lo, hi, user)
+		p.fanOutNode(user)
+	}
 	own := p.Alloc(len(user) - HeaderSize)
 	copy(own, user)
 	p.dispatch(own)

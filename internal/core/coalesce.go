@@ -36,52 +36,30 @@ import (
 // per message: u32 little-endian total length, then the message bytes
 // (header included).
 
-// CoalesceConfig tunes sender-side message coalescing on the simulated
-// machine. The zero value disables it, preserving one-packet-per-message
-// behaviour. The network machine ignores it and always coalesces at the
-// default limits.
+// CoalesceConfig switches sender-side message coalescing on the
+// simulated machine. The zero value disables it, preserving
+// one-packet-per-message behaviour. The network machine ignores it and
+// always coalesces. The limits are the same on every machine.
 type CoalesceConfig struct {
 	// Enabled turns coalescing on.
 	Enabled bool
-	// MaxMsgSize is the largest message (bytes, header included) that
-	// is staged rather than sent directly. Default 512.
-	MaxMsgSize int
-	// MaxBatch flushes a peer's pack once it holds this many messages.
-	// Default 32.
-	MaxBatch int
-	// MaxBytes bounds a pack's total size; a message that does not fit
-	// flushes the pack first. Default 4096 (one pool class, so pack
-	// buffers recycle perfectly).
-	MaxBytes int
 }
 
-// normalized fills in defaults and enforces internal consistency.
-func (c CoalesceConfig) normalized() CoalesceConfig {
-	if !c.Enabled {
-		return CoalesceConfig{}
-	}
-	if c.MaxMsgSize <= 0 {
-		c.MaxMsgSize = 512
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 32
-	}
-	if c.MaxBytes <= 0 {
-		c.MaxBytes = 4096
-	}
-	if c.MaxBytes < 256 {
-		c.MaxBytes = 256
-	}
-	// Every staged message must fit in an empty pack.
-	if max := c.MaxBytes - HeaderSize - 4; c.MaxMsgSize > max {
-		c.MaxMsgSize = max
-	}
-	return c
-}
+// Coalescing limits: a message of at most coalesceMaxMsg bytes (header
+// included) is staged rather than sent directly; a peer's pack is
+// flushed once it holds coalesceMaxBatch messages; and a pack spans at
+// most coalesceMaxBytes — one pool class, so pack buffers recycle
+// perfectly — so a message that does not fit flushes the pack first.
+// Every staged message fits in an empty pack.
+const (
+	coalesceMaxMsg   = 512
+	coalesceMaxBatch = 32
+	coalesceMaxBytes = 4096
+)
 
 // pack is the per-destination staging buffer.
 type pack struct {
-	buf   []byte // pool buffer of len MaxBytes; nil when nothing staged
+	buf   []byte // pool buffer of len coalesceMaxBytes; nil when nothing staged
 	n     int    // bytes filled (including the pack header)
 	count int    // messages staged
 }
@@ -89,7 +67,7 @@ type pack struct {
 // coalescable reports whether msg to dst takes the staging path: small,
 // not immediate, and bound for another node.
 func (p *Proc) coalescable(dst int, msg []byte) bool {
-	return p.co.Enabled && len(msg) <= p.co.MaxMsgSize && !IsImmediate(msg) &&
+	return p.co.Enabled && len(msg) <= coalesceMaxMsg && !IsImmediate(msg) &&
 		(dst < p.nodeLo || dst >= p.nodeHi)
 }
 
@@ -103,11 +81,11 @@ func (p *Proc) stageMsg(dst int, msg []byte) {
 	}
 	pk := &p.stage[dst]
 	need := 4 + len(msg)
-	if pk.buf != nil && pk.n+need > p.co.MaxBytes {
+	if pk.buf != nil && pk.n+need > coalesceMaxBytes {
 		p.flushPeer(dst)
 	}
 	if pk.buf == nil {
-		pk.buf = p.Alloc(p.co.MaxBytes - HeaderSize)
+		pk.buf = p.Alloc(coalesceMaxBytes - HeaderSize)
 		SetHandler(pk.buf, p.packHandler)
 		pk.n = HeaderSize
 	}
@@ -119,7 +97,7 @@ func (p *Proc) stageMsg(dst int, msg []byte) {
 	if p.met != nil {
 		p.met.CoalesceStaged()
 	}
-	if pk.count >= p.co.MaxBatch {
+	if pk.count >= coalesceMaxBatch {
 		p.flushPeer(dst)
 	}
 }

@@ -76,7 +76,7 @@ func TestCoalescedPerPairFIFO(t *testing.T) {
 		for i := range sizes[src] {
 			switch rng.Intn(3) {
 			case 0:
-				sizes[src][i] = 8 + rng.Intn(64) // well under MaxMsgSize
+				sizes[src][i] = 8 + rng.Intn(64) // well under coalesceMaxMsg
 			case 1:
 				sizes[src][i] = 8 + rng.Intn(504) // straddles the limit
 			default:

@@ -361,3 +361,56 @@ func TestReduceKeepsMergeWhenCombinerReturnsItsArgument(t *testing.T) {
 		t.Fatalf("reduced max = %#x, want 5", got)
 	}
 }
+
+// TestReduceTreeAnyRoot: the machine tree can be rooted at any PE. Each
+// PE runs one ReduceTree per root, back to back, so non-roots race ahead
+// into reductions with other roots; every root must get the full sum
+// and every other PE nil.
+func TestReduceTreeAnyRoot(t *testing.T) {
+	for _, sizes := range nodeMaps {
+		pes := pesOf(sizes)
+		cm := NewMachine(Config{PEs: pes, NodeSizes: sizes, Watchdog: 15 * time.Second})
+		sum := cm.RegisterCombiner(func(a, b []byte) []byte {
+			binary.LittleEndian.PutUint64(a, binary.LittleEndian.Uint64(a)+binary.LittleEndian.Uint64(b))
+			return a
+		})
+		err := cm.Run(func(p *Proc) {
+			for root := range pes {
+				got := p.ReduceTree(nil, root, sum, binary.LittleEndian.AppendUint64(nil, uint64(p.MyPe()+1)))
+				switch {
+				case p.MyPe() != root && got != nil:
+					t.Errorf("sizes=%v root=%d: pe %d got %v, want nil", sizes, root, p.MyPe(), got)
+				case p.MyPe() == root && binary.LittleEndian.Uint64(got) != uint64(pes*(pes+1)/2):
+					t.Errorf("sizes=%v root=%d: sum %d, want %d", sizes, root, binary.LittleEndian.Uint64(got), pes*(pes+1)/2)
+				}
+			}
+		})
+		if err != nil {
+			t.Fatalf("sizes=%v: %v", sizes, err)
+		}
+	}
+}
+
+// TestExplicitTreeLayout pins the explicit-tree descriptor core parses
+// to the bytes the EMI's Pgrp.Encode writes for group 0x42 with root 3
+// and children 1 and 2 (the same bytes as emi's TestEncodeLayout).
+func TestExplicitTreeLayout(t *testing.T) {
+	tree := []byte{
+		0x42, 0, 0, 0, 0, 0, 0, 0, // id
+		3, 0, 0, 0, // members
+		3, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, // pe 3, root
+		1, 0, 0, 0, 0, 0, 0, 0, // pe 1, child of member 0
+		2, 0, 0, 0, 0, 0, 0, 0, // pe 2, child of member 0
+	}
+	if id, n := treeID(tree), treeLen(tree); id != 0x42 || n != 3 || len(tree) != treeDescHdr+8*n {
+		t.Fatalf("id %#x, %d members", id, n)
+	}
+	for i, want := range [][2]int{{3, -1}, {1, 0}, {2, 0}} {
+		if pe, par := treeMember(tree, i); pe != want[0] || par != want[1] {
+			t.Errorf("member %d = (pe %d, parent %d), want %v", i, pe, par, want)
+		}
+	}
+	if i := treeIndex(tree, 2); i != 2 {
+		t.Errorf("treeIndex(2) = %d", i)
+	}
+}

@@ -77,10 +77,10 @@ type Config struct {
 	// volume. It must have been built for the same number of PEs. When
 	// nil, the instrumented hot paths cost one nil check.
 	Metrics *metrics.Registry
-	// Coalesce tunes sender-side small-message coalescing on the
+	// Coalesce switches sender-side small-message coalescing on the
 	// simulated machine (see CoalesceConfig), its ablation knob; the
 	// zero value leaves coalescing off. The network machine ignores it:
-	// it always coalesces inter-node sends at the default limits.
+	// it always coalesces inter-node sends.
 	Coalesce CoalesceConfig
 	// FailurePolicy selects the network substrate's reaction to link
 	// faults: FailFast (the default) or FailRetry. It overrides the
@@ -176,7 +176,7 @@ func NewMachine(cfg Config) *Machine {
 // substrate's lifecycle. Most callers use NewMachine with
 // Config.Transport instead; this constructor is the seam tests and
 // alternative launchers plug into. Its processors always coalesce small
-// inter-node sends at the default limits; Config.Coalesce is ignored.
+// inter-node sends; Config.Coalesce is ignored.
 func NewMachineOn(sub NetSubstrate, cfg Config) *Machine {
 	if cfg.Metrics != nil && cfg.Metrics.NumPEs() != cfg.PEs {
 		panic(fmt.Sprintf("core: metrics registry built for %d PEs, machine has %d",

@@ -140,19 +140,20 @@ type Proc struct {
 	nodeFirst      []int
 	nodeLo, nodeHi int
 
-	// Collective state (reduce.go): the built-in reduction and barrier
-	// handlers, the combiner registry, in-flight reductions keyed by
-	// sequence number and completed ones kept for reuse, and the barrier
-	// release watermark.
+	// Collective state (reduce.go): the built-in reduction and
+	// blocking-result handlers, the combiner registry, in-flight
+	// reductions keyed by (tree, sequence) and completed ones kept for
+	// reuse, the next sequence per tree, and blocking results waiting
+	// for their call.
 	reduceHandler int
-	barHandler    int
+	collHandler   int
 	combiners     []Combiner
-	reds          map[uint64]*reduction
+	reds          []*reduction
 	redFree       []*reduction
-	redSeq        uint64
+	seqs          map[uint64]uint64
+	results       [][]byte
+	collOut       []byte
 	barCombiner   int
-	barSeq        uint64
-	barDone       uint64
 
 	// peerDownHandler is the built-in peer-death declaration handler
 	// (peerdown.go); deadPEs and peerDownFns are its processor-local
@@ -182,7 +183,7 @@ type ownedBuf struct {
 }
 
 func newProc(pe Substrate, co CoalesceConfig) *Proc {
-	p := &Proc{pe: pe, co: co.normalized(), ext: make(map[string]any)}
+	p := &Proc{pe: pe, co: co, ext: make(map[string]any)}
 	if sq, ok := pe.(interface{ Stopped() bool }); ok {
 		p.stopq = sq
 	}
@@ -202,7 +203,7 @@ func newProc(pe Substrate, co CoalesceConfig) *Proc {
 	p.peerDownHandler = p.RegisterHandler(onPeerDown)
 	p.bellHandler = p.RegisterHandler(onDoorbell)
 	p.reduceHandler = p.RegisterHandler(onReduce)
-	p.barHandler = p.RegisterHandler(onBarrier)
+	p.collHandler = p.RegisterHandler(onCollDone)
 	p.barCombiner = p.RegisterCombiner(func(acc, _ []byte) []byte { return acc })
 	p.bell.done = make(chan struct{}, 1)
 	// Cache the node→first-PE map; the topology is immutable.

@@ -757,3 +757,50 @@ func TestGptrZeroLengthOps(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestNewPgrpIDsAvoidAllGroup: group ids key the core's tree
+// reductions, so no NewPgrp group may take AllGroup's reserved id 1 —
+// PE 0's first group included — and groups created anywhere never share
+// an id.
+func TestNewPgrpIDsAvoidAllGroup(t *testing.T) {
+	const pes = 3
+	cm := newMachine(pes)
+	ids := make([][2]uint64, pes)
+	err := cm.Run(func(p *core.Proc) {
+		s := Init(p)
+		ids[p.MyPe()] = [2]uint64{s.NewPgrp().ID, s.NewPgrp().ID}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[uint64]bool{1: true} // AllGroup's
+	for pe, pair := range ids {
+		for _, id := range pair {
+			if seen[id] {
+				t.Errorf("pe %d: NewPgrp returned id %d, already taken", pe, id)
+			}
+			seen[id] = true
+		}
+	}
+}
+
+// TestEncodeLayout pins the descriptor Encode writes — the explicit-tree
+// wire form internal/core/tree.go parses (its TestExplicitTreeLayout
+// checks the same bytes) — and its round trip through DecodePgrp.
+func TestEncodeLayout(t *testing.T) {
+	g := &Pgrp{ID: 0x42, members: []int32{3, 1, 2}, parent: []int32{-1, 0, 0}}
+	want := []byte{
+		0x42, 0, 0, 0, 0, 0, 0, 0, // id
+		3, 0, 0, 0, // members
+		3, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, // pe 3, root
+		1, 0, 0, 0, 0, 0, 0, 0, // pe 1, child of member 0
+		2, 0, 0, 0, 0, 0, 0, 0, // pe 2, child of member 0
+	}
+	if got := g.Encode(); !bytes.Equal(got, want) {
+		t.Fatalf("Encode = %x, want %x", got, want)
+	}
+	d, n := DecodePgrp(want)
+	if n != len(want) || d.ID != 0x42 || d.RootPE() != 3 || d.Parent(2) != 3 || d.NumChildren(3) != 2 {
+		t.Errorf("DecodePgrp = %+v, %d", d, n)
+	}
+}

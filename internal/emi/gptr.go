@@ -58,17 +58,14 @@ type State struct {
 
 	hGetReq, hGetReply, hPutReq, hPutAck int
 
-	// group communication (pgroup.go): explicit groups' tree engine,
-	// and AllGroup's view over the core engine
-	hMcast, hReduce, hRelease int
-	reductions                map[redKey]*redState
-	seqs                      map[uint64]uint32
-	released                  map[redKey]int64
-	nextGrp                   uint32
-	all                       *Pgrp
-	hAllDone, opComb          int
-	allCalls, allDone         uint64
-	allVal                    int64
+	// group communication (pgroup.go): the group id counter, AllGroup's
+	// descriptor, the reduction combiner, its contribution scratch and
+	// the encoded-tree scratch
+	nextGrp uint32
+	all     *Pgrp
+	opComb  int
+	op      [9]byte
+	desc    []byte
 }
 
 // extKey locates the EMI state in a Proc.
@@ -86,21 +83,15 @@ func Init(p *core.Proc) *State {
 		panic("emi: machines larger than 256 PEs are not supported by the request encoding")
 	}
 	s := &State{
-		p:          p,
-		regions:    make(map[uint32][]byte),
-		pending:    make(map[uint32]*Handle),
-		reductions: make(map[redKey]*redState),
-		seqs:       make(map[uint64]uint32),
-		released:   make(map[redKey]int64),
+		p:       p,
+		regions: make(map[uint32][]byte),
+		pending: make(map[uint32]*Handle),
+		nextGrp: allGroupID, // NewPgrp ids never collide with AllGroup's
 	}
 	s.hGetReq = p.RegisterHandler(s.onGetReq)
 	s.hGetReply = p.RegisterHandler(s.onGetReply)
 	s.hPutReq = p.RegisterHandler(s.onPutReq)
 	s.hPutAck = p.RegisterHandler(s.onPutAck)
-	s.hMcast = p.RegisterHandler(s.onMcast)
-	s.hReduce = p.RegisterHandler(s.onReduce)
-	s.hRelease = p.RegisterHandler(s.onRelease)
-	s.hAllDone = p.RegisterHandler(s.onAllDone)
 	s.opComb = p.RegisterCombiner(combineOp)
 	p.SetExt(extKey, s)
 	return s

@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-
-	"converse/internal/core"
 )
 
 // Pgrp is a processor group organized as a spanning tree rooted at the
@@ -16,20 +14,22 @@ import (
 //
 // The root builds the tree with AddChildren; the descriptor is a plain
 // value that can be encoded into messages, so any processor holding it
-// can query the topology or initiate group operations (the multicast
-// carries the descriptor along the tree, so members need no prior
-// registration). The machine-wide group (AllGroup) is instead a view
-// over the core's collective engine: its operations run on the core's
-// two-level spanning tree.
+// can query the topology or initiate group operations. Group operations
+// run on the core's collective engine: an explicit group's encoded
+// member/parent table is the tree it walks (the multicast carries it
+// along, so members need no prior registration), and the machine-wide
+// group (AllGroup) names the core's two-level machine tree.
 type Pgrp struct {
 	ID      uint64
 	members []int32 // members[0] is the root
 	parent  []int32 // index into members of each member's parent; -1 at root
-	machine bool    // AllGroup's view: operations run on the core engine
 }
 
+// allGroupID is AllGroup's id; no NewPgrp group takes it.
+const allGroupID = 1
+
 // NewPgrp creates a processor group with the calling processor as root
-// (CmiPgrpCreate).
+// (CmiPgrpCreate). Its id is unique machine-wide and never AllGroup's.
 func (s *State) NewPgrp() *Pgrp {
 	s.nextGrp++
 	return &Pgrp{
@@ -41,17 +41,16 @@ func (s *State) NewPgrp() *Pgrp {
 
 // AllGroup returns the machine-wide processor group: every processor,
 // arranged as the core's two-level spanning tree rooted at PE 0 (member
-// i's parent is Proc.SpanTreeParent(i)). It is a view over the core
-// collective engine: Multicast, Reduce, AllReduce and Barrier on it are
-// core Broadcast and AllReduce calls, which follow the node topology.
-// The descriptor is built once per processor and is identical
-// everywhere, so AllGroup-based collectives need no setup
-// communication; it cannot be extended with AddChildren. The group id 1
-// is reserved for it.
+// i's parent is Proc.SpanTreeParent(i)). Its operations walk the core's
+// machine tree, which follows the node topology: Multicast is a core
+// Broadcast rooted at the caller. The descriptor is built once per
+// processor and is identical everywhere, so AllGroup-based collectives
+// need no setup communication; it cannot be extended with AddChildren.
+// The group id 1 is reserved for it.
 func (s *State) AllGroup() *Pgrp {
 	if s.all == nil {
 		n := s.p.NumPes()
-		g := &Pgrp{ID: 1, members: make([]int32, n), parent: make([]int32, n), machine: true}
+		g := &Pgrp{ID: allGroupID, members: make([]int32, n), parent: make([]int32, n)}
 		for pe := range n {
 			g.members[pe] = int32(pe)
 			g.parent[pe] = int32(s.p.SpanTreeParent(pe))
@@ -59,6 +58,18 @@ func (s *State) AllGroup() *Pgrp {
 		s.all = g
 	}
 	return s.all
+}
+
+// tree is the descriptor the core's tree collectives walk: nil, the
+// machine tree, for AllGroup; the encoded member/parent table otherwise,
+// written into the state's scratch buffer (the core copies what it
+// keeps, so the buffer is free again once the call has started).
+func (s *State) tree(g *Pgrp) []byte {
+	if g.ID == allGroupID {
+		return nil
+	}
+	s.desc = g.appendTo(s.desc[:0])
+	return s.desc
 }
 
 // AddChildren adds the processors in procs to the group as children of
@@ -69,12 +80,12 @@ func (s *State) AddChildren(g *Pgrp, penum int, procs []int) {
 	if s.p.MyPe() != g.RootPE() {
 		panic(fmt.Sprintf("emi: pe %d: AddChildren called by non-root (root is %d)", s.p.MyPe(), g.RootPE()))
 	}
-	if g.machine {
+	if g.ID == allGroupID {
 		panic("emi: AddChildren on the machine-wide group")
 	}
 	pi := g.index(penum)
 	for _, pe := range procs {
-		if g.contains(pe) {
+		if g.Contains(pe) {
 			panic(fmt.Sprintf("emi: AddChildren: pe %d already in group", pe))
 		}
 		g.members = append(g.members, int32(pe))
@@ -124,9 +135,7 @@ func (g *Pgrp) Children(penum int) []int {
 }
 
 // Contains reports whether pe is a member of the group.
-func (g *Pgrp) Contains(pe int) bool { return g.contains(pe) }
-
-func (g *Pgrp) contains(pe int) bool {
+func (g *Pgrp) Contains(pe int) bool {
 	for _, m := range g.members {
 		if int(m) == pe {
 			return true
@@ -144,17 +153,20 @@ func (g *Pgrp) index(pe int) int {
 	panic(fmt.Sprintf("emi: pe %d is not a member of group %d", pe, g.ID))
 }
 
-// Encode serializes the group descriptor. An encoded AllGroup decodes
-// as an ordinary group with the same tree.
-func (g *Pgrp) Encode() []byte {
-	buf := make([]byte, 12+8*len(g.members))
-	binary.LittleEndian.PutUint64(buf[0:], g.ID)
-	binary.LittleEndian.PutUint32(buf[8:], uint32(len(g.members)))
-	off := 12
+// Encode serializes the group descriptor in the explicit-tree wire form
+// the core's tree collectives walk (internal/core/tree.go parses it;
+// TestEncodeLayout pins the bytes both sides agree on). An encoded
+// AllGroup decodes as an ordinary group with the same tree.
+func (g *Pgrp) Encode() []byte { return g.appendTo(make([]byte, 0, 12+8*len(g.members))) }
+
+// appendTo appends the encoded descriptor — [id u64][n u32], then n ×
+// [pe u32][parent index i32], root first — to buf.
+func (g *Pgrp) appendTo(buf []byte) []byte {
+	buf = binary.LittleEndian.AppendUint64(buf, g.ID)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(g.members)))
 	for i := range g.members {
-		binary.LittleEndian.PutUint32(buf[off:], uint32(g.members[i]))
-		binary.LittleEndian.PutUint32(buf[off+4:], uint32(g.parent[i]))
-		off += 8
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(g.members[i]))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(g.parent[i]))
 	}
 	return buf
 }
@@ -175,54 +187,13 @@ func DecodePgrp(buf []byte) (*Pgrp, int) {
 
 // Multicast sends the generalized message msg to every member of the
 // group except the calling processor (CmiAsyncMulticast; the caller need
-// not belong to the group). Delivery forwards along the group's spanning
-// tree, each member handing copies to its children before invoking the
-// message's handler locally. Each recipient's handler receives its own
-// copy of msg and owns it (no GrabBuffer needed). On AllGroup it is a
-// core Broadcast excluding the caller.
-func (s *State) Multicast(g *Pgrp, msg []byte) {
-	if len(msg) < core.HeaderSize {
-		panic("emi: Multicast of message smaller than the header")
-	}
-	if g.machine {
-		s.p.Broadcast(msg, core.ExcludeSelf)
-		return
-	}
-	wrapped := s.wrapMcast(g, msg)
-	s.p.SyncSendAndFree(g.RootPE(), wrapped)
-}
-
-// wrapMcast builds the tree-forwarding envelope:
-// payload = [callerPE u32][grp blob][user msg].
-func (s *State) wrapMcast(g *Pgrp, msg []byte) []byte {
-	blob := g.Encode()
-	w := core.NewMsg(s.hMcast, 4+len(blob)+len(msg))
-	pl := core.Payload(w)
-	binary.LittleEndian.PutUint32(pl[0:], uint32(s.p.MyPe()))
-	copy(pl[4:], blob)
-	copy(pl[4+len(blob):], msg)
-	return w
-}
-
-// onMcast forwards the envelope to this member's children, then delivers
-// the user message locally unless this processor is the original caller.
-func (s *State) onMcast(p *core.Proc, msg []byte) {
-	pl := core.Payload(msg)
-	caller := int(binary.LittleEndian.Uint32(pl[0:]))
-	g, n := DecodePgrp(pl[4:])
-	user := pl[4+n:]
-	for _, child := range g.Children(p.MyPe()) {
-		fwd := core.NewMsg(s.hMcast, len(pl))
-		copy(core.Payload(fwd), pl)
-		p.SyncSendAndFree(child, fwd)
-	}
-	if p.MyPe() == caller {
-		return
-	}
-	own := make([]byte, len(user))
-	copy(own, user)
-	p.HandlerFunc(core.HandlerOf(own))(p, own)
-}
+// not belong to the group): a core MulticastTree over the group's tree.
+// Delivery forwards along the tree from its root, each member handing
+// copies to its children before invoking the message's handler locally;
+// on AllGroup it is a core Broadcast excluding the caller. Each
+// recipient's handler receives its own copy of msg and owns it (no
+// GrabBuffer needed).
+func (s *State) Multicast(g *Pgrp, msg []byte) { s.p.MulticastTree(s.tree(g), msg) }
 
 // --- reductions ---
 
@@ -275,56 +246,19 @@ func (op ReduceOp) apply(a, b int64) int64 {
 	panic(fmt.Sprintf("emi: unknown reduction op %d", op))
 }
 
-type redKey struct {
-	grp uint64
-	seq uint32
-}
-
-type redState struct {
-	acc   int64
-	have  int
-	need  int // 0 until the local member contributes
-	op    ReduceOp
-	valid bool // acc holds at least one contribution
-}
-
 // Reduce performs a spanning-tree reduction over the group: every member
-// must call it (in the same sequence relative to other Reduce calls on
+// must call it (in the same order relative to its other collectives on
 // the same group) with its contribution. Contributions combine up the
-// tree; at the root, Reduce returns (result, true); at other members it
-// returns as soon as the subtree value has been sent up, with ok=false.
-// While waiting for children, incoming messages are served. On AllGroup
-// it is an AllReduce whose result only the root reports.
+// tree — a core ReduceTree of [op u8][value u64] payloads merged by
+// combineOp. At the root, Reduce returns (result, true); at other
+// members it returns as soon as the subtree value has been sent up, with
+// ok=false. While waiting, incoming messages are served.
 func (s *State) Reduce(g *Pgrp, contrib int64, op ReduceOp) (result int64, ok bool) {
-	me := s.p.MyPe()
-	if !g.Contains(me) {
-		panic(fmt.Sprintf("emi: pe %d: Reduce on a group it does not belong to", me))
-	}
-	if g.machine {
-		if r := s.AllReduce(g, contrib, op); me == g.RootPE() {
-			return r, true
-		}
+	r := s.p.ReduceTree(s.tree(g), g.RootPE(), s.opComb, s.opPayload(contrib, op))
+	if s.p.MyPe() != g.RootPE() {
 		return 0, false
 	}
-	s.seqs[g.ID]++
-	key := redKey{grp: g.ID, seq: s.seqs[g.ID]}
-	st := s.red(key)
-	st.op = op
-	st.need = 1 + g.NumChildren(me)
-	s.contribute(st, contrib)
-	s.p.ServeUntil(func() bool { return st.have == st.need })
-	delete(s.reductions, key)
-	if me == g.RootPE() {
-		return st.acc, true
-	}
-	up := core.NewMsg(s.hReduce, 21)
-	pl := core.Payload(up)
-	binary.LittleEndian.PutUint64(pl[0:], key.grp)
-	binary.LittleEndian.PutUint32(pl[8:], key.seq)
-	pl[12] = byte(op)
-	binary.LittleEndian.PutUint64(pl[13:], uint64(st.acc))
-	s.p.SyncSendAndFree(g.Parent(me), up)
-	return 0, false
+	return int64(binary.LittleEndian.Uint64(r[1:])), true
 }
 
 // ReduceFloat is Reduce over float64 contributions; op must be one of
@@ -341,66 +275,14 @@ func checkFloatOp(op ReduceOp) {
 	}
 }
 
-// red returns (creating if needed) the reduction state for key.
-func (s *State) red(key redKey) *redState {
-	st, ok := s.reductions[key]
-	if !ok {
-		st = &redState{}
-		s.reductions[key] = st
-	}
-	return st
-}
-
-func (s *State) contribute(st *redState, v int64) {
-	if st.valid {
-		st.acc = st.op.apply(st.acc, v)
-	} else {
-		st.acc, st.valid = v, true
-	}
-	st.have++
-}
-
-// onReduce folds a child's subtree contribution into the local state.
-// It may arrive before the local member has called Reduce; the state is
-// created on demand and the op recorded from the message.
-func (s *State) onReduce(p *core.Proc, msg []byte) {
-	pl := core.Payload(msg)
-	key := redKey{
-		grp: binary.LittleEndian.Uint64(pl[0:]),
-		seq: binary.LittleEndian.Uint32(pl[8:]),
-	}
-	op := ReduceOp(pl[12])
-	v := int64(binary.LittleEndian.Uint64(pl[13:]))
-	st := s.red(key)
-	st.op = op
-	s.contribute(st, v)
-}
-
 // --- all-reduce and barrier ---
 
-// AllReduce is Reduce with the result returned on every member: the
-// root sends it back down the group's tree. On AllGroup it is one core
-// AllReduce over the two-level tree. Every member must call it.
+// AllReduce is Reduce with the result returned on every member: one
+// core AllReduceTree, whose root sends the result back down the group's
+// tree. Every member must call it.
 func (s *State) AllReduce(g *Pgrp, contrib int64, op ReduceOp) int64 {
-	if g.machine {
-		return s.machineAllReduce(contrib, op)
-	}
-	key := redKey{grp: g.ID, seq: s.seqs[g.ID] + 1} // the sequence Reduce will use
-	r, root := s.Reduce(g, contrib, op)
-	if !root {
-		s.p.ServeUntil(func() bool { _, ok := s.released[key]; return ok })
-		r = s.released[key]
-		delete(s.released, key)
-	}
-	for _, child := range g.Children(s.p.MyPe()) {
-		rel := core.NewMsg(s.hRelease, 20)
-		pl := core.Payload(rel)
-		binary.LittleEndian.PutUint64(pl[0:], key.grp)
-		binary.LittleEndian.PutUint32(pl[8:], key.seq)
-		binary.LittleEndian.PutUint64(pl[12:], uint64(r))
-		s.p.SyncSendAndFree(child, rel)
-	}
-	return r
+	r := s.p.AllReduceTree(s.tree(g), s.opComb, s.opPayload(contrib, op))
+	return int64(binary.LittleEndian.Uint64(r[1:]))
 }
 
 // AllReduceFloat is AllReduce over float64 contributions; op must be one
@@ -410,41 +292,15 @@ func (s *State) AllReduceFloat(g *Pgrp, contrib float64, op ReduceOp) float64 {
 	return math.Float64frombits(uint64(s.AllReduce(g, int64(math.Float64bits(contrib)), op)))
 }
 
-// onRelease records a result travelling down an explicit group's tree.
-func (s *State) onRelease(p *core.Proc, msg []byte) {
-	pl := core.Payload(msg)
-	key := redKey{
-		grp: binary.LittleEndian.Uint64(pl[0:]),
-		seq: binary.LittleEndian.Uint32(pl[8:]),
-	}
-	s.released[key] = int64(binary.LittleEndian.Uint64(pl[12:]))
+// opPayload encodes a contribution as [op u8][value u64] in the
+// state's scratch buffer; the core copies it.
+func (s *State) opPayload(v int64, op ReduceOp) []byte {
+	s.op[0] = byte(op)
+	binary.LittleEndian.PutUint64(s.op[1:], uint64(v))
+	return s.op[:]
 }
 
-// machineAllReduce is AllReduce on AllGroup: one core AllReduce of an
-// [op u8][value u64] payload merged by combineOp, served until the
-// result is back. A processor has at most one in flight — it blocks
-// until its result arrives, and no result completes without its
-// contribution — so results arrive in call order and a counter
-// identifies them.
-func (s *State) machineAllReduce(v int64, op ReduceOp) int64 {
-	msg := s.p.Alloc(9)
-	core.SetHandler(msg, s.hAllDone)
-	pl := core.Payload(msg)
-	pl[0] = byte(op)
-	binary.LittleEndian.PutUint64(pl[1:], uint64(v))
-	s.allCalls++
-	want := s.allCalls
-	s.p.AllReduce(s.opComb, msg, core.Transfer)
-	s.p.ServeUntil(func() bool { return s.allDone == want })
-	return s.allVal
-}
-
-func (s *State) onAllDone(p *core.Proc, msg []byte) {
-	s.allVal = int64(binary.LittleEndian.Uint64(core.Payload(msg)[1:]))
-	s.allDone++
-}
-
-// combineOp is the core combiner behind machineAllReduce.
+// combineOp is the core combiner behind every group reduction.
 func combineOp(a, b []byte) []byte {
 	x, y := int64(binary.LittleEndian.Uint64(a[1:])), int64(binary.LittleEndian.Uint64(b[1:]))
 	binary.LittleEndian.PutUint64(a[1:], uint64(ReduceOp(a[0]).apply(x, y)))

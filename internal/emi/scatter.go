@@ -3,7 +3,11 @@
 // processor groups, and global memory operations". (The gather side —
 // CmiVectorSend — lives in internal/core with the other send calls; this
 // package provides scattering, spanning-tree processor groups with
-// multicast and reductions, and global pointers with get/put.)
+// multicast and reductions, and global pointers with get/put.) Group
+// operations are calls into the core's collective engine, which walks
+// an explicit group's member/parent table or, for AllGroup, the
+// node-derived machine tree; the EMI registers no group handlers and
+// keeps no reduction state of its own.
 package emi
 
 import (

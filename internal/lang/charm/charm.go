@@ -88,10 +88,8 @@ type RT struct {
 	forwards         map[uint32]ChareID
 	migrations       uint64
 
-	// quasi-dynamic load balancing (rebalance.go)
-	hRebal       int
-	rebal        *rebalState
-	rebalPending [][]byte // control messages arriving before the local entry
+	// quasi-dynamic load balancing (rebalance.go): the count combiner
+	countSum int
 
 	// group ("branch office") chares (group.go)
 	groupTypes           []groupType
@@ -148,11 +146,11 @@ func Attach(p *core.Proc, pol ldb.Policy) *RT {
 	rt.hQD = p.RegisterHandler(rt.onQD)
 	rt.hMigrate = p.RegisterHandler(rt.onMigrate)
 	rt.hMoved = p.RegisterHandler(rt.onMoved)
-	rt.hRebal = p.RegisterHandler(rt.onRebal)
 	rt.hGroupNew = p.RegisterHandler(rt.onGroupNew)
 	rt.hGroupInv = p.RegisterHandler(rt.onGroupInv)
 	rt.hArrNew = p.RegisterHandler(rt.onArrNew)
 	rt.hArrInv = p.RegisterHandler(rt.onArrInv)
+	rt.countSum = p.RegisterCombiner(sumCounts)
 	p.SetExt(extKey, rt)
 	return rt
 }

@@ -3,8 +3,6 @@ package charm
 import (
 	"encoding/binary"
 	"fmt"
-
-	"converse/internal/core"
 )
 
 // Quasi-dynamic load balancing, the second extended situation of the
@@ -16,28 +14,10 @@ import (
 // can be, on top of Converse — here on top of the migration library.
 //
 // Rebalance is a collective call: every processor invokes it between
-// phases (loosely synchronously). Processor 0 gathers per-processor
-// chare counts, derives the evened-out distribution, and sends each
-// overloaded processor a directive listing how many chares to ship
-// where; everyone acknowledges and processor 0 releases the collective.
-
-// rebalance wire tags carried in the control payloads.
-const (
-	rbCount = iota + 1 // worker -> 0: [tag u8][count u32]
-	rbPlan             // 0 -> worker: [tag u8][npairs u32]{[dst u32][n u32]}...
-	rbDone             // worker -> 0: [tag u8]
-	rbGo               // 0 -> worker: [tag u8]
-)
-
-// rebalState tracks one collective rebalance on a processor.
-type rebalState struct {
-	counts   []int // at the coordinator: per-PE counts
-	haveCnt  int
-	plan     []byte // at workers: received directive
-	havePlan bool
-	dones    int
-	released bool
-}
+// phases (loosely synchronously). One core all-reduction of a per-processor
+// chare count vector gives every processor the same counts, from which
+// each derives the same evened-out plan and executes its own row; a
+// Barrier then releases the collective.
 
 // Rebalance migrates chares of the given type so that every processor
 // ends up with an equal share (±1). All processors must call it, at the
@@ -46,88 +26,40 @@ type rebalState struct {
 // chares this processor shipped away.
 func (rt *RT) Rebalance(typeID int) int {
 	p := rt.p
-	me := p.MyPe()
-	st := &rebalState{}
-	rt.rebal = st
-	defer func() { rt.rebal = nil }()
-	if me == 0 {
-		st.counts = make([]int, p.NumPes())
+	npes := p.NumPes()
+	mine := make([]byte, 4*npes)
+	binary.LittleEndian.PutUint32(mine[4*p.MyPe():], uint32(len(rt.LocalChares(typeID))))
+	all := p.AllReduceTree(nil, rt.countSum, mine)
+	counts := make([]int, npes)
+	total := 0
+	for pe := range counts {
+		counts[pe] = int(binary.LittleEndian.Uint32(all[4*pe:]))
+		total += counts[pe]
 	}
-	// Replay control messages that arrived before we entered.
-	pending := rt.rebalPending
-	rt.rebalPending = nil
-	for _, pl := range pending {
-		rt.applyRebal(pl)
+	// Greedy matching of surpluses to deficits against the even
+	// distribution, walked in PE order on every processor alike.
+	target := func(pe int) int {
+		if pe < total%npes {
+			return total/npes + 1
+		}
+		return total / npes
 	}
-
-	// Phase 1: report the local count to the coordinator.
-	count := len(rt.LocalChares(typeID))
-	if me == 0 {
-		st.counts[0] = count
-		st.haveCnt++
-		p.ServeUntil(func() bool { return st.haveCnt == p.NumPes() })
-
-		// Phase 2: derive the even distribution and the transfers.
-		total := 0
-		for _, c := range st.counts {
-			total += c
-		}
-		target := make([]int, p.NumPes())
-		for i := range target {
-			target[i] = total / p.NumPes()
-			if i < total%p.NumPes() {
-				target[i]++
+	var plan [][2]int // this processor's (dst, n) transfers
+	for src, dst := 0, 0; src < npes; src++ {
+		for surplus := counts[src] - target(src); surplus > 0; {
+			for counts[dst] >= target(dst) {
+				dst++
 			}
-		}
-		// Greedy matching of surpluses to deficits.
-		type deficit struct{ pe, n int }
-		var deficits []deficit
-		for pe, c := range st.counts {
-			if c < target[pe] {
-				deficits = append(deficits, deficit{pe, target[pe] - c})
+			n := min(surplus, target(dst)-counts[dst])
+			if src == p.MyPe() {
+				plan = append(plan, [2]int{dst, n})
 			}
+			surplus -= n
+			counts[dst] += n
 		}
-		plans := make(map[int][][2]int) // src -> list of (dst, n)
-		di := 0
-		for pe, c := range st.counts {
-			surplus := c - target[pe]
-			for surplus > 0 && di < len(deficits) {
-				n := surplus
-				if n > deficits[di].n {
-					n = deficits[di].n
-				}
-				plans[pe] = append(plans[pe], [2]int{deficits[di].pe, n})
-				surplus -= n
-				deficits[di].n -= n
-				if deficits[di].n == 0 {
-					di++
-				}
-			}
-		}
-		// Ship each worker its directive (possibly empty).
-		for pe := 1; pe < p.NumPes(); pe++ {
-			rt.sendRebal(pe, encodePlan(plans[pe]))
-		}
-		// Execute the coordinator's own directive.
-		shipped := rt.executePlan(typeID, plans[0])
-		// Phase 4: wait for acknowledgements, then release everyone.
-		st.dones++ // the coordinator's own
-		p.ServeUntil(func() bool { return st.dones == p.NumPes() })
-		for pe := 1; pe < p.NumPes(); pe++ {
-			rt.sendRebal(pe, []byte{rbGo})
-		}
-		return shipped
 	}
-
-	// Workers: report, await the plan, execute, acknowledge, await go.
-	cnt := make([]byte, 5)
-	cnt[0] = rbCount
-	binary.LittleEndian.PutUint32(cnt[1:], uint32(count))
-	rt.sendRebal(0, cnt)
-	p.ServeUntil(func() bool { return st.havePlan })
-	shipped := rt.executePlan(typeID, decodePlan(st.plan))
-	rt.sendRebal(0, []byte{rbDone})
-	p.ServeUntil(func() bool { return st.released })
+	shipped := rt.executePlan(typeID, plan)
+	p.Barrier()
 	return shipped
 }
 
@@ -151,68 +83,10 @@ func (rt *RT) executePlan(typeID int, plan [][2]int) int {
 	return shipped
 }
 
-// encodePlan serializes a directive.
-func encodePlan(plan [][2]int) []byte {
-	buf := make([]byte, 5+8*len(plan))
-	buf[0] = rbPlan
-	binary.LittleEndian.PutUint32(buf[1:], uint32(len(plan)))
-	for i, pair := range plan {
-		binary.LittleEndian.PutUint32(buf[5+8*i:], uint32(pair[0]))
-		binary.LittleEndian.PutUint32(buf[9+8*i:], uint32(pair[1]))
+// sumCounts is the count vector's combiner: slot-wise u32 addition.
+func sumCounts(a, b []byte) []byte {
+	for i := 0; i < len(a); i += 4 {
+		binary.LittleEndian.PutUint32(a[i:], binary.LittleEndian.Uint32(a[i:])+binary.LittleEndian.Uint32(b[i:]))
 	}
-	return buf
-}
-
-// decodePlan parses a directive body (without the leading tag byte).
-func decodePlan(body []byte) [][2]int {
-	n := int(binary.LittleEndian.Uint32(body))
-	plan := make([][2]int, n)
-	for i := 0; i < n; i++ {
-		plan[i][0] = int(binary.LittleEndian.Uint32(body[4+8*i:]))
-		plan[i][1] = int(binary.LittleEndian.Uint32(body[8+8*i:]))
-	}
-	return plan
-}
-
-// sendRebal ships a rebalance control payload, with the source PE
-// prepended.
-func (rt *RT) sendRebal(dst int, payload []byte) {
-	msg := core.NewMsg(rt.hRebal, 4+len(payload))
-	pl := core.Payload(msg)
-	binary.LittleEndian.PutUint32(pl, uint32(rt.p.MyPe()))
-	copy(pl[4:], payload)
-	rt.p.SyncSendAndFree(dst, msg)
-}
-
-// onRebal processes a rebalance control message. Messages from
-// processors that entered the collective before this one are stashed
-// and replayed when Rebalance starts here.
-func (rt *RT) onRebal(p *core.Proc, msg []byte) {
-	pl := core.Payload(msg)
-	if rt.rebal == nil {
-		rt.rebalPending = append(rt.rebalPending, append([]byte(nil), pl...))
-		return
-	}
-	rt.applyRebal(pl)
-}
-
-// applyRebal applies one control payload to the active collective.
-func (rt *RT) applyRebal(pl []byte) {
-	src := int(binary.LittleEndian.Uint32(pl))
-	body := pl[4:]
-	st := rt.rebal
-	switch body[0] {
-	case rbCount:
-		st.counts[src] = int(binary.LittleEndian.Uint32(body[1:]))
-		st.haveCnt++
-	case rbPlan:
-		st.plan = append([]byte(nil), body[1:]...)
-		st.havePlan = true
-	case rbDone:
-		st.dones++
-	case rbGo:
-		st.released = true
-	default:
-		panic(fmt.Sprintf("charm: pe %d: unknown rebalance tag %d", rt.p.MyPe(), body[0]))
-	}
+	return a
 }

@@ -4,9 +4,10 @@
 // parallel language), PVM, NXLib, and SM").
 //
 // The model is classic SPMD data parallelism: block-distributed vectors
-// with elementwise operations, global reductions and broadcasts (on the
-// core's two-level spanning tree, through the EMI's machine-wide group),
-// cyclic shifts (halo exchange with ring neighbors) and gathers. All
+// with elementwise operations, global reductions, broadcasts and gathers
+// (on the core's two-level spanning tree, the reductions through the
+// EMI's machine-wide group) and cyclic shifts (halo exchange with ring
+// neighbors). All
 // operations on distributed vectors are collective: every processor
 // calls them in the same order, loosely synchronously — the explicit
 // control regime of §2.2.
@@ -251,30 +252,22 @@ func (v *Vector) Shift(k int) *Vector {
 }
 
 // Gather collects the whole vector on the root processor (returned
-// there; nil elsewhere). Collective.
+// there; nil elsewhere): one core reduction of offset-tagged blocks up
+// the two-level tree (Mailbox.Gather). Collective.
 func (v *Vector) Gather() []float64 {
 	d := v.dp
-	tag := d.mb.CollTag()
-	if d.p.MyPe() != 0 {
-		buf := make([]byte, 4+8*len(v.local))
-		binary.LittleEndian.PutUint32(buf, uint32(v.lo))
-		for i, x := range v.local {
-			binary.LittleEndian.PutUint64(buf[4+8*i:], math.Float64bits(x))
-		}
-		d.mb.SendColl(0, tag, buf)
-		return nil
+	var out []float64
+	if d.p.MyPe() == 0 {
+		out = make([]float64, v.n)
 	}
-	out := make([]float64, v.n)
-	copy(out[v.lo:], v.local)
-	got := len(v.local)
-	for got < v.n {
-		buf := d.recv(tag)
-		pos := int(binary.LittleEndian.Uint32(buf))
-		vals := (len(buf) - 4) / 8
-		for i := 0; i < vals; i++ {
-			out[pos+i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[4+8*i:]))
-		}
-		got += vals
+	buf := make([]byte, 8*len(v.local))
+	for i, x := range v.local {
+		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(x))
 	}
+	d.mb.Gather(0, v.lo, buf, func(lo int, data []byte) {
+		for i := range len(data) / 8 {
+			out[lo+i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+		}
+	})
 	return out
 }

@@ -9,9 +9,9 @@
 // wildcards, a Status result, ordered delivery between pairs (inherited
 // from the substrate's non-overtaking links plus FIFO parking), probes,
 // Sendrecv, and the core collectives — Barrier, Bcast, Reduce,
-// Allreduce, Gather. Barrier, Bcast, Reduce and Allreduce run on the
-// core's two-level spanning tree (directly, or through the EMI's
-// machine-wide group), so they follow the node topology. Like PVM and NX
+// Allreduce, Gather. All of them run on the core's two-level spanning
+// tree (directly, or through the EMI's machine-wide group), so they
+// follow the node topology. Like PVM and NX
 // it is a single-process-module layer (§2.1), except that collectives
 // serve the scheduler while they wait, as every core collective does.
 package mpi
@@ -139,19 +139,16 @@ func (m *MPI) Allreduce(contrib int64, op emi.ReduceOp) int64 {
 }
 
 // Gather collects every rank's fixed-size block at the root, ordered by
-// rank (MPI_Gather). Returns the concatenation at root, nil elsewhere.
+// rank (MPI_Gather): one core reduction of rank-tagged records up the
+// two-level tree (Mailbox.Gather). Returns the concatenation at root,
+// nil elsewhere.
 func (m *MPI) Gather(block []byte, root int) []byte {
-	ctag := m.mb.CollTag()
-	if m.Rank() != root {
-		m.mb.SendColl(root, ctag, block)
-		return nil
+	var out []byte
+	if m.Rank() == root {
+		out = make([]byte, len(block)*m.Size())
 	}
-	n := len(block)
-	out := make([]byte, n*m.Size())
-	copy(out[root*n:], block)
-	for i := 0; i < m.Size()-1; i++ {
-		data, src, _ := m.mb.Recv(AnySource, ctag)
-		copy(out[src*n:(src+1)*n], data)
-	}
+	m.mb.Gather(root, m.Rank(), block, func(rank int, data []byte) {
+		copy(out[rank*len(block):], data)
+	})
 	return out
 }

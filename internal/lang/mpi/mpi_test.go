@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"bytes"
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"converse/internal/core"
 	"converse/internal/emi"
 	"converse/internal/metrics"
+	"converse/internal/netmodel"
 )
 
 func newMachine(pes int) *core.Machine {
@@ -259,6 +261,31 @@ func TestGather(t *testing.T) {
 	}
 }
 
+// TestGatherThenRecv: a rank that relays other ranks' Gather records
+// (PE 2 relays PE 3's on 4 nodes × 2 PEs) may enter a receive right
+// after Gather returns, and that receive dispatches no handlers. Gather
+// must not return before the relayed records have gone up, or the root
+// never completes and never sends what the receive waits for.
+func TestGatherThenRecv(t *testing.T) {
+	cm := core.NewMachine(core.Config{PEs: 8, NodeSizes: []int{2, 2, 2, 2}, Watchdog: 15 * time.Second})
+	err := cm.Run(func(p *core.Proc) {
+		m := Attach(p)
+		got := m.Gather([]byte{byte(m.Rank())}, 0)
+		switch m.Rank() {
+		case 0:
+			if len(got) != 8 {
+				t.Errorf("Gather = %v", got)
+			}
+			m.Send([]byte{1}, 2, 7)
+		case 2:
+			m.Recv(make([]byte, 1), 0, 7)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestCollectivesInterleavedWithP2P(t *testing.T) {
 	const pes = 4
 	cm := newMachine(pes)
@@ -335,10 +362,21 @@ func TestCollectivesFollowNodeTopology(t *testing.T) {
 		{"Reduce", func(m *MPI) { m.Reduce(1, OpSum, 5) }, 6},
 		{"Bcast from a node representative", func(m *MPI) { m.Bcast(make([]byte, 16), 0) }, 3},
 		{"Bcast from a non-representative", func(m *MPI) { m.Bcast(make([]byte, 16), 5) }, 3},
+		{"Gather to a node representative", func(m *MPI) { gatherRanks(t, m, 0) }, 3},
+		// The tree is rooted at the root itself, so PE 4 merges into it.
+		{"Gather to a non-representative", func(m *MPI) { gatherRanks(t, m, 5) }, 3},
 	} {
 		if got := interNodeMsgs(t, tc.op); got != tc.want {
 			t.Errorf("%s: %d inter-node messages, want %d", tc.name, got, tc.want)
 		}
+	}
+}
+
+// gatherRanks gathers every rank's number at root and checks the order.
+func gatherRanks(t *testing.T, m *MPI, root int) {
+	got := m.Gather([]byte{byte(m.Rank())}, root)
+	if m.Rank() == root && !bytes.Equal(got, []byte{0, 1, 2, 3, 4, 5, 6, 7}) {
+		t.Errorf("Gather to %d = %v", root, got)
 	}
 }
 
@@ -375,4 +413,66 @@ func TestCollectivesOnNodeMaps(t *testing.T) {
 			t.Fatalf("sizes=%v: %v", sizes, err)
 		}
 	}
+}
+
+// BenchmarkGatherModeled reports the modeled time (netmodel.T3D, virtual
+// µs until the root holds every block) of Gather on the reduction tree
+// ("tree") against the reference of P−1 direct sends to the root
+// ("direct"), across node shapes, roots and block sizes. The model charges no receive-side link
+// contention, so the root takes its P−1 direct arrivals in parallel,
+// while the tree forwards each subtree's records in one message per
+// hop. Run with -benchtime=1x; the figure is in virtual-us.
+func BenchmarkGatherModeled(b *testing.B) {
+	for _, sh := range [][2]int{{8, 1}, {8, 2}, {64, 4}} {
+		pes, ppn := sh[0], sh[1]
+		for _, root := range []int{0, ppn + 1} {
+			for _, block := range []int{8, 256, 4096, 65536} {
+				for _, tree := range []bool{false, true} {
+					name := fmt.Sprintf("pes=%d/ppn=%d/root=%d/block=%d/direct", pes, ppn, root, block)
+					if tree {
+						name = name[:len(name)-len("direct")] + "tree"
+					}
+					b.Run(name, func(b *testing.B) {
+						var us float64
+						for range b.N {
+							us = gatherModeled(b, pes, ppn, root, block, tree)
+						}
+						b.ReportMetric(us, "virtual-us")
+					})
+				}
+			}
+		}
+	}
+}
+
+// gatherModeled runs one Gather of block-byte blocks to root and
+// returns the virtual time at which root has them all.
+func gatherModeled(b *testing.B, pes, ppn, root, block int, tree bool) float64 {
+	sizes := make([]int, pes/ppn)
+	for i := range sizes {
+		sizes[i] = ppn
+	}
+	cm := core.NewMachine(core.Config{PEs: pes, NodeSizes: sizes, Model: netmodel.T3D(), Watchdog: time.Minute})
+	var got int // root only
+	h := cm.RegisterHandler(func(*core.Proc, []byte) { got++ })
+	var us float64
+	err := cm.Run(func(p *core.Proc) {
+		data := make([]byte, block)
+		switch {
+		case tree:
+			Attach(p).Gather(data, root)
+		case p.MyPe() != root:
+			p.SyncSend(root, core.MakeMsg(h, data))
+			return
+		default:
+			p.ServeUntil(func() bool { return got == pes-1 })
+		}
+		if p.MyPe() == root {
+			us = p.TimerUs()
+		}
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return us
 }

@@ -7,6 +7,8 @@ package mnet_test
 
 import (
 	"encoding/binary"
+	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -236,5 +238,58 @@ func TestTreeBroadcastConvergesUnderFailRetry(t *testing.T) {
 	}
 	if recoveries.Load() == 0 {
 		t.Error("no link recoveries recorded; the cut did not exercise the retry path")
+	}
+}
+
+// BenchmarkGatherTCP times mpi.Gather on a real 4-node × 2-PE TCP job
+// (four in-process mnet nodes) by block size and root: each iteration
+// is a Barrier then a Gather, and the root reports the median wall time
+// from its barrier release to Gather's return. It is the wall-clock
+// counterpart of mpi's BenchmarkGatherModeled.
+func BenchmarkGatherTCP(b *testing.B) {
+	sizes := []int{2, 2, 2, 2}
+	const np, pes = 4, 8
+	for _, block := range []int{8, 4096, 65536} {
+		for _, root := range []int{0, 5} {
+			b.Run(fmt.Sprintf("block=%d/root=%d", block, root), func(b *testing.B) {
+				addr, _ := mnet.StartTestJob(b, np, time.Second, 2)
+				lat := make([]time.Duration, b.N) // root only
+				var wg sync.WaitGroup
+				for rank := range np {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						n, err := mnet.Join(mnet.Config{
+							Launcher: addr, Token: mnet.TestToken,
+							Rank: rank, NP: np, PEs: pes, NodeSizes: sizes, Round: 1,
+							Handshake: 10 * time.Second,
+						})
+						if err != nil {
+							b.Error(err)
+							return
+						}
+						cm := core.NewMachineOn(n, core.Config{PEs: pes, Watchdog: 60 * time.Second})
+						if err := cm.Run(func(p *core.Proc) {
+							m := mpi.Attach(p)
+							data := make([]byte, block)
+							for i := range b.N {
+								m.Barrier()
+								t0 := time.Now()
+								m.Gather(data, root)
+								if m.Rank() == root {
+									lat[i] = time.Since(t0)
+								}
+							}
+							m.Barrier()
+						}); err != nil {
+							b.Error(err)
+						}
+					}()
+				}
+				wg.Wait()
+				slices.Sort(lat)
+				b.ReportMetric(float64(lat[len(lat)/2].Nanoseconds())/1e3, "p50-us")
+			})
+		}
 	}
 }

@@ -23,6 +23,7 @@ type Mailbox struct {
 	name   string
 	onPark func(tag int)
 	coll   int // collective tags reserved so far
+	cat    int // the Gather combiner's index
 }
 
 // TagLimit bounds user tags: they lie in [0, TagLimit). Tags from
@@ -45,6 +46,7 @@ func NewMailbox(p *core.Proc, name string, onPark func(tag int)) *Mailbox {
 		// thread blocked in its receive): park it for a later receive.
 		b.park(core.Payload(p.GrabBuffer()))
 	})
+	b.cat = p.RegisterCombiner(concat)
 	return b
 }
 
@@ -104,6 +106,36 @@ func (b *Mailbox) Bcast(root int, data []byte) []byte {
 	data, _, _, _ = b.TryRecv(Wildcard, ctag)
 	return data
 }
+
+// Gather collects one record from every processor on root: each passes
+// its data under a key — its rank, or the offset its block belongs at —
+// and root's place runs once per record, its own included, in no
+// particular order; place is unused elsewhere. The records merge up the
+// core's machine tree, rooted at root, in one ReduceTree: intra-node
+// first, then along the binomial tree of node representatives, each
+// representative forwarding its whole subtree's records in one message.
+// A non-root returns once its subtree's records have gone up.
+// Collective.
+func (b *Mailbox) Gather(root, key int, data []byte, place func(key int, data []byte)) {
+	const recHdr = 8
+	rec := make([]byte, recHdr+len(data))
+	binary.LittleEndian.PutUint32(rec[0:], uint32(key))
+	binary.LittleEndian.PutUint32(rec[4:], uint32(len(data)))
+	copy(rec[recHdr:], data)
+	recs := b.p.ReduceTree(nil, root, b.cat, rec)
+	for len(recs) > 0 {
+		n := recHdr + int(binary.LittleEndian.Uint32(recs[4:]))
+		place(int(binary.LittleEndian.Uint32(recs[0:])), recs[recHdr:n])
+		recs = recs[n:]
+	}
+}
+
+// concat is Gather's combiner: it appends one stream of [key u32][len
+// u32][data] records to another. That is associative, and commutative
+// up to record order — the merged stream holds every record exactly
+// once, in an order that depends on arrival — so the root places records
+// by key, never by position.
+func concat(a, b []byte) []byte { return append(a, b...) }
 
 // Recv blocks until a message matching (src, tag) — either may be
 // Wildcard — is available and returns its data, actual source and

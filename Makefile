@@ -5,7 +5,8 @@
 #   make machine-race  the lock-free machine layer alone under -race
 #   make overhead      zero-allocation gate: the disabled-path
 #                      observability benchmarks and the tcp stream
-#                      benchmark must report zero allocations
+#                      benchmark must report zero allocations; plus a
+#                      footprint gate of 200 KB per tcp node bring-up
 #   make bench         comm fast-path benchmarks; writes BENCH_comm.json
 #   make net-smoke     multi-process smoke: jacobi + quickstart + commbench
 #                      under converserun -np 4 on real TCP sockets
@@ -110,7 +111,10 @@ machine-race:
 # of 256 B between two in-process TCP nodes, plus the ack) holds the
 # tcp send -> pack -> frame -> receive -> unpack -> dispatch path to the
 # same zero, and BenchmarkNetPingPong (one 64 B round trip, a pack of
-# one each way) holds the one-message tcp path there too.
+# one each way) holds the one-message tcp path there too. The footprint
+# leg runs BenchmarkNodeBringUp (a control server, two nodes joined, a
+# 20-round-trip pingpong, close — a small job's whole life) and fails
+# above 200 KB allocated per bring-up.
 overhead:
 	@out=$$($(GO) test ./internal/core/ -run '^$$' \
 		-bench 'DispatchOff|NullTracerOverhead|MetricsEnabled|MetricsDisabled|MonitorIdle' \
@@ -121,7 +125,15 @@ overhead:
 	if echo "$$out" | grep -E ' [1-9][0-9]* allocs/op'; then \
 		echo 'FAIL: observability path allocates when it must not'; exit 1; \
 	fi; \
-	echo 'overhead gate: 0 allocs/op on all instrumented paths'
+	echo 'overhead gate: 0 allocs/op on all instrumented paths'; \
+	out=$$($(GO) test ./internal/mnet/ -run '^$$' -bench 'NodeBringUp' \
+		-benchmem -benchtime 50x) || { echo "$$out"; echo 'FAIL: bring-up benchmark did not run'; exit 1; }; \
+	echo "$$out"; \
+	bop=$$(echo "$$out" | awk '/^BenchmarkNodeBringUp/ { for (i = 2; i < NF; i++) if ($$(i+1) == "B/op") print $$i }'); \
+	if [ -z "$$bop" ] || [ "$$bop" -gt 200000 ]; then \
+		echo "FAIL: a node bring-up allocates $${bop:-?} B, over the 200000 B budget"; exit 1; \
+	fi; \
+	echo "footprint gate: $$bop B per node bring-up (budget 200000)"
 
 # Full benchmark pass: the core micro-benchmarks, the steady-state
 # 0-alloc benchmarks, and the commbench report (BENCH_comm.json).

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -100,17 +101,22 @@ func (ib *Inbox) Put(pkt Packet) {
 // overflowing is drained in step 1, its overflow packets follow in
 // step 2, and anything it sends after the reset lands in the ring for a
 // later refill, after the current pending batch. Per-pair FIFO holds.
+//
+// Step 1 stops at a slot whose producer has claimed it but not yet
+// published, and slots behind it may hold packets already published by
+// producers that have since overflowed. So before taking the overflow,
+// step 2 drains every slot claimed so far, waiting out the claims still
+// being published (a few instructions each; publishing takes no lock).
 func (ib *Inbox) refill() {
-	for {
-		pkt, ok := ib.ring.tryPop()
-		if !ok {
-			break
-		}
-		ib.pending.PushBack(pkt)
-		ib.pendingN.Add(1)
+	for ib.popRing() {
 	}
 	if ib.overflowN.Load() > 0 {
 		ib.mu.Lock()
+		for end := ib.ring.enq.Load(); ib.ring.deq.Load() != end; {
+			if !ib.popRing() {
+				runtime.Gosched()
+			}
+		}
 		for {
 			pkt, ok := ib.overflow.PopFront()
 			if !ok {
@@ -122,6 +128,17 @@ func (ib *Inbox) refill() {
 		ib.overflowN.Store(0)
 		ib.mu.Unlock()
 	}
+}
+
+// popRing moves the ring's oldest packet into pending, reporting
+// whether there was one.
+func (ib *Inbox) popRing() bool {
+	pkt, ok := ib.ring.tryPop()
+	if ok {
+		ib.pending.PushBack(pkt)
+		ib.pendingN.Add(1)
+	}
+	return ok
 }
 
 // TryPop returns the next packet without blocking, refilling the

@@ -19,8 +19,11 @@ type Packet struct {
 
 // ringCapacity is the size of each PE's lock-free inbound ring. Bursts
 // beyond it spill to the mutex-protected overflow queue, so the ring
-// bounds memory without ever dropping or blocking a send.
-const ringCapacity = 1024
+// bounds memory without ever dropping or blocking a send. The ring is
+// allocated up front on every PE, so it is sized to steady traffic
+// (64 slots of 56 B, 3.5 KiB), not to bursts: the overflow deque grows
+// only on the PEs that take one.
+const ringCapacity = 64
 
 // PE is one processing element of a simulated multicomputer. All of its
 // methods except the send family must be called only from the PE's own

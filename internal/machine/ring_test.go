@@ -162,3 +162,87 @@ func TestRecvBatchDrains(t *testing.T) {
 		t.Fatalf("drained %d packets, want 10", total)
 	}
 }
+
+// TestNewInboxFootprint holds the per-PE cost of an idle inbox: every
+// PE of every machine allocates one up front, so the ring is sized to
+// steady traffic and bursts go to the overflow deque.
+func TestNewInboxFootprint(t *testing.T) {
+	const n = 64
+	keep := make([]*Inbox, n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range keep {
+		keep[i] = NewInbox()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per > 8<<10 {
+		t.Fatalf("NewInbox allocates %d B, want at most %d", per, 8<<10)
+	}
+	runtime.KeepAlive(keep)
+}
+
+// TestInboxOverflowCyclesKeepPerProducerFIFO pushes one consumer's
+// inbox from the ring into the overflow deque and back, round after
+// round, with eight producers racing: each round spills (the consumer
+// waits until far more than a ring's worth is queued), the drain runs
+// while producers are still pushing, and the next round must start on
+// the ring again. Per-producer order must hold across every switch.
+func TestInboxOverflowCyclesKeepPerProducerFIFO(t *testing.T) {
+	const (
+		producers = 8
+		rounds    = 40
+		perRound  = ringCapacity // per producer: 8 rings' worth a round
+		total     = producers * perRound
+	)
+	ib := NewInbox()
+	next := make([]uint32, producers)
+	sent := make([]uint32, producers) // sent[p] is producer p's only
+	for r := 0; r < rounds; r++ {
+		// The previous round drained the overflow, so the ring takes
+		// traffic again.
+		ib.Put(Packet{Src: -1})
+		if ib.ring.len() != 1 || ib.overflowN.Load() != 0 {
+			t.Fatalf("round %d: a put after the drain went to the overflow (ring %d, overflow %d)",
+				r, ib.ring.len(), ib.overflowN.Load())
+		}
+		if pkt, ok := ib.TryPop(); !ok || pkt.Src != -1 {
+			t.Fatalf("round %d: marker not popped first", r)
+		}
+		var wg sync.WaitGroup
+		for p := 0; p < producers; p++ {
+			wg.Add(1)
+			go func(p int) {
+				defer wg.Done()
+				for i := 0; i < perRound; i++ {
+					buf := make([]byte, 4)
+					binary.LittleEndian.PutUint32(buf, sent[p])
+					sent[p]++
+					ib.Put(Packet{Src: p, Data: buf})
+				}
+			}(p)
+		}
+		for ib.Len() < total/2 {
+			runtime.Gosched()
+		}
+		if ib.overflowN.Load() == 0 {
+			t.Fatalf("round %d: %d packets queued but none spilled", r, ib.Len())
+		}
+		for got := 0; got < total; {
+			pkt, ok := ib.TryPop()
+			if !ok {
+				runtime.Gosched()
+				continue
+			}
+			seq := binary.LittleEndian.Uint32(pkt.Data)
+			if seq != next[pkt.Src] {
+				t.Fatalf("round %d: producer %d: got seq %d, want %d", r, pkt.Src, seq, next[pkt.Src])
+			}
+			next[pkt.Src]++
+			got++
+		}
+		wg.Wait()
+		if ib.Len() != 0 {
+			t.Fatalf("round %d: %d packets left after the drain", r, ib.Len())
+		}
+	}
+}

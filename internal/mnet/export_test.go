@@ -20,6 +20,16 @@ const TestToken = "mnet-test-token"
 // default of one.
 func StartTestJob(t testing.TB, np int, hb time.Duration, ppn ...int) (addr string, failCh <-chan error) {
 	t.Helper()
+	addr, failCh, stop := OpenTestJob(t, np, hb, ppn...)
+	t.Cleanup(stop)
+	return addr, failCh
+}
+
+// OpenTestJob is StartTestJob with the control server's teardown
+// handed to the caller, for benchmarks that bring a job up and down
+// once per operation.
+func OpenTestJob(t testing.TB, np int, hb time.Duration, ppn ...int) (addr string, failCh <-chan error, stop func()) {
+	t.Helper()
 	ls, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("binding test control port: %v", err)
@@ -41,11 +51,10 @@ func StartTestJob(t testing.TB, np int, hb time.Duration, ppn ...int) (addr stri
 		Fail: func(err error) { once.Do(func() { fc <- err }) },
 	})
 	go cs.Serve(ls)
-	t.Cleanup(func() {
+	return ls.Addr().String(), fc, func() {
 		cs.Shutdown()
 		ls.Close()
-	})
-	return ls.Addr().String(), fc
+	}
 }
 
 // CutLinkForTest severs the established mesh connection to the given

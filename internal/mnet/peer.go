@@ -21,8 +21,20 @@ import (
 const (
 	// linkQueueCap is the per-peer outbound queue depth. A full queue
 	// makes SendOwned block (counted as a backpressure stall) — the wire
-	// analogue of the simulated machine's bounded packet ring.
-	linkQueueCap = 1024
+	// analogue of the simulated machine's bounded packet ring. Most
+	// frames are coalesced packs of up to 4 KiB, so 128 of them still
+	// queue 512 KiB ahead of a slow writer.
+	linkQueueCap = 128
+	// A session's writer starts at linkWriterMin, one maximal 4 KiB
+	// coalesced pack with room to spare, and grows once, to
+	// linkWriterMax, when its traffic needs it (see growWriter).
+	linkWriterMin = 8 << 10
+	linkWriterMax = 64 << 10
+	// linkReaderSize is a session reader's buffer. Frames larger than
+	// what is buffered are read straight from the connection into
+	// their depot buffer, so the size bounds only how many small
+	// frames one read syscall picks up.
+	linkReaderSize = 16 << 10
 	// ringCap bounds the retransmit ring: the frames sent but not yet
 	// cumulatively acked by the peer. A full ring pauses new traffic
 	// (backpressure) while acks, NACK replays, and heartbeats keep
@@ -102,7 +114,7 @@ type peerLink struct {
 
 	txHdr dataHdr // frame header scratch (writeLoop only)
 
-	jitterRng *rand.Rand // recovery-redial backoff jitter
+	jitter jitter // recovery-redial backoff jitter (supervisor only)
 
 	dead atomic.Bool // peer declared down; sends are dropped
 }
@@ -123,7 +135,7 @@ func newPeerLink(n *Node, rank int, conn net.Conn) *peerLink {
 		nackKick:   make(chan struct{}, 1),
 		remoteNack: make(chan uint64, 1),
 		spaceCh:    make(chan struct{}, 1),
-		jitterRng:  rand.New(rand.NewSource(dialSeed(n.cfg.Rank, fmt.Sprintf("peer:%d", rank)))),
+		jitter:     jitter{seed: dialSeed(n.cfg.Rank, fmt.Sprintf("peer:%d", rank))},
 	}
 	if n.inj != nil {
 		pl.inj = n.inj.Link(rank)
@@ -347,7 +359,7 @@ func (pl *peerLink) kick(ch chan struct{}) {
 // heartbeat every interval (piggybacking the cumulative ack) so the
 // peer's reader can tell "quiet" from "dead".
 func (pl *peerLink) writeLoop(conn net.Conn, replay []relFrame, stop <-chan struct{}, errCh chan<- error) {
-	w := bufio.NewWriterSize(conn, 64<<10)
+	w := bufio.NewWriterSize(conn, linkWriterMin)
 	// A frame held back by a reorder fault when the last session died
 	// is in the ring (FailRetry: the replay below covers it) or lost
 	// with the job (FailFast).
@@ -361,7 +373,11 @@ func (pl *peerLink) writeLoop(conn net.Conn, replay []relFrame, stop <-chan stru
 	}
 	if len(replay) > 0 {
 		for _, f := range replay {
-			if err := pl.writeData(w, f, true); err != nil {
+			var err error
+			if w, err = growWriter(w, conn, f.dataMsg); err == nil {
+				err = pl.writeData(w, f, true)
+			}
+			if err != nil {
 				fail(err)
 				return
 			}
@@ -420,7 +436,14 @@ func (pl *peerLink) writeLoop(conn net.Conn, replay []relFrame, stop <-chan stru
 		select {
 		case m := <-pl.out:
 			for {
-				if err := pl.writeData(w, pl.stage(m), false); err != nil {
+				// Stage before anything can fail: under FailRetry a
+				// frame in the retransmit ring survives a dead session.
+				f := pl.stage(m)
+				var err error
+				if w, err = growWriter(w, conn, m); err == nil {
+					err = pl.writeData(w, f, false)
+				}
+				if err != nil {
 					fail(err)
 					return
 				}
@@ -471,6 +494,23 @@ func (pl *peerLink) writeLoop(conn net.Conn, replay []relFrame, stop <-chan stru
 			return
 		}
 	}
+}
+
+// growWriter returns the writer data frame m goes through: w while m
+// fits in what is left of it, or once w is already a linkWriterMax
+// writer; otherwise it flushes w and returns a fresh linkWriterMax
+// writer, which the session keeps from then on. The trigger is the
+// traffic itself — a batch deeper than one pack, or a frame larger
+// than the small buffer — so a link that only ever carries one small
+// frame at a time never pays for the large buffer.
+func growWriter(w *bufio.Writer, conn io.Writer, m dataMsg) (*bufio.Writer, error) {
+	if w.Size() >= linkWriterMax || frameHdrLen+dataHdrLen+len(m.data) <= w.Available() {
+		return w, nil
+	}
+	if err := w.Flush(); err != nil {
+		return w, err
+	}
+	return bufio.NewWriterSize(conn, linkWriterMax), nil
 }
 
 // onTick services the writer's timer: retransmit-timeout recovery first
@@ -633,7 +673,7 @@ func (pl *peerLink) writeHeld(w *bufio.Writer) error {
 // a replay via NACK instead of killing anything.
 func (pl *peerLink) readLoop(conn net.Conn, stop <-chan struct{}, errCh chan<- error) {
 	fr := &frameReader{
-		r:     bufio.NewReaderSize(conn, 64<<10),
+		r:     bufio.NewReaderSize(conn, linkReaderSize),
 		conn:  conn,
 		allow: time.Duration(heartbeatMissFactor) * pl.n.heartbeat(),
 		depot: &pl.n.depot,
@@ -786,7 +826,7 @@ func (pl *peerLink) redial(deadline time.Time) (net.Conn, uint64, error) {
 			conn.Close()
 		}
 		lastErr = err
-		time.Sleep(withJitter(backoff, pl.jitterRng))
+		time.Sleep(pl.jitter.spread(backoff))
 		if backoff *= 2; backoff > backoffCap {
 			backoff = backoffCap
 		}
@@ -875,14 +915,25 @@ func isTimeout(err error) bool {
 	return false
 }
 
-// withJitter spreads d by a uniform random extra of up to d/2 so a full
-// mesh of ranks retrying in lockstep desynchronizes; the seeded rng
-// keeps test runs deterministic.
-func withJitter(d time.Duration, rng *rand.Rand) time.Duration {
-	if rng == nil || d <= 0 {
+// jitter spreads retry sleeps so a full mesh of ranks retrying in
+// lockstep desynchronizes. Its source is seeded (see dialSeed), which
+// keeps test runs deterministic, and is made on the first retry: a
+// seeded math/rand source is ~5 KB and costly to seed, and most dials
+// and links never retry.
+type jitter struct {
+	seed int64
+	rng  *rand.Rand
+}
+
+// spread returns d plus a uniform random extra of up to d/2.
+func (j *jitter) spread(d time.Duration) time.Duration {
+	if d <= 0 {
 		return d
 	}
-	return d + time.Duration(rng.Int63n(int64(d)/2+1))
+	if j.rng == nil {
+		j.rng = rand.New(rand.NewSource(j.seed))
+	}
+	return d + time.Duration(j.rng.Int63n(int64(d)/2+1))
 }
 
 // dialSeed derives a per-(rank, target) jitter seed.
@@ -900,7 +951,7 @@ func dialSeed(rank int, addr string) int64 {
 func dialPeer(n *Node, addr string, deadline time.Time) (net.Conn, error) {
 	backoff := 10 * time.Millisecond
 	const backoffCap = 500 * time.Millisecond
-	rng := rand.New(rand.NewSource(dialSeed(n.cfg.Rank, addr)))
+	jit := jitter{seed: dialSeed(n.cfg.Rank, addr)}
 	for {
 		conn, err := net.DialTimeout("tcp", addr, time.Until(deadline))
 		if err == nil {
@@ -916,7 +967,7 @@ func dialPeer(n *Node, addr string, deadline time.Time) (net.Conn, error) {
 		select {
 		case <-n.stopCh:
 			return nil, fmt.Errorf("mnet: dialing peer %s: node stopped: %w", addr, err)
-		case <-time.After(withJitter(backoff, rng)):
+		case <-time.After(jit.spread(backoff)):
 		}
 		if backoff *= 2; backoff > backoffCap {
 			backoff = backoffCap

@@ -7,7 +7,8 @@ package mnet_test
 // reliability test (FailRetry under a fault plan) and the allocation
 // gate (BenchmarkNetStream, run by `make overhead`). runNodes, the
 // two-node bring-up beneath it, also runs BenchmarkNetPingPong and the
-// coalescing contract tests.
+// coalescing contract tests; runJob, its body, runs
+// BenchmarkNodeBringUp on a fresh control server per operation.
 
 import (
 	"encoding/binary"
@@ -80,16 +81,25 @@ func (sj *streamJob) run(tb testing.TB, hb time.Duration) {
 	})
 }
 
+// nodeProgram registers a job's handlers on one node's machine and
+// returns its PE driver.
+type nodeProgram func(rank int, n *mnet.Node, cm *core.Machine) func(*core.Proc)
+
 // runNodes runs one core program on two in-process nodes of ppn PEs
 // each, failing tb on any node error. adjust (may be nil) changes each
 // node's config before it joins; reg (may be nil) is attached to both
-// nodes; program registers its handlers on a node's machine and
-// returns the PE driver.
-func runNodes(tb testing.TB, ppn int, hb time.Duration, reg *metrics.Registry, adjust func(*mnet.Config),
-	program func(rank int, n *mnet.Node, cm *core.Machine) func(*core.Proc)) {
+// nodes.
+func runNodes(tb testing.TB, ppn int, hb time.Duration, reg *metrics.Registry, adjust func(*mnet.Config), program nodeProgram) {
+	tb.Helper()
+	addr, failCh := mnet.StartTestJob(tb, 2, hb, ppn)
+	runJob(tb, addr, failCh, ppn, hb, reg, adjust, program)
+}
+
+// runJob is runNodes on a control server the caller started.
+func runJob(tb testing.TB, addr string, failCh <-chan error, ppn int, hb time.Duration, reg *metrics.Registry,
+	adjust func(*mnet.Config), program nodeProgram) {
 	tb.Helper()
 	pes := 2 * ppn
-	addr, failCh := mnet.StartTestJob(tb, 2, hb, ppn)
 	var wg sync.WaitGroup
 	errs := make([]error, 2)
 	for rank := 0; rank < 2; rank++ {
@@ -255,16 +265,49 @@ func BenchmarkNetStream(b *testing.B) {
 // reply back, each a pack of one on the coalescing path. Like the
 // stream, the steady state allocates nothing.
 func BenchmarkNetPingPong(b *testing.B) {
-	const (
-		warm  = 500
-		bytes = 64 // whole message, header included
-	)
+	const warm = 500
+	runNodes(b, 1, time.Second, nil, nil, pingPong(warm+b.N, func(i int) {
+		switch i {
+		case warm:
+			b.ReportAllocs()
+			b.ResetTimer()
+		case warm + b.N:
+			b.StopTimer()
+		}
+	}))
+}
+
+// BenchmarkNodeBringUp is the footprint gate on what a small job pays
+// to exist: one op is a fresh control server, two single-PE nodes
+// joined into a mesh, a 20-round-trip pingpong and the close — the
+// shape of a gang-2 service job. `make overhead` fails it above
+// 200 KB/op: per-link buffers and per-PE rings are paid on every
+// bring-up, so they must be sized to the traffic, not to the largest
+// burst a link could see.
+func BenchmarkNodeBringUp(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		addr, failCh, stop := mnet.OpenTestJob(b, 2, time.Second, 1)
+		runJob(b, addr, failCh, 1, time.Second, nil, nil, pingPong(20, nil))
+		stop()
+	}
+}
+
+// pingPong is a two-node program of one PE each: PE 0 sends rounds
+// pings of 64 B to PE 1, waiting for each 64 B pong before the next, so
+// every message is a pack of one on the coalescing path. at (may be
+// nil) is called before round i and after the last, as at(rounds).
+func pingPong(rounds int, at func(i int)) nodeProgram {
+	const bytes = 64 // whole message, header included
 	// pongs has PE 0 as its one writer; stop[pe] has pe.
 	var (
 		pongs int
 		stop  [2]bool
 	)
-	runNodes(b, 1, time.Second, nil, nil, func(_ int, _ *mnet.Node, cm *core.Machine) func(*core.Proc) {
+	if at == nil {
+		at = func(int) {}
+	}
+	return func(_ int, _ *mnet.Node, cm *core.Machine) func(*core.Proc) {
 		var hPing, hPong, hStop int
 		hPing = cm.RegisterHandler(func(p *core.Proc, msg []byte) {
 			pong := p.Alloc(bytes - core.HeaderSize)
@@ -280,19 +323,16 @@ func BenchmarkNetPingPong(b *testing.B) {
 			}
 			want := 0
 			ponged := func() bool { return pongs == want }
-			for i := 0; i < warm+b.N; i++ {
-				if i == warm {
-					b.ReportAllocs()
-					b.ResetTimer()
-				}
+			for i := 0; i < rounds; i++ {
+				at(i)
 				ping := p.Alloc(bytes - core.HeaderSize)
 				core.SetHandler(ping, hPing)
 				p.SyncSendAndFree(1, ping)
 				want++
 				p.ServeUntil(ponged)
 			}
-			b.StopTimer()
+			at(rounds)
 			p.SyncSendAndFree(1, core.MakeMsg(hStop, nil))
 		}
-	})
+	}
 }

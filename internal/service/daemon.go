@@ -103,7 +103,7 @@ type Daemon struct {
 
 	mu    sync.Mutex
 	jobs  map[string]*runningJob // by job ID + attempt (see jobKey)
-	done  []resumeEntry          // finished results not yet confirmed re-registered
+	done  doneRing               // finished results not yet confirmed re-registered
 	epoch int64                  // last gateway epoch seen
 	dead  bool
 
@@ -185,15 +185,15 @@ func (d *Daemon) dialRegister() error {
 	d.epoch = rep.Epoch
 	// The reply means the gateway has folded the resume entries into its
 	// state; the confirmed finished results need no further buffering.
-	if nDone <= len(d.done) {
-		d.done = append(d.done[:0:0], d.done[nDone:]...)
+	if nDone <= d.done.n {
+		d.done.drop(nDone)
 	}
 	// A job that finished between the resume snapshot and this reply was
 	// reported as running and adopted as such; its buffered result would
 	// otherwise wait for a re-register that may never come. Flush the
 	// unconfirmed tail over the fresh session now — the gateway counts
 	// each rank once per attempt, so a duplicate is harmless.
-	late := append([]resumeEntry(nil), d.done...)
+	late := d.done.appendTo(nil)
 	var fenced []*runningJob
 	for _, k := range rep.Kill {
 		if rj := d.jobs[jobKey(k.Job, k.Attempt)]; rj != nil {
@@ -225,8 +225,8 @@ func (d *Daemon) resumeState() ([]resumeEntry, int, int64, string) {
 	for _, rj := range d.jobs {
 		out = append(out, resumeEntry{Job: rj.job, Attempt: rj.attempt, Rank: rj.rank, Running: true})
 	}
-	out = append(out, d.done...)
-	return out, len(d.done), d.epoch, d.name
+	out = d.done.appendTo(out)
+	return out, d.done.n, d.epoch, d.name
 }
 
 // Name is the gateway-assigned daemon name.
@@ -471,14 +471,51 @@ func (d *Daemon) startJob(a assignMsg) {
 // bufferDone appends one finished result to the re-register ring.
 func (d *Daemon) bufferDone(u updateMsg) {
 	d.mu.Lock()
-	d.done = append(d.done, resumeEntry{
+	d.done.push(resumeEntry{
 		Job: u.Job, Attempt: u.Attempt, Rank: u.Rank,
 		OK: u.OK, Error: u.Error, Reason: u.Reason, SentBytes: u.SentBytes,
 	})
-	if len(d.done) > finishedRingCap {
-		d.done = append(d.done[:0:0], d.done[len(d.done)-finishedRingCap:]...)
-	}
 	d.mu.Unlock()
+}
+
+// doneRing holds the newest finishedRingCap finished results, oldest
+// first, in one buffer allocated on the first push: a daemon finishing
+// ranks all day overwrites its oldest entry instead of copying the
+// ring.
+type doneRing struct {
+	buf  []resumeEntry // finishedRingCap entries once used
+	head int           // index of the oldest entry
+	n    int
+}
+
+// push appends e, evicting the oldest entry when the ring is full.
+func (r *doneRing) push(e resumeEntry) {
+	if r.buf == nil {
+		r.buf = make([]resumeEntry, finishedRingCap)
+	}
+	r.buf[(r.head+r.n)%len(r.buf)] = e
+	if r.n < len(r.buf) {
+		r.n++
+	} else {
+		r.head = (r.head + 1) % len(r.buf)
+	}
+}
+
+// appendTo appends the entries to out, oldest first.
+func (r *doneRing) appendTo(out []resumeEntry) []resumeEntry {
+	for i := 0; i < r.n; i++ {
+		out = append(out, r.buf[(r.head+i)%len(r.buf)])
+	}
+	return out
+}
+
+// drop discards the k oldest entries (k <= r.n).
+func (r *doneRing) drop(k int) {
+	for ; k > 0; k-- {
+		r.buf[r.head] = resumeEntry{}
+		r.head = (r.head + 1) % len(r.buf)
+		r.n--
+	}
 }
 
 // jobKey scopes a local job record to one scheduling attempt, so a

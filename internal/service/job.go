@@ -115,7 +115,9 @@ type Job struct {
 	jn *journal
 
 	// log is the job's captured console output; followers are notified
-	// on every append and on terminal transition.
+	// on every append and on terminal transition. The gateway keeps
+	// every job, and most are never followed, so followers is made by
+	// the first follow and dropped again by the last unfollow.
 	log       []logChunk
 	followers map[chan struct{}]struct{}
 }
@@ -126,7 +128,6 @@ func newJob(id, name, workload string, args json.RawMessage, gang int) *Job {
 		id: id, name: name, workload: workload, args: args, gang: gang,
 		state:     Queued,
 		submitted: time.Now(),
-		followers: map[chan struct{}]struct{}{},
 	}
 }
 
@@ -216,6 +217,9 @@ func (j *Job) appendLog(text string, isErr bool) {
 func (j *Job) follow() chan struct{} {
 	ch := make(chan struct{}, 1)
 	j.mu.Lock()
+	if j.followers == nil {
+		j.followers = map[chan struct{}]struct{}{}
+	}
 	j.followers[ch] = struct{}{}
 	j.mu.Unlock()
 	return ch
@@ -224,6 +228,9 @@ func (j *Job) follow() chan struct{} {
 func (j *Job) unfollow(ch chan struct{}) {
 	j.mu.Lock()
 	delete(j.followers, ch)
+	if len(j.followers) == 0 {
+		j.followers = nil
+	}
 	j.mu.Unlock()
 }
 

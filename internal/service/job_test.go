@@ -131,3 +131,61 @@ func TestResetAttemptClearsAccounting(t *testing.T) {
 		t.Errorf("bytes = %d, want cumulative 100", j.bytes)
 	}
 }
+
+// TestDoneRingKeepsNewestInOrder fills a daemon's finished-result ring
+// far past capacity: the resume state must carry the newest
+// finishedRingCap results, oldest first, and buffering one must not
+// allocate once the ring exists.
+func TestDoneRingKeepsNewestInOrder(t *testing.T) {
+	d := &Daemon{}
+	const calls = 1000
+	for i := 0; i < calls; i++ {
+		d.bufferDone(updateMsg{Job: "j", Rank: i})
+	}
+	resume, n, _, _ := d.resumeState()
+	if n != finishedRingCap || len(resume) != finishedRingCap {
+		t.Fatalf("resume holds %d entries (%d finished), want %d", len(resume), n, finishedRingCap)
+	}
+	for i, e := range resume {
+		if want := calls - finishedRingCap + i; e.Rank != want || e.Running {
+			t.Fatalf("entry %d is rank %d (running %v), want finished rank %d", i, e.Rank, e.Running, want)
+		}
+	}
+	// A confirmed register prunes the entries it carried; the rest keep
+	// their order.
+	d.done.drop(250)
+	d.bufferDone(updateMsg{Job: "j", Rank: calls})
+	if got := d.done.appendTo(nil); len(got) != 7 || got[0].Rank != calls-6 || got[6].Rank != calls {
+		t.Fatalf("after pruning 250: %+v", got)
+	}
+	u := updateMsg{Job: "j", Rank: 1}
+	if a := testing.AllocsPerRun(100, func() { d.bufferDone(u) }); a != 0 {
+		t.Fatalf("bufferDone allocates %v times per call, want 0", a)
+	}
+}
+
+// TestFollowersMadeOnDemand: an unfollowed job carries no followers
+// map, and the last unfollow drops it again.
+func TestFollowersMadeOnDemand(t *testing.T) {
+	j := newJob("j1", "n", "pingpong", nil, 2)
+	if j.followers != nil {
+		t.Fatal("a new job allocated its followers map")
+	}
+	a, b := j.follow(), j.follow()
+	j.appendLog("x", false)
+	for _, ch := range []chan struct{}{a, b} {
+		select {
+		case <-ch:
+		default:
+			t.Fatal("a follower was not woken by a log append")
+		}
+	}
+	j.unfollow(a)
+	if len(j.followers) != 1 {
+		t.Fatalf("%d followers after one unfollow, want 1", len(j.followers))
+	}
+	j.unfollow(b)
+	if j.followers != nil {
+		t.Fatal("followers map kept after the last unfollow")
+	}
+}

@@ -366,7 +366,7 @@ func (jn *journal) compact(epoch int64, jobs []persistedJob) {
 		}
 		if err == nil {
 			var sb []byte
-			if sb, err = json.Marshal(jSnapshotRec{Epoch: epoch, Jobs: jobs}); err == nil {
+			if sb, err = encodeSnapshot(epoch, jobs); err == nil {
 				err = wire.WriteFrame(f, jkSnapshot, sb)
 			}
 		}
@@ -403,6 +403,30 @@ func (jn *journal) compact(epoch int64, jobs []persistedJob) {
 		old.Close()
 	}
 	jn.logf("service: journal: compacted to %d jobs", len(jobs))
+}
+
+// encodeSnapshot renders the bytes json.Marshal(jSnapshotRec{epoch,
+// jobs}) would, one job at a time into a local buffer. Marshalling the
+// whole record at once leaves encoding/json's pooled encoder buffer at
+// the snapshot's size, live across GCs until the pool is next cleaned;
+// job-sized encodes keep that buffer small.
+func encodeSnapshot(epoch int64, jobs []persistedJob) ([]byte, error) {
+	b := fmt.Appendf(nil, `{"epoch":%d,"jobs":`, epoch)
+	if jobs == nil {
+		return append(b, "null}"...), nil
+	}
+	b = append(b, '[')
+	for i := range jobs {
+		jb, err := json.Marshal(&jobs[i])
+		if err != nil {
+			return nil, err
+		}
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, jb...)
+	}
+	return append(b, "]}"...), nil
 }
 
 // close stops appends and releases the file. Safe to call twice.

@@ -1,6 +1,8 @@
 package service
 
 import (
+	"bytes"
+	"encoding/json"
 	"math/rand"
 	"os"
 	"strings"
@@ -259,5 +261,46 @@ func TestJournalCompactionPreservesState(t *testing.T) {
 	}
 	if pj := st.byID["new"]; pj == nil || pj.State != string(Queued) {
 		t.Errorf("appended job new = %+v, want queued", st.byID["new"])
+	}
+}
+
+// TestSnapshotEncodingMatchesMarshal holds compaction's job-by-job
+// snapshot encoder to the bytes json.Marshal gives the whole record,
+// for fields that need escaping, raw args, and the empty and nil job
+// lists, and replays a compacted file written with it.
+func TestSnapshotEncodingMatchesMarshal(t *testing.T) {
+	odd := persistedJob{
+		ID: "j\"1\\", Name: "<a&b> \n\t\x01é", Workload: "ping\"pong",
+		Args: json.RawMessage(` { "bytes" : 64, "s": "<x>" } `), Gang: 3, DeadlineMS: 1500,
+		MaxMemMB: 64, State: string(Failed), Err: "rank 1: \"boom\"\n", Reason: "deadline",
+		Requeues: 2, Attempt: 3, Daemons: []string{"w\u00001", "gw"}, Sizes: []int{2, 1},
+		SubmittedMS: 1700000000123,
+	}
+	plain := persistedJob{ID: "j2", Name: "b", Workload: "jacobi", Gang: 1, State: string(Queued)}
+	for _, jobs := range [][]persistedJob{nil, {}, {plain}, {odd, plain, odd}} {
+		want, err := json.Marshal(jSnapshotRec{Epoch: 7, Jobs: jobs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := encodeSnapshot(7, jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%d jobs:\n got %s\nwant %s", len(jobs), got, want)
+		}
+	}
+
+	jn, dir := journalFixture(t)
+	jn.compact(7, []persistedJob{odd, plain})
+	_, st := reopen(t, jn, dir)
+	if st.epoch != 7 || len(st.jobs) != 2 {
+		t.Fatalf("replayed epoch %d with %d jobs, want 7 and 2", st.epoch, len(st.jobs))
+	}
+	got := *st.byID[odd.ID]
+	gb, _ := json.Marshal(got)
+	wb, _ := json.Marshal(odd)
+	if !bytes.Equal(gb, wb) {
+		t.Errorf("replayed job\n got %s\nwant %s", gb, wb)
 	}
 }

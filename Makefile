@@ -7,6 +7,8 @@
 #                      observability benchmarks and the tcp stream
 #                      benchmark must report zero allocations; plus a
 #                      footprint gate of 200 KB per tcp node bring-up
+#                      and a gate of 0.01 gateway connections per
+#                      warm service job
 #   make bench         comm fast-path benchmarks; writes BENCH_comm.json
 #   make net-smoke     multi-process smoke: jacobi + quickstart + commbench
 #                      under converserun -np 4 on real TCP sockets
@@ -114,7 +116,10 @@ machine-race:
 # one each way) holds the one-message tcp path there too. The footprint
 # leg runs BenchmarkNodeBringUp (a control server, two nodes joined, a
 # 20-round-trip pingpong, close — a small job's whole life) and fails
-# above 200 KB allocated per bring-up.
+# above 200 KB allocated per bring-up. The connection leg runs
+# BenchmarkWarmJob (submit, follow logs, status of a gang-2 job on an
+# in-process gateway with two daemons) and fails when a warm client
+# opens more than 0.01 gateway connections per job.
 overhead:
 	@out=$$($(GO) test ./internal/core/ -run '^$$' \
 		-bench 'DispatchOff|NullTracerOverhead|MetricsEnabled|MetricsDisabled|MonitorIdle' \
@@ -133,7 +138,15 @@ overhead:
 	if [ -z "$$bop" ] || [ "$$bop" -gt 200000 ]; then \
 		echo "FAIL: a node bring-up allocates $${bop:-?} B, over the 200000 B budget"; exit 1; \
 	fi; \
-	echo "footprint gate: $$bop B per node bring-up (budget 200000)"
+	echo "footprint gate: $$bop B per node bring-up (budget 200000)"; \
+	out=$$($(GO) test ./internal/service/ -run '^$$' -bench 'WarmJob' \
+		-benchmem -benchtime 50x) || { echo "$$out"; echo 'FAIL: warm-job benchmark did not run'; exit 1; }; \
+	echo "$$out"; \
+	cpo=$$(echo "$$out" | awk '/^BenchmarkWarmJob/ { for (i = 2; i < NF; i++) if ($$(i+1) == "conns/op") print $$i }'); \
+	if [ -z "$$cpo" ] || awk -v c="$$cpo" 'BEGIN { exit !(c > 0.01) }'; then \
+		echo "FAIL: a warm job opens $${cpo:-?} gateway connections, over the 0.01 budget"; exit 1; \
+	fi; \
+	echo "connection gate: $$cpo gateway connections per warm job (budget 0.01)"
 
 # Full benchmark pass: the core micro-benchmarks, the steady-state
 # 0-alloc benchmarks, and the commbench report (BENCH_comm.json).

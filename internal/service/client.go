@@ -8,19 +8,42 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"sync"
 	"time"
 
 	"converse/internal/wire"
 )
 
-// Client is a thin gateway client: one TCP connection per request,
-// mirroring how short-lived tools (converserun -daemon, conversetop
-// -jobs) talk to the service.
+// Client is a thin gateway client. It keeps up to maxIdleConns
+// connections open between requests, so a caller that submits, follows
+// and polls a job opens one connection, not one per request. Each
+// request or log stream holds a connection of its own while it runs, so
+// concurrent callers may share one Client. An idle connection the
+// gateway has closed is noticed before reuse and replaced by a dial; a
+// Client that is dropped leaves its idle connections to the gateway's
+// idle cut.
 type Client struct {
 	// Addr is the gateway address; Token the service auth token.
 	Addr  string
 	Token string
+
+	mu   sync.Mutex
+	idle []idleConn // most recently released last
 }
+
+// idleConn is a connection parked between requests.
+type idleConn struct {
+	conn  net.Conn
+	since time.Time
+}
+
+// A Client parks at most maxIdleConns connections, each for at most
+// clientIdleLimit: well inside the gateway's reqTimeout idle cut, so a
+// request does not race the gateway closing the connection under it.
+const (
+	maxIdleConns    = 2
+	clientIdleLimit = reqTimeout / 2
+)
 
 // connectError marks a failure to reach the gateway at all, as
 // opposed to a reply the gateway chose to send (rejection, bad token):
@@ -42,17 +65,81 @@ func (c *Client) dial() (net.Conn, error) {
 	return conn, nil
 }
 
-// roundTrip dials, sends one request frame, and decodes one reply.
-func (c *Client) roundTrip(kind byte, req, rep any) error {
-	conn, err := c.dial()
+// take returns a connection for one exchange, with one request's
+// deadline: the most recently parked one that is young enough and
+// passes connAlive, else a fresh dial. reused reports which.
+func (c *Client) take() (conn net.Conn, reused bool, err error) {
+	for {
+		c.mu.Lock()
+		n := len(c.idle)
+		if n == 0 {
+			c.mu.Unlock()
+			break
+		}
+		ic := c.idle[n-1]
+		c.idle = c.idle[:n-1]
+		c.mu.Unlock()
+		if time.Since(ic.since) < clientIdleLimit &&
+			ic.conn.SetDeadline(time.Now().Add(reqTimeout)) == nil && connAlive(ic.conn) {
+			return ic.conn, true, nil
+		}
+		ic.conn.Close()
+	}
+	conn, err = c.dial()
+	return conn, false, err
+}
+
+// release parks conn after a completed exchange, or closes it when
+// maxIdleConns are already parked.
+func (c *Client) release(conn net.Conn) {
+	c.mu.Lock()
+	if len(c.idle) < maxIdleConns {
+		c.idle = append(c.idle, idleConn{conn: conn, since: time.Now()})
+		conn = nil
+	}
+	c.mu.Unlock()
+	if conn != nil {
+		conn.Close()
+	}
+}
+
+// exchange runs one request on a parked or fresh connection. serve
+// reports whether the gateway answered at all (sent any frame); a
+// reused connection that failed unanswered may have been cut while
+// parked, so an idempotent request is tried once more on a fresh dial.
+// A submit never is: it may have been admitted before the cut. The
+// connection is parked again only after a clean exchange.
+func (c *Client) exchange(idempotent bool, serve func(net.Conn) (answered bool, err error)) error {
+	conn, reused, err := c.take()
 	if err != nil {
 		return err
 	}
-	defer conn.Close()
-	if err := wire.WriteJSON(conn, kind, req); err != nil {
+	answered, err := serve(conn)
+	if err != nil && reused && !answered && idempotent {
+		conn.Close()
+		if conn, err = c.dial(); err != nil {
+			return err
+		}
+		_, err = serve(conn)
+	}
+	if err != nil {
+		conn.Close()
 		return err
 	}
-	return wire.ReadJSON(conn, kind, kErr, rep)
+	c.release(conn)
+	return nil
+}
+
+// roundTrip sends one request frame and decodes one reply.
+func (c *Client) roundTrip(kind byte, req, rep any) error {
+	return c.exchange(kind != kSubmit, func(conn net.Conn) (bool, error) {
+		if err := wire.WriteJSON(conn, kind, req); err != nil {
+			return false, err
+		}
+		err := wire.ReadJSON(conn, kind, kErr, rep)
+		var remote wire.Error
+		return err == nil || errors.As(err, &remote), err
+	})
 }
 
 // SubmitSpec is one job submission with its resource limits and the
@@ -177,49 +264,52 @@ func (c *Client) ClusterInfo() (ClusterView, error) {
 // whatever the state was at that moment. sink receives text chunks in
 // arrival order (isErr distinguishes the CmiError stream).
 func (c *Client) Logs(id string, follow bool, sink func(text string, isErr bool)) (state string, jobErr string, err error) {
-	conn, err := c.dial()
+	err = c.exchange(true, func(conn net.Conn) (answered bool, err error) {
+		if err := wire.WriteJSON(conn, kLogs, logsMsg{reqHead: c.head(), ID: id, Follow: follow}); err != nil {
+			return false, err
+		}
+		// A followed stream lasts as long as the job: no read deadline.
+		conn.SetReadDeadline(time.Time{})
+		for {
+			k, payload, err := wire.ReadFrame(conn)
+			if err != nil {
+				if err == io.EOF {
+					err = fmt.Errorf("service: log stream ended early")
+				}
+				return answered, err
+			}
+			answered = true
+			switch k {
+			case kLogChunk:
+				var ch logChunk
+				if err := wire.DecodeJSON(k, payload, &ch); err != nil {
+					return true, err
+				}
+				if sink != nil {
+					sink(ch.Text, ch.Err)
+				}
+			case kLogEnd:
+				var end logEndMsg
+				if err := wire.DecodeJSON(k, payload, &end); err != nil {
+					return true, err
+				}
+				state, jobErr = end.State, end.Error
+				return true, nil
+			case kErr:
+				var e wire.Error
+				if err := wire.DecodeJSON(k, payload, &e); err != nil {
+					return true, err
+				}
+				return true, e
+			default:
+				return true, fmt.Errorf("service: unexpected frame kind %d in log stream", k)
+			}
+		}
+	})
 	if err != nil {
 		return "", "", err
 	}
-	defer conn.Close()
-	if err := wire.WriteJSON(conn, kLogs, logsMsg{reqHead: c.head(), ID: id, Follow: follow}); err != nil {
-		return "", "", err
-	}
-	// A followed stream lasts as long as the job: no read deadline.
-	conn.SetReadDeadline(time.Time{})
-	for {
-		k, payload, err := wire.ReadFrame(conn)
-		if err != nil {
-			if err == io.EOF {
-				return "", "", fmt.Errorf("service: log stream ended early")
-			}
-			return "", "", err
-		}
-		switch k {
-		case kLogChunk:
-			var ch logChunk
-			if err := wire.DecodeJSON(k, payload, &ch); err != nil {
-				return "", "", err
-			}
-			if sink != nil {
-				sink(ch.Text, ch.Err)
-			}
-		case kLogEnd:
-			var end logEndMsg
-			if err := wire.DecodeJSON(k, payload, &end); err != nil {
-				return "", "", err
-			}
-			return end.State, end.Error, nil
-		case kErr:
-			var e wire.Error
-			if err := wire.DecodeJSON(k, payload, &e); err != nil {
-				return "", "", err
-			}
-			return "", "", e
-		default:
-			return "", "", fmt.Errorf("service: unexpected frame kind %d in log stream", k)
-		}
-	}
+	return state, jobErr, nil
 }
 
 // WaitJob polls until the job reaches a terminal state or the timeout

@@ -6,6 +6,7 @@ import (
 	"os"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"converse/internal/mnet"
@@ -134,6 +135,13 @@ type Gateway struct {
 	// draining refuses new admissions while running gangs finish.
 	draining bool
 
+	// clients holds every live inbound connection, marked busy while it
+	// serves a request or a daemon session, so Close and Drain can cut
+	// the idle ones at once. accepted counts the connections the
+	// listener took.
+	clients  map[net.Conn]bool
+	accepted atomic.Int64
+
 	schedCh chan struct{} // scheduler doorbell (coalesced)
 	wg      sync.WaitGroup
 }
@@ -186,6 +194,7 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		daemons:  map[string]*daemonSession{},
 		jobs:     map[string]*Job{},
 		attempts: map[string]*jobAttempt{},
+		clients:  map[net.Conn]bool{},
 		schedCh:  make(chan struct{}, 1),
 	}
 	if jn != nil {
@@ -222,7 +231,11 @@ func (g *Gateway) Close() error {
 	for _, at := range g.attempts {
 		atts = append(atts, at)
 	}
+	idle := g.idleClientsLocked()
 	g.mu.Unlock()
+	for _, conn := range idle {
+		conn.Close()
+	}
 	for _, j := range queued {
 		j.setError("gateway shut down")
 		j.transition(Cancelled)
@@ -259,24 +272,66 @@ func (g *Gateway) acceptLoop() {
 		if err != nil {
 			return
 		}
+		g.accepted.Add(1)
 		g.wg.Add(1)
 		go func() { defer g.wg.Done(); g.handleConn(conn) }()
 	}
 }
 
-// handleConn serves one inbound connection: a single client request
-// (one frame in, reply out, close), a logs stream, or a daemon session
-// (persistent after kRegister). Version and token are checked here,
-// once, for every kind, and every handler's error becomes the one kErr
-// reply written here. A handler returns the reply to a single request
-// (sent under the request's kind), or nil once it has served a stream
-// or session itself.
+// setBusy records whether conn is serving a request (busy) or waiting
+// for the next one, and reports false once the gateway is closed: the
+// connection must then go. Close and Drain cut idle connections
+// themselves; a busy one finishes its request and leaves here.
+func (g *Gateway) setBusy(conn net.Conn, busy bool) bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.closed {
+		return false
+	}
+	g.clients[conn] = busy
+	return true
+}
+
+// idleClientsLocked lists the client connections waiting for their
+// next request, for a closing gateway to cut: nothing else ends their
+// wait before reqTimeout. Caller holds mu.
+func (g *Gateway) idleClientsLocked() []net.Conn {
+	var idle []net.Conn
+	for conn, busy := range g.clients {
+		if !busy {
+			idle = append(idle, conn)
+		}
+	}
+	return idle
+}
+
+// handleConn serves one inbound connection: client requests back to
+// back until the client hangs up, reqTimeout passes with no request, or
+// a frame is unreadable or refused; or a daemon session, which a
+// kRegister turns the connection into for good.
 func (g *Gateway) handleConn(conn net.Conn) {
 	defer conn.Close()
+	defer func() {
+		g.mu.Lock()
+		delete(g.clients, conn)
+		g.mu.Unlock()
+	}()
+	for g.setBusy(conn, false) && g.serveRequest(conn) {
+	}
+}
+
+// serveRequest reads and serves one request frame: a single reply, a
+// logs stream, or a daemon session. Version and token are checked here,
+// on every request frame, for every kind, and every handler's error
+// becomes the one kErr reply written here. A handler returns the reply
+// to a single request (sent under the request's kind), or nil once it
+// has served a stream or session itself. It reports whether the
+// connection may carry another request.
+func (g *Gateway) serveRequest(conn net.Conn) bool {
 	conn.SetReadDeadline(time.Now().Add(reqTimeout))
 	k, payload, err := wire.ReadFrame(conn)
-	if err != nil {
-		return
+	if err != nil || !g.setBusy(conn, true) {
+		return false
 	}
 	var serve func(net.Conn, []byte) (any, error)
 	switch k {
@@ -304,16 +359,21 @@ func (g *Gateway) handleConn(conn net.Conn) {
 	if err == nil {
 		err = g.auth(h)
 	}
+	// A frame refused before any handler ran ends the connection: the
+	// stream is not one this gateway will serve.
+	refused := err != nil
 	var reply any
-	if err == nil {
+	if !refused {
 		reply, err = serve(conn, payload)
 	}
+	conn.SetWriteDeadline(time.Now().Add(reqTimeout))
 	switch {
 	case err != nil:
-		wire.WriteJSON(conn, kErr, wire.Error{Text: err.Error()})
+		err = wire.WriteJSON(conn, kErr, wire.Error{Text: err.Error()})
 	case reply != nil:
-		wire.WriteJSON(conn, k, reply)
+		err = wire.WriteJSON(conn, k, reply)
 	}
+	return !refused && err == nil && k != kRegister
 }
 
 // auth validates a request's version and token.
@@ -519,9 +579,12 @@ func (g *Gateway) serveLogs(conn net.Conn, payload []byte) (any, error) {
 	}
 	conn.SetReadDeadline(time.Time{})
 	var ch chan struct{}
+	var recheck *time.Timer
 	if m.Follow {
 		ch = j.follow()
 		defer j.unfollow(ch)
+		recheck = time.NewTimer(time.Second)
+		defer recheck.Stop()
 	}
 	from := 0
 	for {
@@ -538,11 +601,13 @@ func (g *Gateway) serveLogs(conn net.Conn, payload []byte) (any, error) {
 			wire.WriteJSON(conn, kLogEnd, logEndMsg{State: string(st), Error: errText})
 			return nil, nil
 		}
+		// Periodic re-check so a follower of a job cancelled while idle
+		// still terminates promptly. Since go 1.23 a Reset timer never
+		// delivers a stale tick.
+		recheck.Reset(time.Second)
 		select {
 		case <-ch:
-		case <-time.After(time.Second):
-			// Periodic re-check so a follower of a job cancelled while
-			// idle still terminates promptly.
+		case <-recheck.C:
 		}
 	}
 }

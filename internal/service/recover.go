@@ -316,7 +316,11 @@ func (g *Gateway) Drain() error {
 	for _, at := range g.attempts {
 		atts = append(atts, at)
 	}
+	idle := g.idleClientsLocked()
 	g.mu.Unlock()
+	for _, conn := range idle {
+		conn.Close()
+	}
 	// Unfinished attempts lose their control servers but not their
 	// journal state: the daemons keep running them (tolerated control
 	// loss) and the next incarnation re-adopts or requeues.

@@ -12,8 +12,9 @@ import (
 )
 
 // hardStop simulates a gateway crash (SIGKILL): every socket dies at
-// once and nothing is journaled, cancelled, or drained. The journal
-// file is left exactly as the crash would leave it.
+// once — daemon sessions and client connections, idle or busy — and
+// nothing is journaled, cancelled, or drained. The journal file is left
+// exactly as the crash would leave it.
 func hardStop(g *Gateway) {
 	g.mu.Lock()
 	if g.closed {
@@ -24,6 +25,9 @@ func hardStop(g *Gateway) {
 	ds := make([]*daemonSession, 0, len(g.daemons))
 	for _, d := range g.daemons {
 		ds = append(ds, d)
+	}
+	for conn := range g.clients {
+		conn.Close()
 	}
 	atts := make([]*jobAttempt, 0, len(g.attempts))
 	for _, at := range g.attempts {

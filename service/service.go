@@ -28,7 +28,8 @@ type Daemon = service.Daemon
 // Stop or gateway loss.
 func StartDaemon(cfg DaemonConfig) (*Daemon, error) { return service.StartDaemon(cfg) }
 
-// Client is the thin per-request gateway client.
+// Client is the thin gateway client; it keeps a connection open
+// between requests instead of dialing for each one.
 type Client = service.Client
 
 // SubmitSpec is one job submission with its resource limits

@@ -2,9 +2,10 @@
 #
 #   make tier1         vet + build + test (the ROADMAP tier-1 gate)
 #   make race          full test suite under the race detector
-#   make machine-race  the lock-free machine layer alone under -race
+#   make machine-race  the machine layer alone under -race
 #   make overhead      zero-allocation gate: the disabled-path
-#                      observability benchmarks and the tcp stream
+#                      observability benchmarks, the simulated
+#                      steady-state send path and the tcp stream
 #                      benchmark must report zero allocations; plus a
 #                      footprint gate of 200 KB per tcp node bring-up
 #                      and a gate of 0.01 gateway connections per
@@ -99,8 +100,9 @@ fuzz-smoke:
 	$(GO) test ./internal/mnet/ -run '^$$' -fuzz '^FuzzFrameReader$$' -fuzztime 10s -parallel 2
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz '^FuzzReadJSON$$' -fuzztime 10s -parallel 2
 
-# The MPSC inbox ring is the one lock-free structure in the tree; gate
-# it separately so a failure names the layer directly.
+# The machine layer holds the PE inbox every in-process send crosses
+# (many producers, one consumer); gate it separately under -race so a
+# failure names the layer directly.
 machine-race:
 	$(GO) test -race ./internal/machine/...
 
@@ -109,10 +111,12 @@ machine-race:
 # BenchmarkNullTracerOverhead and BenchmarkMetricsEnabled cover the full
 # dispatch path; BenchmarkMetricsDisabled covers the raw hooks;
 # BenchmarkMonitorIdle proves a live but unpolled monitor endpoint is
-# invisible to the scheduler; BenchmarkNetStream (a 64-message window
-# of 256 B between two in-process TCP nodes, plus the ack) holds the
-# tcp send -> pack -> frame -> receive -> unpack -> dispatch path to the
-# same zero, and BenchmarkNetPingPong (one 64 B round trip, a pack of
+# invisible to the scheduler; BenchmarkSendAndFreeSteadyState and its
+# Coalesced twin hold the simulated cross-PE send -> inbox -> receive ->
+# free path to zero (every buffer from and back to the per-PE pool);
+# BenchmarkNetStream (a 64-message window of 256 B between two
+# in-process TCP nodes, plus the ack) holds the tcp send -> pack ->
+# frame -> receive -> unpack -> dispatch path to the same zero, and BenchmarkNetPingPong (one 64 B round trip, a pack of
 # one each way) holds the one-message tcp path there too. The footprint
 # leg runs BenchmarkNodeBringUp (a control server, two nodes joined, a
 # 20-round-trip pingpong, close — a small job's whole life) and fails
@@ -124,6 +128,8 @@ overhead:
 	@out=$$($(GO) test ./internal/core/ -run '^$$' \
 		-bench 'DispatchOff|NullTracerOverhead|MetricsEnabled|MetricsDisabled|MonitorIdle' \
 		-benchmem -benchtime 200000x && \
+		$(GO) test ./internal/bench/ -run '^$$' -bench 'SendAndFreeSteadyState' \
+		-benchmem -benchtime 20000x && \
 		$(GO) test ./internal/mnet/ -run '^$$' -bench 'NetStream|NetPingPong' \
 		-benchmem -benchtime 5000x) || { echo "$$out"; echo 'FAIL: overhead benchmarks did not run'; exit 1; }; \
 	echo "$$out"; \
@@ -149,7 +155,8 @@ overhead:
 	echo "connection gate: $$cpo gateway connections per warm job (budget 0.01)"
 
 # Full benchmark pass: the core micro-benchmarks, the steady-state
-# 0-alloc benchmarks, and the commbench report (BENCH_comm.json).
+# send benchmarks (gated at 0 allocs/op by overhead), and the commbench
+# report (BENCH_comm.json).
 bench:
 	$(GO) test ./internal/core/ -run '^$$' -bench . -benchmem
 	$(GO) test ./internal/bench/ -run '^$$' -bench SendAndFreeSteadyState \

@@ -43,7 +43,8 @@ func TestPingPongCoalesceOverheadBounded(t *testing.T) {
 }
 
 // BenchmarkSendAndFreeSteadyState is the 0 allocs/op gate for the
-// pooled send fast path (run by the Makefile's bench target).
+// pooled send fast path (run, with its Coalesced twin, by the
+// Makefile's overhead target).
 func BenchmarkSendAndFreeSteadyState(b *testing.B) {
 	SteadyStateBench(b, core.CoalesceConfig{})
 }

@@ -144,25 +144,17 @@ type netMsg struct {
 }
 
 // pullNet returns the next inbound network message without blocking,
-// draining the machine-level inbox in whole batches.
+// ingesting machine packets until one yields a message.
 func (p *Proc) pullNet() (netMsg, bool) {
-	if m, ok := p.netq.PopFront(); ok {
-		return m, true
-	}
 	for {
-		n := p.pe.TryRecvBatch(p.rbuf[:])
-		if n == 0 {
-			return netMsg{}, false
-		}
-		for i := 0; i < n; i++ {
-			p.ingest(p.rbuf[i])
-			p.rbuf[i] = machine.Packet{}
-		}
 		if m, ok := p.netq.PopFront(); ok {
 			return m, true
 		}
-		// A batch of empty packs is impossible (packs are only sent
-		// non-empty), but loop for robustness.
+		pkt, ok := p.pe.TryRecv()
+		if !ok {
+			return netMsg{}, false
+		}
+		p.ingest(pkt)
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"converse/internal/machine"
 	"converse/internal/metrics"
 	"converse/internal/queue"
 )
@@ -87,11 +86,9 @@ type Proc struct {
 	q        queue.Sched[[]byte] // the scheduler's queue (pluggable strategies)
 	deferred queue.Deque[[]byte] // network messages set aside by GetSpecificMsg
 
-	// Inbound ingestion: machine packets are drained in batches through
-	// rbuf, split out of coalesced packs, and queued here as Converse
-	// messages (see coalesce.go).
+	// Inbound ingestion: machine packets are split out of coalesced
+	// packs and queued here as Converse messages (see coalesce.go).
 	netq queue.Deque[netMsg]
-	rbuf [32]machine.Packet
 
 	// Outbound coalescing state: per-destination staging packs and the
 	// total count of staged messages (see coalesce.go).

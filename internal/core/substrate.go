@@ -42,9 +42,9 @@ type Substrate interface {
 	AdvanceTo(t float64)
 	// SendOwned transmits data to dst, taking ownership of the slice.
 	SendOwned(dst int, data []byte)
-	// TryRecvBatch fills out with up to len(out) inbound packets
-	// without blocking and returns the count.
-	TryRecvBatch(out []machine.Packet) int
+	// TryRecv returns the oldest inbound packet without blocking;
+	// ok=false means none is waiting.
+	TryRecv() (machine.Packet, bool)
 	// Recv blocks until a packet arrives; ok=false means the machine
 	// stopped while waiting.
 	Recv() (machine.Packet, bool)

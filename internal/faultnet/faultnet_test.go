@@ -177,7 +177,7 @@ func (s *simPE) SendOwned(dst int, data []byte) {
 	s.dst = append(s.dst, dst)
 	s.sent = append(s.sent, data)
 }
-func (s *simPE) TryRecvBatch([]machine.Packet) int { return 0 }
+func (s *simPE) TryRecv() (machine.Packet, bool)   { return machine.Packet{}, false }
 func (s *simPE) Recv() (machine.Packet, bool)      { return machine.Packet{}, false }
 func (s *simPE) Model() machine.CostModel          { return nil }
 func (s *simPE) Printf(string, ...any)             {}

@@ -23,7 +23,7 @@ type Substrate interface {
 	Charge(dt float64)
 	AdvanceTo(t float64)
 	SendOwned(dst int, data []byte)
-	TryRecvBatch(out []machine.Packet) int
+	TryRecv() (machine.Packet, bool)
 	Recv() (machine.Packet, bool)
 	Model() machine.CostModel
 	Printf(format string, args ...any)

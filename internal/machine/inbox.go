@@ -1,60 +1,49 @@
 package machine
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"converse/internal/queue"
 )
 
-// Inbox is a bounded lock-free MPSC inbound packet queue with a
-// mutex-protected overflow behind it — the structure behind every PE's
-// inbound network queue, extracted so any substrate hosting processors
-// in-process can reuse it: the simulated PE and the network machine
-// layer's intra-node delivery path (internal/mnet in nodes×PEs mode)
-// share this one implementation.
+// Inbox is a PE's thread-safe inbound network queue: many producers,
+// one consumer, per-producer FIFO. It is extracted so any substrate
+// hosting processors in-process can reuse it: the simulated PE and the
+// network machine layer's intra-node delivery path (internal/mnet in
+// nodes×PEs mode) share this one implementation.
 //
-// Producers (Put) are any goroutines; the consumer side (TryPop, Pop,
-// and the pending staging they drain into) belongs to exactly one
-// consumer goroutine. Senders touch the mutex only when the ring is
-// full or the consumer is blocked asleep; the consumer drains the ring
-// in whole batches into a consumer-local pending queue, preserving
-// per-producer FIFO order across both paths (see refill).
+// Producers (Put) append to a slice under the inbox mutex. The consumer
+// (TryPop, Pop) swaps that whole slice out under the same mutex and then
+// pops the batch it took with no synchronization, handing the drained
+// batch's backing array back to the producers on the next swap. Every
+// packet enters through one append order, so per-pair FIFO needs no
+// further argument. An atomic count lets an empty poll skip the lock.
 type Inbox struct {
-	ring *packetRing
-
-	// mu guards overflow and the sleep/wake handshake. cond is
-	// signalled by the one producer that claims a sleep's wake, and
+	// mu guards q, sleeping and the parks/wakes counters; cond (on mu)
+	// is signalled by the Put that finds the consumer asleep, and
 	// broadcast by Stop.
-	mu       sync.Mutex
-	cond     *sync.Cond
-	overflow queue.Deque[Packet]
+	mu   sync.Mutex
+	cond sync.Cond
+	q    []Packet
 
-	// parks counts the consumer's sleep announcements and wakes the
-	// producers' claimed wakes (both under mu); a claim consumes an
-	// announcement, so wakes never exceeds parks (stress tests).
+	// sleeping is set by the consumer before it waits in Pop. The Put
+	// that finds it set clears it and signals, inside the critical
+	// section that published its packet, so a wake can be neither lost
+	// nor claimed twice.
+	sleeping bool
+
+	// parks counts the consumer's sleeps and wakes the producers'
+	// signals (both under mu); a signal consumes a sleep, so wakes never
+	// exceeds parks (stress tests).
 	parks, wakes uint64
 
-	// overflowN mirrors overflow.Len() atomically. While nonzero, every
-	// producer routes through the overflow queue (not the ring), so a
-	// producer's packets are never split ring-after-overflow — the
-	// property that keeps per-pair FIFO intact across the fallback.
-	overflowN atomic.Int64
+	// batch[head:] is the consumer's current batch, owned by the
+	// consumer goroutine alone.
+	batch []Packet
+	head  int
 
-	// sleeping is set (under mu) by the consumer before blocking in
-	// Pop. A producer that finds it set after publishing claims the
-	// wake by swapping it back to false, so exactly one producer per
-	// sleep takes the mutex to wake the consumer; the rest see false
-	// and go on without touching mu.
-	sleeping atomic.Bool
-
-	// pending is the consumer-local staging queue: refill moves whole
-	// ring batches (then any overflow) into it; pops take from it with
-	// no synchronization. pendingN mirrors its length for Len readers
-	// on other goroutines.
-	pending  queue.Deque[Packet]
-	pendingN atomic.Int64
+	// n counts every packet not yet popped, queued or batched: Len's
+	// answer, and the lock-free emptiness check of TryPop.
+	n atomic.Int64
 
 	// recvWait is set while the consumer sleeps inside Pop, for
 	// block-state diagnostics.
@@ -63,98 +52,48 @@ type Inbox struct {
 	stopped atomic.Bool
 }
 
-// NewInbox builds an inbox with the standard ring capacity.
+// NewInbox builds an empty inbox. Its queues grow on the first packets,
+// so an idle PE pays only for the struct.
 func NewInbox() *Inbox {
-	ib := &Inbox{ring: newPacketRing(ringCapacity)}
-	ib.cond = sync.NewCond(&ib.mu)
+	ib := &Inbox{}
+	ib.cond.L = &ib.mu
 	return ib
 }
 
-// Put publishes a packet and wakes the consumer if it is blocked. The
-// lock-free ring is the fast path; while any packet sits in overflow,
-// all producers take the overflow path so a single producer's packets
-// cannot be consumed out of order. Safe from any goroutine.
+// Put publishes a packet and wakes the consumer if it is blocked. Safe
+// from any goroutine.
 func (ib *Inbox) Put(pkt Packet) {
-	if ib.overflowN.Load() > 0 || !ib.ring.tryPush(pkt) {
-		ib.mu.Lock()
-		ib.overflow.PushBack(pkt)
-		ib.overflowN.Add(1)
-		ib.mu.Unlock()
-	}
-	// The plain load keeps the common no-sleeper case read-only; the
-	// swap picks the one producer that wakes this sleep. It takes mu
-	// before signalling, and the consumer holds mu from announcing the
-	// sleep until it waits, so the signal cannot fall in between.
-	if ib.sleeping.Load() && ib.sleeping.CompareAndSwap(true, false) {
-		ib.mu.Lock()
+	ib.mu.Lock()
+	ib.q = append(ib.q, pkt)
+	ib.n.Add(1)
+	if ib.sleeping {
+		ib.sleeping = false
 		ib.wakes++
 		ib.cond.Signal()
-		ib.mu.Unlock()
 	}
+	ib.mu.Unlock()
 }
 
-// refill drains the whole ring, then any overflow, into the
-// consumer-local pending queue. Ordering: a producer only uses the ring
-// while the overflow is empty, and overflow is only declared empty
-// (overflowN reset) at the moment its contents move into pending — so
-// for any single producer, everything it put in the ring before
-// overflowing is drained in step 1, its overflow packets follow in
-// step 2, and anything it sends after the reset lands in the ring for a
-// later refill, after the current pending batch. Per-pair FIFO holds.
-//
-// Step 1 stops at a slot whose producer has claimed it but not yet
-// published, and slots behind it may hold packets already published by
-// producers that have since overflowed. So before taking the overflow,
-// step 2 drains every slot claimed so far, waiting out the claims still
-// being published (a few instructions each; publishing takes no lock).
-func (ib *Inbox) refill() {
-	for ib.popRing() {
-	}
-	if ib.overflowN.Load() > 0 {
-		ib.mu.Lock()
-		for end := ib.ring.enq.Load(); ib.ring.deq.Load() != end; {
-			if !ib.popRing() {
-				runtime.Gosched()
-			}
-		}
-		for {
-			pkt, ok := ib.overflow.PopFront()
-			if !ok {
-				break
-			}
-			ib.pending.PushBack(pkt)
-			ib.pendingN.Add(1)
-		}
-		ib.overflowN.Store(0)
-		ib.mu.Unlock()
-	}
-}
-
-// popRing moves the ring's oldest packet into pending, reporting
-// whether there was one.
-func (ib *Inbox) popRing() bool {
-	pkt, ok := ib.ring.tryPop()
-	if ok {
-		ib.pending.PushBack(pkt)
-		ib.pendingN.Add(1)
-	}
-	return ok
-}
-
-// TryPop returns the next packet without blocking, refilling the
-// pending batch from the ring and overflow when it runs dry. Consumer
+// TryPop returns the next packet without blocking, taking the producers'
+// whole queue as the next batch when the current one runs dry. Consumer
 // goroutine only.
 func (ib *Inbox) TryPop() (Packet, bool) {
-	if pkt, ok := ib.pending.PopFront(); ok {
-		ib.pendingN.Add(-1)
-		return pkt, true
+	if ib.head == len(ib.batch) {
+		if ib.n.Load() == 0 {
+			return Packet{}, false
+		}
+		// The spent batch is all popped, so n counts only the queue:
+		// the swap takes at least one packet.
+		clear(ib.batch) // release the payload references
+		ib.mu.Lock()
+		ib.batch, ib.q = ib.q, ib.batch[:0]
+		ib.mu.Unlock()
+		ib.head = 0
 	}
-	ib.refill()
-	pkt, ok := ib.pending.PopFront()
-	if ok {
-		ib.pendingN.Add(-1)
-	}
-	return pkt, ok
+	pkt := ib.batch[ib.head]
+	ib.head++
+	ib.n.Add(-1)
+	return pkt, true
 }
 
 // Pop blocks until a packet is available and returns it. It returns
@@ -166,36 +105,25 @@ func (ib *Inbox) Pop() (Packet, bool) {
 			return pkt, true
 		}
 		ib.mu.Lock()
-		ib.sleeping.Store(true)
-		ib.parks++
-		// Recheck after announcing sleep: a producer that published
-		// before seeing sleeping=true is visible here (seq-cst
-		// ordering), so the wakeup cannot be lost. A producer that
-		// claimed an earlier sleep's wake but has not signalled yet
-		// only causes a spurious wake, after which the loop rechecks.
-		if ib.ring.len() > 0 || ib.overflow.Len() > 0 {
-			ib.sleeping.Store(false)
-			ib.mu.Unlock()
-			continue
+		for len(ib.q) == 0 && !ib.stopped.Load() {
+			ib.sleeping = true
+			ib.parks++
+			ib.recvWait.Store(true)
+			ib.cond.Wait()
+			ib.recvWait.Store(false)
 		}
-		if ib.stopped.Load() {
-			ib.sleeping.Store(false)
-			ib.mu.Unlock()
+		ib.sleeping = false
+		empty := len(ib.q) == 0
+		ib.mu.Unlock()
+		if empty {
 			return Packet{}, false
 		}
-		ib.recvWait.Store(true)
-		ib.cond.Wait()
-		ib.recvWait.Store(false)
-		ib.sleeping.Store(false)
-		ib.mu.Unlock()
 	}
 }
 
 // Len reports the number of packets waiting. Safe from any goroutine;
 // under concurrent traffic the count is a point-in-time approximation.
-func (ib *Inbox) Len() int {
-	return ib.ring.len() + int(ib.overflowN.Load()) + int(ib.pendingN.Load())
-}
+func (ib *Inbox) Len() int { return int(ib.n.Load()) }
 
 // Stop unblocks a consumer waiting in Pop (ok=false). Idempotent, safe
 // from any goroutine. Packets already queued remain poppable via

@@ -6,7 +6,7 @@ import (
 
 // Packet is a block of bytes in flight between two PEs, the machine-level
 // carrier of a Converse generalized message. Packets travel by value
-// through the inbound ring so the steady-state receive path performs no
+// through the inbound queue so the steady-state receive path performs no
 // allocation.
 type Packet struct {
 	Src, Dst int
@@ -17,24 +17,15 @@ type Packet struct {
 	Arrive float64
 }
 
-// ringCapacity is the size of each PE's lock-free inbound ring. Bursts
-// beyond it spill to the mutex-protected overflow queue, so the ring
-// bounds memory without ever dropping or blocking a send. The ring is
-// allocated up front on every PE, so it is sized to steady traffic
-// (64 slots of 56 B, 3.5 KiB), not to bursts: the overflow deque grows
-// only on the PEs that take one.
-const ringCapacity = 64
-
 // PE is one processing element of a simulated multicomputer. All of its
 // methods except the send family must be called only from the PE's own
 // driver goroutine (or a context hand-off chain rooted in it); the send
 // family may be called by any PE targeting this one.
 //
-// The inbound queue is an Inbox: a bounded lock-free MPSC ring (the
-// fast path) with a mutex-protected overflow deque behind it. Senders
-// touch a mutex only when the ring is full or the receiver is blocked
-// asleep; the receiver drains the ring in whole batches, preserving
-// per-sender FIFO order across both paths (see Inbox).
+// The inbound queue is an Inbox: senders append under its mutex, and
+// the receiver takes everything queued as one batch and pops it without
+// locking, so per-sender FIFO follows from the single append order (see
+// Inbox).
 type PE struct {
 	id int
 	m  *Machine
@@ -179,24 +170,6 @@ func (pe *PE) TryRecv() (Packet, bool) {
 	}
 	pe.arrived(&pkt)
 	return pkt, true
-}
-
-// TryRecvBatch fills out with up to len(out) inbound packets and
-// returns the count, performing the per-packet receive accounting for
-// each. It is the batch form deliverFromNetwork-style loops use: one
-// refill drains the whole ring pass.
-func (pe *PE) TryRecvBatch(out []Packet) int {
-	n := 0
-	for n < len(out) {
-		pkt, ok := pe.inbox.TryPop()
-		if !ok {
-			break
-		}
-		pe.arrived(&pkt)
-		out[n] = pkt
-		n++
-	}
-	return n
 }
 
 // Recv blocks until a packet is available and returns it. It returns

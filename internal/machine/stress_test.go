@@ -140,10 +140,9 @@ func TestSendOwnedNoCopy(t *testing.T) {
 // TestInboxWakeNoLostWakeup drives one Inbox with many producers and a
 // consumer that parks whenever it runs dry. Every packet must arrive
 // once, in per-producer order, with no wakeup lost (the watchdog
-// timer), and the wake path — taking the mutex to signal — may be
-// entered at most once per sleep the consumer announced: producers
-// that publish while a wake is already claimed must not pile onto the
-// mutex.
+// timer), and each sleep the consumer announced may be signalled at
+// most once: producers that publish after the first one woke it must
+// not signal again.
 func TestInboxWakeNoLostWakeup(t *testing.T) {
 	const producers = 8
 	const per = 20000

@@ -137,7 +137,7 @@ func TestNodesExchangeData(t *testing.T) {
 	}
 }
 
-func TestTryRecvBatchDrainsInbox(t *testing.T) {
+func TestTryRecvDrainsInbox(t *testing.T) {
 	const np = 2
 	addr, _ := StartTestJob(t, np, time.Second)
 	nodes := joinAll(t, addr, np, np, 1, time.Second)
@@ -149,18 +149,16 @@ func TestTryRecvBatchDrainsInbox(t *testing.T) {
 	}
 	got := 0
 	deadline := time.Now().Add(5 * time.Second)
-	var buf [8]machine.Packet
 	for got < msgs && time.Now().Before(deadline) {
-		k := nodes[1].lpes[0].TryRecvBatch(buf[:])
-		for _, pkt := range buf[:k] {
-			if pkt.Data[0] != byte(got) {
-				t.Fatalf("message %d arrived out of order (got payload %d)", got, pkt.Data[0])
-			}
-			got++
-		}
-		if k == 0 {
+		pkt, ok := nodes[1].lpes[0].TryRecv()
+		if !ok {
 			time.Sleep(time.Millisecond)
+			continue
 		}
+		if pkt.Data[0] != byte(got) {
+			t.Fatalf("message %d arrived out of order (got payload %d)", got, pkt.Data[0])
+		}
+		got++
 	}
 	if got != msgs {
 		t.Fatalf("drained %d messages, want %d", got, msgs)
@@ -383,8 +381,7 @@ func TestBadRouteFailsJob(t *testing.T) {
 	case <-time.After(limit):
 		t.Fatalf("launcher saw no job failure within %v", limit)
 	}
-	var buf [1]machine.Packet
-	if k := nodes[1].lpes[0].TryRecvBatch(buf[:]); k != 0 {
-		t.Errorf("misrouted message delivered: %q", buf[0].Data)
+	if pkt, ok := nodes[1].lpes[0].TryRecv(); ok {
+		t.Errorf("misrouted message delivered: %q", pkt.Data)
 	}
 }

@@ -9,8 +9,8 @@ import (
 
 // NodePE is one of the PEs a worker process hosts: the TCP machine
 // layer's only Substrate, satisfying internal/core's interface exactly
-// like the simulated machine.PE does. Each NodePE owns a lock-free MPSC
-// inbox (machine.Inbox); messages between two PEs of the same node move
+// like the simulated machine.PE does. Each NodePE owns an MPSC inbox
+// (machine.Inbox); messages between two PEs of the same node move
 // by pointer handoff through it — zero copies, never the wire — while
 // messages to other nodes go out on the destination node's link as
 // routed data frames. The node's lifecycle (rendezvous, failure,
@@ -89,8 +89,8 @@ func (s *NodePE) SendOwned(dst int, data []byte) {
 	pl.send(dataMsg{src: uint32(s.pe), dst: uint32(dst), data: data})
 }
 
-// deliverLocal publishes one packet into a local PE's inbox (lock-free
-// MPSC fast path; wakes the PE if it is blocked in Recv). dst is on this
+// deliverLocal publishes one packet into a local PE's inbox (one append
+// under the inbox mutex; wakes the PE if it is blocked in Recv). dst is on this
 // node: SendOwned routed it here, or decodeData checked the frame's
 // route.
 func (n *Node) deliverLocal(src, dst int, data []byte) {
@@ -105,20 +105,9 @@ func (s *NodePE) Inject(data []byte) {
 	s.inbox.Put(machine.Packet{Src: s.pe, Dst: s.pe, Data: data, Arrive: 0})
 }
 
-// TryRecvBatch fills out with up to len(out) pending packets without
-// blocking and returns the count.
-func (s *NodePE) TryRecvBatch(out []machine.Packet) int {
-	k := 0
-	for k < len(out) {
-		pkt, ok := s.inbox.TryPop()
-		if !ok {
-			break
-		}
-		out[k] = pkt
-		k++
-	}
-	return k
-}
+// TryRecv returns the oldest pending packet without blocking; ok=false
+// means the inbox is empty.
+func (s *NodePE) TryRecv() (machine.Packet, bool) { return s.inbox.TryPop() }
 
 // Recv blocks until a packet arrives; ok=false means the node stopped.
 func (s *NodePE) Recv() (machine.Packet, bool) { return s.inbox.Pop() }

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -143,8 +144,15 @@ type Gateway struct {
 	accepted atomic.Int64
 
 	schedCh chan struct{} // scheduler doorbell (coalesced)
-	wg      sync.WaitGroup
+	// done is closed once, by Close or Drain. It ends every followed
+	// log stream, which would otherwise hold wg until its job ends.
+	done chan struct{}
+	wg   sync.WaitGroup
 }
+
+// errShuttingDown refuses work, and ends log streams, once the gateway
+// is closing.
+var errShuttingDown = errors.New("service: gateway is shutting down")
 
 // NewGateway binds and starts a gateway.
 func NewGateway(cfg GatewayConfig) (*Gateway, error) {
@@ -196,6 +204,7 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		attempts: map[string]*jobAttempt{},
 		clients:  map[net.Conn]bool{},
 		schedCh:  make(chan struct{}, 1),
+		done:     make(chan struct{}),
 	}
 	if jn != nil {
 		g.epoch = st.epoch + 1
@@ -248,6 +257,7 @@ func (g *Gateway) Close() error {
 	for _, d := range ds {
 		d.conn.Close()
 	}
+	close(g.done) // after the cancels: a follower of a cancelled job gets its end
 	err := g.ls.Close()
 	g.kick()
 	g.wg.Wait()
@@ -424,7 +434,7 @@ func (g *Gateway) submit(m submitMsg) (string, error) {
 	g.mu.Lock()
 	if g.closed {
 		g.mu.Unlock()
-		return "", fmt.Errorf("service: gateway is shutting down")
+		return "", errShuttingDown
 	}
 	if g.draining {
 		g.mu.Unlock()
@@ -567,7 +577,8 @@ func (g *Gateway) serveCluster(net.Conn, []byte) (any, error) {
 }
 
 // serveLogs streams a job's console output: the backlog first, then —
-// under Follow — new chunks until the job is terminal.
+// under Follow — new chunks until the job is terminal or the gateway
+// closes (the stream then ends with errShuttingDown).
 func (g *Gateway) serveLogs(conn net.Conn, payload []byte) (any, error) {
 	var m logsMsg
 	if err := wire.DecodeJSON(kLogs, payload, &m); err != nil {
@@ -587,7 +598,7 @@ func (g *Gateway) serveLogs(conn net.Conn, payload []byte) (any, error) {
 		defer recheck.Stop()
 	}
 	from := 0
-	for {
+	for shutdown := false; ; {
 		chunks, next, st, errText := j.logsFrom(from)
 		from = next
 		for _, c := range chunks {
@@ -601,6 +612,9 @@ func (g *Gateway) serveLogs(conn net.Conn, payload []byte) (any, error) {
 			wire.WriteJSON(conn, kLogEnd, logEndMsg{State: string(st), Error: errText})
 			return nil, nil
 		}
+		if shutdown {
+			return nil, errShuttingDown
+		}
 		// Periodic re-check so a follower of a job cancelled while idle
 		// still terminates promptly. Since go 1.23 a Reset timer never
 		// delivers a stale tick.
@@ -608,6 +622,8 @@ func (g *Gateway) serveLogs(conn net.Conn, payload []byte) (any, error) {
 		select {
 		case <-ch:
 		case <-recheck.C:
+		case <-g.done:
+			shutdown = true // one more pass sends what the job logged meanwhile
 		}
 	}
 }

@@ -338,6 +338,7 @@ func (g *Gateway) Drain() error {
 	for _, d := range ds {
 		d.conn.Close()
 	}
+	close(g.done)
 	err := g.ls.Close()
 	g.kick()
 	g.wg.Wait()

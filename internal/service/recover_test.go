@@ -48,6 +48,7 @@ func hardStop(g *Gateway) {
 	for _, d := range ds {
 		d.conn.Close()
 	}
+	close(g.done)
 	g.ls.Close()
 	g.kick()
 	g.wg.Wait()
@@ -355,6 +356,75 @@ func TestGatewayDrainJournalsCleanShutdown(t *testing.T) {
 	}
 	if states["held"] != string(Running) {
 		t.Errorf("running job handed over as %q, want running (unfinished at drain timeout)", states["held"])
+	}
+}
+
+// TestDrainEndsLogFollowers follows a long job's logs while a
+// journaling gateway drains. Drain leaves the job running for the next
+// incarnation, so nothing ends the follow but the gateway itself: the
+// stream must end with the shutdown error, and Drain must return once
+// its timeout is out instead of waiting for the job.
+func TestDrainEndsLogFollowers(t *testing.T) {
+	const drainTimeout = 300 * time.Millisecond
+	g, err := NewGateway(GatewayConfig{
+		Addr: "127.0.0.1:0", Token: "rec", StateDir: t.TempDir(),
+		Heartbeat: 100 * time.Millisecond, DrainTimeout: drainTimeout,
+		RecoveryWindow: 30 * time.Second, Logf: t.Logf,
+	})
+	if err != nil {
+		t.Fatalf("starting gateway: %v", err)
+	}
+	d, err := StartDaemon(DaemonConfig{Gateway: g.Addr(), Token: "rec", Name: "followed", Slots: 2})
+	if err != nil {
+		t.Fatalf("starting daemon: %v", err)
+	}
+	defer d.Stop()
+	c := &Client{Addr: g.Addr(), Token: "rec"}
+	id, err := c.Submit("held", "pingpong", map[string]int{"iters": recHeldIters, "bytes": 64}, 2)
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	waitState(t, c, id, string(Running), 10*time.Second)
+
+	logsDone := make(chan error, 1)
+	go func() {
+		_, _, err := c.Logs(id, true, nil)
+		logsDone <- err
+	}()
+	g.mu.Lock()
+	j := g.jobs[id]
+	g.mu.Unlock()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		j.mu.Lock()
+		following := len(j.followers) > 0
+		j.mu.Unlock()
+		if following {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the log follower never registered")
+		}
+	}
+
+	drained := make(chan error, 1)
+	go func() { drained <- g.Drain() }()
+	const slack = 3 * time.Second
+	select {
+	case err := <-drained:
+		if err != nil {
+			t.Fatalf("drain: %v", err)
+		}
+	case <-time.After(drainTimeout + slack):
+		t.Fatalf("Drain still blocked %v after it started (drain timeout %v): a log follower holds the gateway",
+			drainTimeout+slack, drainTimeout)
+	}
+	select {
+	case err := <-logsDone:
+		if err == nil || !strings.Contains(err.Error(), "shutting down") {
+			t.Errorf("followed stream ended with %v, want the gateway-shutting-down error", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("followed stream still open after the gateway drained")
 	}
 }
 

@@ -381,7 +381,7 @@ func (g *Gateway) serveDaemon(conn net.Conn, payload []byte) (any, error) {
 	g.mu.Lock()
 	if g.closed {
 		g.mu.Unlock()
-		return nil, fmt.Errorf("service: gateway is shutting down")
+		return nil, errShuttingDown
 	}
 	if d.name == "" {
 		d.name = newID("d")

@@ -90,7 +90,8 @@ msgcheck-test:
 # Fuzz smoke: `go test` runs each fuzzer's seed corpus only; this runs
 # every decoder that reads bytes from a socket (the coalesced pack
 # unpacker, the mnet frame, data-payload and stream-reader decoders, and
-# the shared JSON request/reply reader) under the fuzzing engine for a
+# the shared JSON request/reply reader), plus the gateway's journal
+# replay over torn and garbage tails, under the fuzzing engine for a
 # short fixed time. A crasher fails the target and is saved under the
 # package's testdata/fuzz for replay.
 fuzz-smoke:
@@ -99,6 +100,7 @@ fuzz-smoke:
 	$(GO) test ./internal/mnet/ -run '^$$' -fuzz '^FuzzDataPayload$$' -fuzztime 10s -parallel 2
 	$(GO) test ./internal/mnet/ -run '^$$' -fuzz '^FuzzFrameReader$$' -fuzztime 10s -parallel 2
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz '^FuzzReadJSON$$' -fuzztime 10s -parallel 2
+	$(GO) test ./internal/service/ -run '^$$' -fuzz '^FuzzJournalReplay$$' -fuzztime 10s -parallel 2
 
 # The machine layer holds the PE inbox every in-process send crosses
 # (many producers, one consumer); gate it separately under -race so a

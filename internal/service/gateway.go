@@ -53,88 +53,84 @@ type GatewayConfig struct {
 	Logf func(format string, args ...any)
 }
 
-// daemonSession is one registered daemon's persistent control session.
+// daemonSession is one registered daemon's persistent control session;
+// its slots and load live in the core's roster under the same name.
 type daemonSession struct {
-	name  string
-	slots int
-	busy  int
-	live  bool
+	name string
+	conn net.Conn
 	// advertise is the daemon's cross-host-reachable mesh address (empty
 	// for loopback-only clusters); echoed into its assignments.
 	advertise string
-	// draining means the daemon asked to leave: it keeps its gangs but
-	// gets no new placements.
-	draining bool
-
-	conn    net.Conn
+	// ready is closed once the register reply is written: the reply must
+	// be the session's first frame, so every other send waits for it.
+	ready   chan struct{}
 	writeMu sync.Mutex
 }
 
 // send frames one message to the daemon; write errors surface through
 // the session reader's next read, which owns the loss handling.
 func (d *daemonSession) send(kind byte, msg any) error {
+	<-d.ready
 	d.writeMu.Lock()
 	defer d.writeMu.Unlock()
 	d.conn.SetWriteDeadline(time.Now().Add(reqTimeout))
 	return wire.WriteJSON(d.conn, kind, msg)
 }
 
-// jobAttempt is the gateway-side state of one scheduled gang attempt:
-// the job's private control server plus its rank->daemon placement.
-type jobAttempt struct {
-	job *Job
-	// seq numbers the job's attempts; rank updates must echo it, so a
-	// straggler from a drained attempt can't finalize its requeue.
-	seq     int
-	cs      *mnet.ControlServer
-	ls      net.Listener
-	token   string
-	daemons []*daemonSession // by rank; nil slots on a recovered stand-in
-	sizes   []int            // PEs per rank
-	wdog    *time.Timer
-	// ranks is the gang's rank count: len(daemons) for a live placement,
-	// but recorded separately because a recovered stand-in starts with
-	// nil daemon slots.
-	ranks int
-	// reported dedups rank updates: synthesized loss reports (daemon
-	// death, recovery expiry) and real resumed updates may race for the
-	// same rank, and each rank must count exactly once. Guarded by g.mu.
-	reported []bool
-	// recovered marks a stand-in attempt rebuilt from the journal after
-	// a restart: no control server, daemons filled in (adopted) as they
-	// re-register. adopted is guarded by g.mu.
-	recovered bool
-	adopted   []bool
+// attemptIO is the shell's side of one attempt: the job's private
+// control server and listener (none for a recovered stand-in) and its
+// watchdog.
+type attemptIO struct {
+	seq  int
+	cs   *mnet.ControlServer
+	ls   net.Listener
+	wdog *time.Timer
+}
+
+// jobLog is one job's captured console output and its live followers,
+// signalled (coalesced) on every append and on the terminal transition.
+// Most jobs are never followed, so followers is made by the first
+// follow and dropped by the last unfollow.
+type jobLog struct {
+	chunks    []logChunk
+	followers map[chan struct{}]struct{}
+}
+
+func (l *jobLog) wake() {
+	if l == nil {
+		return
+	}
+	for ch := range l.followers {
+		select {
+		case ch <- struct{}{}:
+		default:
+		}
+	}
 }
 
 // Gateway accepts jobs, admits them against a bounded backlog,
 // gang-schedules admitted jobs onto registered daemons, captures their
-// console output, and requeues gangs orphaned by daemon loss.
+// console output, and requeues gangs orphaned by daemon loss. It is the
+// shell around the core (fleet): every decision is a core event, and
+// the gateway only moves bytes, timers and the journal.
 type Gateway struct {
 	cfg GatewayConfig
 	ls  net.Listener
+	// jn is the lifecycle journal (nil without StateDir).
+	jn *journal
 
-	// jn is the lifecycle journal (nil without StateDir); epoch is this
-	// gateway incarnation's number, fixed at start — updates stamped
-	// with another epoch are fenced off as stragglers of a previous
-	// life.
-	jn    *journal
-	epoch int64
-
+	// mu guards the core and everything below, and serialises journal
+	// appends in the order the core applied the records.
 	mu       sync.Mutex
-	daemons  map[string]*daemonSession
-	jobs     map[string]*Job
-	order    []string // job IDs in submit order, for listing
-	queue    []*Job   // admission queue, FIFO with backfill
-	attempts map[string]*jobAttempt
+	f        *fleet
+	sessions map[string]*daemonSession
+	io       map[string]*attemptIO // by job
+	logs     map[string]*jobLog    // by job, made by the first chunk or follow
 	closed   bool
-	// recovering is the post-restart reconciliation window: daemons may
-	// still re-register and hand running gangs back, so capacity checks
-	// are suspended and recovered attempts wait before requeueing.
-	recovering   bool
+	// recoverTimer ends the post-restart reconciliation window.
 	recoverTimer *time.Timer
-	// draining refuses new admissions while running gangs finish.
-	draining bool
+	// idle, while a Drain waits, is closed once no attempt is left.
+	idle chan struct{}
 
 	// clients holds every live inbound connection, marked busy while it
 	// serves a request or a daemon session, so Close and Drain can cut
@@ -143,9 +139,8 @@ type Gateway struct {
 	clients  map[net.Conn]bool
 	accepted atomic.Int64
 
-	schedCh chan struct{} // scheduler doorbell (coalesced)
-	// done is closed once, by Close or Drain. It ends every followed
-	// log stream, which would otherwise hold wg until its job ends.
+	// done is closed once, by the teardown. It ends every followed log
+	// stream, which would otherwise hold wg until its job ends.
 	done chan struct{}
 	wg   sync.WaitGroup
 }
@@ -179,41 +174,37 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 			fmt.Fprintf(os.Stderr, "conversed: "+format+"\n", args...)
 		}
 	}
+	f := newFleet()
 	var jn *journal
-	var st *replayed
 	if cfg.StateDir != "" {
 		var err error
-		jn, st, err = openJournal(cfg.StateDir, cfg.Logf)
-		if err != nil {
+		if jn, f, err = openJournal(cfg.StateDir, cfg.Logf); err != nil {
 			return nil, err
 		}
 	}
+	f.maxRequeues, f.backlogCap = cfg.MaxRequeues, cfg.BacklogCap
+	f.watchdog, f.recoveryWindow = cfg.JobWatchdog, cfg.RecoveryWindow
 	ls, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {
-		if jn != nil {
-			jn.close()
-		}
+		jn.close()
 		return nil, fmt.Errorf("service: binding gateway %s: %w", cfg.Addr, err)
 	}
 	g := &Gateway{
 		cfg:      cfg,
 		ls:       ls,
 		jn:       jn,
-		daemons:  map[string]*daemonSession{},
-		jobs:     map[string]*Job{},
-		attempts: map[string]*jobAttempt{},
+		f:        f,
+		sessions: map[string]*daemonSession{},
+		io:       map[string]*attemptIO{},
+		logs:     map[string]*jobLog{},
 		clients:  map[net.Conn]bool{},
-		schedCh:  make(chan struct{}, 1),
 		done:     make(chan struct{}),
 	}
 	if jn != nil {
-		g.epoch = st.epoch + 1
-		jn.epochStart(g.epoch)
-		g.restore(st)
+		g.step(func(f *fleet, now time.Time) { f.boot(now) })
 	}
-	g.wg.Add(2)
+	g.wg.Add(1)
 	go func() { defer g.wg.Done(); g.acceptLoop() }()
-	go func() { defer g.wg.Done(); g.schedLoop() }()
 	return g, nil
 }
 
@@ -221,58 +212,108 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 func (g *Gateway) Addr() string { return g.ls.Addr().String() }
 
 // Close stops the gateway: no new connections, daemon sessions closed,
-// queued jobs cancelled. Running job machines on daemons are aborted
-// by their daemons when the session drops.
-func (g *Gateway) Close() error {
+// queued and running jobs cancelled. Running job machines on daemons
+// are aborted by their daemons when the session drops.
+func (g *Gateway) Close() error { return g.stop(false) }
+
+// step feeds one event to the core under mu: fn runs the core entry,
+// the records it applied are appended to the journal in apply order,
+// and the commands it emitted run once mu is released. A closed
+// gateway's core takes no more events, so nothing reaches the journal
+// after the teardown. step returns the fences a daemon's registration
+// produced.
+func (g *Gateway) step(fn func(f *fleet, now time.Time)) []fenceEntry {
 	g.mu.Lock()
 	if g.closed {
 		g.mu.Unlock()
 		return nil
 	}
-	g.closed = true
-	ds := make([]*daemonSession, 0, len(g.daemons))
-	for _, d := range g.daemons {
-		ds = append(ds, d)
-	}
-	queued := g.queue
-	g.queue = nil
-	atts := make([]*jobAttempt, 0, len(g.attempts))
-	for _, at := range g.attempts {
-		atts = append(atts, at)
-	}
-	idle := g.idleClientsLocked()
+	fn(g.f, time.Now())
+	run, fences := g.commitLocked()
 	g.mu.Unlock()
-	for _, conn := range idle {
-		conn.Close()
+	for _, r := range run {
+		r()
 	}
-	for _, j := range queued {
-		j.setError("gateway shut down")
-		j.transition(Cancelled)
-	}
-	for _, at := range atts {
-		at.job.setError("gateway shut down")
-		at.job.transition(Cancelled)
-		g.releaseAttempt(at)
-	}
-	for _, d := range ds {
-		d.conn.Close()
-	}
-	close(g.done) // after the cancels: a follower of a cancelled job gets its end
-	err := g.ls.Close()
-	g.kick()
-	g.wg.Wait()
-	if g.recoverTimer != nil {
-		g.recoverTimer.Stop()
-	}
-	g.jn.close()
-	return err
+	return fences
 }
 
-// kick rings the scheduler doorbell (coalesced).
-func (g *Gateway) kick() {
-	select {
-	case g.schedCh <- struct{}{}:
-	default:
+// commitLocked journals what the core applied and resolves its commands
+// against the shell's handles: timers and the attempt table change
+// here, under mu, in command order; the I/O comes back to run unlocked.
+func (g *Gateway) commitLocked() (run []func(), fences []fenceEntry) {
+	recs, cmds := g.f.take()
+	for _, rec := range recs {
+		g.jn.append(rec)
+		if tr, ok := rec.(jTransRec); ok && State(tr.To).Terminal() {
+			g.logs[tr.ID].wake()
+		}
+	}
+	if g.jn.due() {
+		g.jn.compact(g.f.epoch, g.f.order, time.Now())
+	}
+	for _, c := range cmds {
+		switch c.kind {
+		case cLaunch:
+			run = append(run, func() { g.launch(c.job, c.seq) })
+		case cAbort:
+			to := make([]*daemonSession, 0, len(c.daemons))
+			for _, name := range c.daemons {
+				if d := g.sessions[name]; d != nil {
+					to = append(to, d)
+				}
+			}
+			var cs *mnet.ControlServer
+			if e := g.io[c.job]; e != nil && e.seq == c.seq {
+				cs = e.cs
+			}
+			run = append(run, func() { abortAttempt(c, to, cs) })
+		case cRelease:
+			if e := g.io[c.job]; e != nil && e.seq == c.seq {
+				delete(g.io, c.job)
+				if e.wdog != nil {
+					e.wdog.Stop()
+				}
+				run = append(run, e.close)
+			}
+		case cArm:
+			if c.job == "" {
+				g.recoverTimer = time.AfterFunc(c.after, func() {
+					g.step(func(f *fleet, now time.Time) { f.endRecovery(now) })
+				})
+				break
+			}
+			g.ioLocked(c.job, c.seq).wdog = time.AfterFunc(c.after, func() { g.watchdogFired(c.job, c.seq) })
+		case cFence:
+			fences = append(fences, fenceEntry{Job: c.job, Attempt: c.seq, Reason: c.text})
+		case cLog:
+			run = append(run, func() { g.cfg.Logf(c.text, c.args...) })
+		}
+	}
+	if g.idle != nil && len(g.f.attempts) == 0 {
+		close(g.idle)
+		g.idle = nil
+	}
+	return run, fences
+}
+
+// ioLocked returns an attempt's shell handles, making them on first
+// use. Caller holds mu.
+func (g *Gateway) ioLocked(id string, seq int) *attemptIO {
+	e := g.io[id]
+	if e == nil || e.seq != seq {
+		e = &attemptIO{seq: seq}
+		g.io[id] = e
+	}
+	return e
+}
+
+// close tears down an attempt's control server and listener.
+func (e *attemptIO) close() {
+	if e.cs != nil {
+		e.cs.Shutdown()
+	}
+	if e.ls != nil {
+		e.ls.Close()
 	}
 }
 
@@ -397,90 +438,32 @@ func (g *Gateway) auth(h reqHead) error {
 	return nil
 }
 
-// capacityLocked totals the live, non-draining daemons' slots. Caller holds
-// mu.
-func (g *Gateway) capacityLocked() int {
-	total := 0
-	for _, d := range g.daemons {
-		if d.live && !d.draining {
-			total += d.slots
-		}
-	}
-	return total
-}
-
-// submit runs admission control and either queues the job or rejects
-// it with a reason. Exported through Client.Submit.
-func (g *Gateway) submit(m submitMsg) (string, error) {
-	if m.Gang < 1 {
-		return "", fmt.Errorf("service: gang must be >= 1, got %d", m.Gang)
-	}
-	if m.DeadlineMS < 0 || m.MaxMemMB < 0 {
-		return "", fmt.Errorf("service: negative job limits (deadline %dms, maxmem %dMB)", m.DeadlineMS, m.MaxMemMB)
-	}
-	if _, err := LookupWorkload(m.Workload); err != nil {
-		return "", err
-	}
-	name := m.Name
-	if name == "" {
-		name = m.Workload
-	}
-	id := newID(name)
-	job := newJob(id, name, m.Workload, m.Args, m.Gang)
-	job.deadline = time.Duration(m.DeadlineMS) * time.Millisecond
-	job.maxMemMB = m.MaxMemMB
-	job.jn = g.jn
-
-	g.mu.Lock()
-	if g.closed {
-		g.mu.Unlock()
-		return "", errShuttingDown
-	}
-	if g.draining {
-		g.mu.Unlock()
-		return "", fmt.Errorf("service: gateway is draining; resubmit to its successor")
-	}
-	// Admission control: a full backlog and an impossible gang are both
-	// rejected now, with a reason, rather than queued to rot.
-	if len(g.queue) >= g.cfg.BacklogCap {
-		n := len(g.queue)
-		g.mu.Unlock()
-		return "", fmt.Errorf("service: backlog full (%d jobs queued, cap %d); retry later", n, g.cfg.BacklogCap)
-	}
-	// The capacity check is suspended during recovery: right after a
-	// restart no daemon has re-registered yet, and rejecting every
-	// submit for a few seconds would turn a survived crash into an
-	// outage anyway.
-	if cp := g.capacityLocked(); !g.recovering && m.Gang > cp {
-		g.mu.Unlock()
-		return "", fmt.Errorf("service: gang of %d exceeds cluster capacity of %d PEs", m.Gang, cp)
-	}
-	g.jobs[id] = job
-	g.order = append(g.order, id)
-	g.queue = append(g.queue, job)
-	g.jn.submit(id, name, m.Workload, m.Args, m.Gang, job.deadline, m.MaxMemMB)
-	g.mu.Unlock()
-	g.kick()
-	return id, nil
-}
-
+// serveSubmit validates a job and feeds it to the core's admission
+// control, which either queues it or rejects it with a reason.
 func (g *Gateway) serveSubmit(_ net.Conn, payload []byte) (any, error) {
 	var m submitMsg
 	if err := wire.DecodeJSON(kSubmit, payload, &m); err != nil {
 		return nil, err
 	}
-	id, err := g.submit(m)
-	return submitReply{ID: id}, err
-}
-
-func (g *Gateway) lookupJob(id string) (*Job, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	j, ok := g.jobs[id]
-	if !ok {
-		return nil, fmt.Errorf("service: unknown job %q", id)
+	if m.Gang < 1 {
+		return nil, fmt.Errorf("service: gang must be >= 1, got %d", m.Gang)
 	}
-	return j, nil
+	if m.DeadlineMS < 0 || m.MaxMemMB < 0 {
+		return nil, fmt.Errorf("service: negative job limits (deadline %dms, maxmem %dMB)", m.DeadlineMS, m.MaxMemMB)
+	}
+	if _, err := LookupWorkload(m.Workload); err != nil {
+		return nil, err
+	}
+	if m.Name == "" {
+		m.Name = m.Workload
+	}
+	id := newID(m.Name)
+	err := errShuttingDown
+	g.step(func(f *fleet, now time.Time) { err = f.submit(id, m, now) })
+	if err != nil {
+		return nil, err
+	}
+	return submitReply{ID: id}, nil
 }
 
 func (g *Gateway) serveStatus(_ net.Conn, payload []byte) (any, error) {
@@ -488,92 +471,118 @@ func (g *Gateway) serveStatus(_ net.Conn, payload []byte) (any, error) {
 	if err := wire.DecodeJSON(kStatus, payload, &m); err != nil {
 		return nil, err
 	}
-	j, err := g.lookupJob(m.ID)
-	if err != nil {
-		return nil, err
-	}
-	return j.info(), nil
-}
-
-// cancel aborts one job wherever it is: a queued job leaves the queue,
-// a scheduled one has its ranks aborted on their daemons. Terminal
-// states win races silently (cancel-after-done is not an error).
-func (g *Gateway) cancel(id string) error {
 	g.mu.Lock()
-	j, ok := g.jobs[id]
-	if !ok {
-		g.mu.Unlock()
-		return fmt.Errorf("service: unknown job %q", id)
+	defer g.mu.Unlock()
+	j := g.f.jobs[m.ID]
+	if j == nil {
+		return nil, unknownJob(m.ID)
 	}
-	// Drop it from the queue if still there.
-	for i, q := range g.queue {
-		if q == j {
-			g.queue = append(g.queue[:i], g.queue[i+1:]...)
-			break
-		}
-	}
-	at := g.attempts[id]
-	g.mu.Unlock()
-
-	if !j.transition(Cancelled) {
-		// Already terminal, or mid-edge; a Requeued job cancels on its
-		// way back through the queue.
-		if st := j.State(); !st.Terminal() && st == Requeued {
-			j.transition(Cancelled)
-		}
-		return nil
-	}
-	j.setError("cancelled by client")
-	if at != nil {
-		g.abortAttempt(at, "cancelled by client")
-	}
-	return nil
+	return j.info(time.Now()), nil
 }
+
+func unknownJob(id string) error { return fmt.Errorf("service: unknown job %q", id) }
 
 func (g *Gateway) serveCancel(_ net.Conn, payload []byte) (any, error) {
 	var m cancelMsg
 	if err := wire.DecodeJSON(kCancel, payload, &m); err != nil {
 		return nil, err
 	}
-	return okMsg{OK: true}, g.cancel(m.ID)
+	err := errShuttingDown
+	g.step(func(f *fleet, now time.Time) { err = f.cancel(m.ID, "cancelled by client", now) })
+	return okMsg{OK: true}, err
 }
 
 // serveJobs and serveCluster carry nothing past the request head,
 // which handleConn has already decoded and checked.
 func (g *Gateway) serveJobs(net.Conn, []byte) (any, error) {
 	g.mu.Lock()
-	jobs := make([]*Job, 0, len(g.order))
-	for _, id := range g.order {
-		jobs = append(jobs, g.jobs[id])
-	}
-	g.mu.Unlock()
-	out := jobListMsg{Jobs: make([]JobInfo, 0, len(jobs))}
-	for _, j := range jobs {
-		out.Jobs = append(out.Jobs, j.info())
+	defer g.mu.Unlock()
+	now := time.Now()
+	out := jobListMsg{Jobs: make([]JobInfo, 0, len(g.f.order))}
+	for _, j := range g.f.order {
+		out.Jobs = append(out.Jobs, j.info(now))
 	}
 	return out, nil
 }
 
 func (g *Gateway) serveCluster(net.Conn, []byte) (any, error) {
 	g.mu.Lock()
+	defer g.mu.Unlock()
+	f := g.f
 	out := clusterInfoMsg{
-		Backlog: len(g.queue), BacklogCap: g.cfg.BacklogCap,
-		Epoch: g.epoch, Recovering: g.recovering,
+		Backlog: len(f.queue), BacklogCap: g.cfg.BacklogCap,
+		Epoch: f.epoch, Recovering: f.recovering,
 	}
-	names := make([]string, 0, len(g.daemons))
-	for n := range g.daemons {
+	names := make([]string, 0, len(f.daemons))
+	for n := range f.daemons {
 		names = append(names, n)
 	}
 	sort.Strings(names)
 	for _, n := range names {
-		d := g.daemons[n]
+		d := f.daemons[n]
 		out.Daemons = append(out.Daemons, DaemonInfo{
-			Name: d.name, Slots: d.slots, Busy: d.busy, Live: d.live,
-			Advertise: d.advertise, Draining: d.draining,
+			Name: n, Slots: d.slots, Busy: d.busy, Live: true,
+			Advertise: g.sessions[n].advertise, Draining: d.draining,
 		})
 	}
-	g.mu.Unlock()
 	return out, nil
+}
+
+// appendLog records one console chunk of a job and wakes its followers.
+func (g *Gateway) appendLog(id, text string, isErr bool) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	l := g.logLocked(id)
+	l.chunks = append(l.chunks, logChunk{Text: text, Err: isErr})
+	l.wake()
+}
+
+// logLocked returns a job's log, making it on first use. Caller holds mu.
+func (g *Gateway) logLocked(id string) *jobLog {
+	l := g.logs[id]
+	if l == nil {
+		l = &jobLog{}
+		g.logs[id] = l
+	}
+	return l
+}
+
+// follow registers (on) or drops a log follower of a job.
+func (g *Gateway) follow(id string, ch chan struct{}, on bool) error {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.f.jobs[id] == nil {
+		return unknownJob(id)
+	}
+	l := g.logLocked(id)
+	if on {
+		if l.followers == nil {
+			l.followers = map[chan struct{}]struct{}{}
+		}
+		l.followers[ch] = struct{}{}
+		return nil
+	}
+	delete(l.followers, ch)
+	if len(l.followers) == 0 {
+		l.followers = nil
+	}
+	return nil
+}
+
+// logsFrom copies a job's chunks at and after index from, returning the
+// new high-water index and the job's state and error.
+func (g *Gateway) logsFrom(id string, from int) (chunks []logChunk, next int, st State, errText string, err error) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	j := g.f.jobs[id]
+	if j == nil {
+		return nil, 0, "", "", unknownJob(id)
+	}
+	if l := g.logs[id]; l != nil {
+		chunks = append(chunks, l.chunks[min(from, len(l.chunks)):]...)
+		next = len(l.chunks)
+	}
+	return chunks, next, j.State, j.Err, nil
 }
 
 // serveLogs streams a job's console output: the backlog first, then —
@@ -584,22 +593,24 @@ func (g *Gateway) serveLogs(conn net.Conn, payload []byte) (any, error) {
 	if err := wire.DecodeJSON(kLogs, payload, &m); err != nil {
 		return nil, err
 	}
-	j, err := g.lookupJob(m.ID)
-	if err != nil {
-		return nil, err
-	}
-	conn.SetReadDeadline(time.Time{})
 	var ch chan struct{}
 	var recheck *time.Timer
 	if m.Follow {
-		ch = j.follow()
-		defer j.unfollow(ch)
+		ch = make(chan struct{}, 1)
+		if err := g.follow(m.ID, ch, true); err != nil {
+			return nil, err
+		}
+		defer g.follow(m.ID, ch, false)
 		recheck = time.NewTimer(time.Second)
 		defer recheck.Stop()
 	}
+	conn.SetReadDeadline(time.Time{})
 	from := 0
 	for shutdown := false; ; {
-		chunks, next, st, errText := j.logsFrom(from)
+		chunks, next, st, errText, err := g.logsFrom(m.ID, from)
+		if err != nil {
+			return nil, err
+		}
 		from = next
 		for _, c := range chunks {
 			conn.SetWriteDeadline(time.Now().Add(reqTimeout))

@@ -1,8 +1,8 @@
 package service
 
 import (
-	"sync"
 	"testing"
+	"time"
 )
 
 // TestStateMachineEdges is the table-driven check of the job state
@@ -23,19 +23,19 @@ func TestStateMachineEdges(t *testing.T) {
 			if got := canTransition(from, to); got != want {
 				t.Errorf("canTransition(%s, %s) = %v, want %v", from, to, got, want)
 			}
-			// transition() must agree with canTransition().
-			j := newJob("t", "t", "pingpong", nil, 1)
-			j.mu.Lock()
-			j.state = from
-			j.mu.Unlock()
-			if got := j.transition(to); got != want {
-				t.Errorf("transition %s -> %s = %v, want %v", from, to, got, want)
+			// The core's move must agree with canTransition, and journal
+			// exactly the edges it takes.
+			f := newFleet()
+			j := &Job{ID: "t", State: from}
+			f.add(j)
+			if got := f.move(j, to, "", "", time.Now()); got != want {
+				t.Errorf("move %s -> %s = %v, want %v", from, to, got, want)
 			}
-			if want && j.State() != to {
-				t.Errorf("after %s -> %s, state = %s", from, to, j.State())
+			if want && (j.State != to || len(f.recs) != 1) {
+				t.Errorf("after %s -> %s, state = %s with %d records", from, to, j.State, len(f.recs))
 			}
-			if !want && j.State() != from {
-				t.Errorf("refused %s -> %s must not move, state = %s", from, to, j.State())
+			if !want && (j.State != from || len(f.recs) != 0) {
+				t.Errorf("refused %s -> %s must not move, state = %s with %d records", from, to, j.State, len(f.recs))
 			}
 		}
 	}
@@ -68,35 +68,56 @@ func TestLifecyclePaths(t *testing.T) {
 		{Admitted, Running, Recovering, Failed},
 	}
 	for _, path := range paths {
-		j := newJob("t", "t", "pingpong", nil, 1)
+		f := newFleet()
+		j := &Job{ID: "t", State: Queued}
+		f.add(j)
 		for i, to := range path {
-			if !j.transition(to) {
-				t.Fatalf("path %v: step %d (%s -> %s) refused", path, i, j.State(), to)
+			if !f.move(j, to, "", "", time.Now()) {
+				t.Fatalf("path %v: step %d (%s -> %s) refused", path, i, j.State, to)
 			}
 		}
 	}
 }
 
-// TestCancelRaces resolves cancel vs completion concurrently from
-// Running: exactly one terminal transition must land, and the state
-// must equal whichever won.
+// TestCancelRaces resolves cancel vs completion from Running in both
+// orders the gateway's lock can serialise them: exactly one terminal
+// transition must land, and the state must equal whichever came first.
 func TestCancelRaces(t *testing.T) {
-	for i := 0; i < 200; i++ {
-		j := newJob("t", "t", "pingpong", nil, 1)
-		j.transition(Admitted)
-		j.transition(Running)
-		var wg sync.WaitGroup
-		results := make([]bool, 2)
-		wg.Add(2)
-		go func() { defer wg.Done(); results[0] = j.transition(Done) }()
-		go func() { defer wg.Done(); results[1] = j.transition(Cancelled) }()
-		wg.Wait()
-		if results[0] == results[1] {
-			t.Fatalf("cancel race: done=%v cancelled=%v, want exactly one winner", results[0], results[1])
+	for _, cancelFirst := range []bool{false, true} {
+		f := testFleet()
+		now := time.Now()
+		f.join("d", 2, nil, now)
+		submitJob(t, f, "j", 2, now)
+		at := f.attempts["j"]
+		if at == nil {
+			t.Fatal("job not placed")
 		}
-		st := j.State()
-		if (results[0] && st != Done) || (results[1] && st != Cancelled) {
-			t.Fatalf("cancel race: winner done=%v cancelled=%v but state=%s", results[0], results[1], st)
+		complete := func() {
+			f.update(updateMsg{Job: "j", Attempt: at.seq, Rank: 0, OK: true}, now)
+		}
+		if cancelFirst {
+			f.cancel("j", "cancelled by client", now)
+			complete()
+		} else {
+			complete()
+			f.cancel("j", "cancelled by client", now)
+		}
+		var terminal []string
+		for _, rec := range f.recs {
+			if tr, ok := rec.(jTransRec); ok && State(tr.To).Terminal() {
+				terminal = append(terminal, tr.To)
+			}
+		}
+		want := Done
+		if cancelFirst {
+			want = Cancelled
+		}
+		if len(terminal) != 1 || f.jobs["j"].State != want {
+			t.Fatalf("cancel first %v: terminal edges %v, state %s; want exactly one, %s",
+				cancelFirst, terminal, f.jobs["j"].State, want)
+		}
+		if len(f.attempts) != 0 || f.daemons["d"].busy != 0 {
+			t.Fatalf("cancel first %v: %d attempts held, %d slots busy after the drain", cancelFirst, len(f.attempts), f.daemons["d"].busy)
 		}
 	}
 }
@@ -105,30 +126,33 @@ func TestCancelRaces(t *testing.T) {
 // attempt clean: placement, rank accounting, and the error are reset,
 // while requeues and moved-bytes survive (bytes are cumulative).
 func TestResetAttemptClearsAccounting(t *testing.T) {
-	j := newJob("t", "t", "pingpong", nil, 4)
-	j.transition(Admitted)
-	j.transition(Running)
-	j.mu.Lock()
-	j.daemons = []string{"a", "b"}
-	j.nodeSizes = []int{2, 2}
-	j.ranksDone = 2
-	j.rankErr = "boom"
-	j.daemonLost = true
-	j.bytes = 100
-	j.mu.Unlock()
-	j.setError("attempt 1 chatter")
+	f := testFleet()
+	now := time.Now()
+	f.join("a", 2, nil, now)
+	f.join("b", 2, nil, now)
+	submitJob(t, f, "j", 4, now)
+	j, at := f.jobs["j"], f.attempts["j"]
+	if len(j.Daemons) != 2 || at == nil {
+		t.Fatalf("job not placed over both daemons: %+v", j)
+	}
+	f.ctlFailed("j", at.seq, "attempt 1 chatter")
+	f.update(updateMsg{Job: "j", Attempt: at.seq, Rank: 0, OK: false, Error: "boom", SentBytes: 100}, now)
+	f.leave("b", "killed", now)
 
-	j.transition(Requeued)
-	j.resetAttempt()
-
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.daemons != nil || j.nodeSizes != nil || j.ranksDone != 0 ||
-		j.rankErr != "" || j.daemonLost || j.err != "" {
-		t.Errorf("resetAttempt left state behind: %+v", j)
+	if j.State != Queued || j.Requeues != 1 {
+		t.Fatalf("after losing daemon b: state %s, requeues %d; want queued, 1", j.State, j.Requeues)
+	}
+	if j.Daemons != nil || j.Sizes != nil || j.Err != "" || j.Reason != "" || f.attempts["j"] != nil {
+		t.Errorf("requeue left the attempt behind: %+v, attempt %+v", j, f.attempts["j"])
 	}
 	if j.bytes != 100 {
 		t.Errorf("bytes = %d, want cumulative 100", j.bytes)
+	}
+	f.join("c", 2, nil, now)
+	f.schedule(now)
+	next := f.attempts["j"]
+	if next == nil || next.seq != 2 || next.left != 2 || next.lost || next.err != "" || next.rankErr != "" {
+		t.Errorf("next attempt not clean: %+v", next)
 	}
 }
 
@@ -164,15 +188,23 @@ func TestDoneRingKeepsNewestInOrder(t *testing.T) {
 	}
 }
 
-// TestFollowersMadeOnDemand: an unfollowed job carries no followers
-// map, and the last unfollow drops it again.
+// TestFollowersMadeOnDemand: an unfollowed job's log carries no
+// followers map, and the last unfollow drops it again.
 func TestFollowersMadeOnDemand(t *testing.T) {
-	j := newJob("j1", "n", "pingpong", nil, 2)
-	if j.followers != nil {
-		t.Fatal("a new job allocated its followers map")
+	g := &Gateway{f: testFleet(), logs: map[string]*jobLog{}}
+	g.f.join("d", 2, nil, time.Now())
+	submitJob(t, g.f, "j1", 2, time.Now())
+	g.appendLog("j1", "first", false)
+	if g.logs["j1"].followers != nil {
+		t.Fatal("a job's log allocated its followers map before any follow")
 	}
-	a, b := j.follow(), j.follow()
-	j.appendLog("x", false)
+	a, b := make(chan struct{}, 1), make(chan struct{}, 1)
+	for _, ch := range []chan struct{}{a, b} {
+		if err := g.follow("j1", ch, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g.appendLog("j1", "x", false)
 	for _, ch := range []chan struct{}{a, b} {
 		select {
 		case <-ch:
@@ -180,12 +212,15 @@ func TestFollowersMadeOnDemand(t *testing.T) {
 			t.Fatal("a follower was not woken by a log append")
 		}
 	}
-	j.unfollow(a)
-	if len(j.followers) != 1 {
-		t.Fatalf("%d followers after one unfollow, want 1", len(j.followers))
+	g.follow("j1", a, false)
+	if len(g.logs["j1"].followers) != 1 {
+		t.Fatalf("%d followers after one unfollow, want 1", len(g.logs["j1"].followers))
 	}
-	j.unfollow(b)
-	if j.followers != nil {
+	g.follow("j1", b, false)
+	if g.logs["j1"].followers != nil {
 		t.Fatal("followers map kept after the last unfollow")
+	}
+	if err := g.follow("nope", a, true); err == nil {
+		t.Fatal("following an unknown job succeeded")
 	}
 }

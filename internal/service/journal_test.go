@@ -3,7 +3,6 @@ package service
 import (
 	"bytes"
 	"encoding/json"
-	"math/rand"
 	"os"
 	"strings"
 	"testing"
@@ -13,128 +12,35 @@ import (
 )
 
 // journalFixture opens a journal in a fresh temp dir and returns it
-// with the replayed (empty) state.
+// with its dir, checking the replayed state is empty.
 func journalFixture(t *testing.T) (*journal, string) {
 	t.Helper()
 	dir := t.TempDir()
-	jn, st, err := openJournal(dir, t.Logf)
+	jn, f, err := openJournal(dir, t.Logf)
 	if err != nil {
 		t.Fatalf("opening journal: %v", err)
 	}
-	if len(st.jobs) != 0 || st.epoch != 0 {
-		t.Fatalf("fresh journal replayed state %+v, want empty", st)
+	if len(f.order) != 0 || f.epoch != 0 {
+		t.Fatalf("fresh journal replayed %d jobs at epoch %d, want none", len(f.order), f.epoch)
 	}
 	t.Cleanup(jn.close)
 	return jn, dir
 }
 
 // reopen closes the journal and replays the file as a restart would.
-func reopen(t *testing.T, jn *journal, dir string) (*journal, *replayed) {
+func reopen(t *testing.T, jn *journal, dir string) (*journal, *fleet) {
 	t.Helper()
 	jn.close()
-	jn2, st, err := openJournal(dir, t.Logf)
+	jn2, f, err := openJournal(dir, t.Logf)
 	if err != nil {
 		t.Fatalf("reopening journal: %v", err)
 	}
 	t.Cleanup(jn2.close)
-	return jn2, st
+	return jn2, f
 }
 
-// TestJournalReplayMatchesFSM is the replay-equals-live property test:
-// drive a seeded random walk of jobs through the real Job FSM with the
-// journal hooked in (exactly as the gateway hooks it), then replay the
-// file and require the reconstructed state to equal the live state,
-// job for job.
-func TestJournalReplayMatchesFSM(t *testing.T) {
-	jn, dir := journalFixture(t)
-	jn.epochStart(1)
-	rng := rand.New(rand.NewSource(42))
-
-	type liveJob struct {
-		j       *Job
-		attempt int
-	}
-	const nJobs = 40
-	live := make([]*liveJob, 0, nJobs)
-	for i := 0; i < nJobs; i++ {
-		id := newID("prop")
-		j := newJob(id, "prop", "pingpong", nil, 1+rng.Intn(8))
-		j.jn = jn
-		jn.submit(j.id, j.name, j.workload, nil, j.gang, 0, 0)
-		live = append(live, &liveJob{j: j})
-	}
-
-	// Random-walk each job over the legal edges until terminal or the
-	// step budget runs out, journaling assignments where the scheduler
-	// would (entering Admitted).
-	for _, lj := range live {
-		for step := 0; step < 12 && !lj.j.State().Terminal(); step++ {
-			nexts := validNext[lj.j.State()]
-			to := nexts[rng.Intn(len(nexts))]
-			if to == Admitted {
-				lj.attempt++
-				jn.assign(lj.j.id, lj.attempt, []string{"da", "db"}, []int{1, 1})
-				lj.j.mu.Lock()
-				lj.j.daemons = []string{"da", "db"}
-				lj.j.nodeSizes = []int{1, 1}
-				lj.j.mu.Unlock()
-			}
-			if to == Queued {
-				// The live requeue path resets the attempt and spends
-				// budget between Requeued and Queued.
-				lj.j.resetAttempt()
-				lj.j.mu.Lock()
-				lj.j.requeues++
-				lj.j.mu.Unlock()
-			}
-			if to == Failed {
-				lj.j.setError("prop failure")
-				lj.j.setReason("deadline-killed")
-			}
-			if !lj.j.transition(to) {
-				t.Fatalf("legal edge %s -> %s refused", lj.j.State(), to)
-			}
-		}
-	}
-
-	_, st := reopen(t, jn, dir)
-	if st.truncated != 0 {
-		t.Fatalf("clean journal reported %d truncated bytes", st.truncated)
-	}
-	if st.epoch != 1 {
-		t.Fatalf("replayed epoch = %d, want 1", st.epoch)
-	}
-	if len(st.jobs) != nJobs {
-		t.Fatalf("replayed %d jobs, want %d", len(st.jobs), nJobs)
-	}
-	for _, lj := range live {
-		pj := st.byID[lj.j.id]
-		if pj == nil {
-			t.Fatalf("job %s missing from replay", lj.j.id)
-		}
-		lj.j.mu.Lock()
-		state, errText, reason, requeues := string(lj.j.state), lj.j.err, lj.j.reason, lj.j.requeues
-		daemons := append([]string(nil), lj.j.daemons...)
-		lj.j.mu.Unlock()
-		if pj.State != state {
-			t.Errorf("%s: replayed state %s, live %s", lj.j.id, pj.State, state)
-		}
-		if pj.Err != errText {
-			t.Errorf("%s: replayed err %q, live %q", lj.j.id, pj.Err, errText)
-		}
-		if pj.Reason != reason {
-			t.Errorf("%s: replayed reason %q, live %q", lj.j.id, pj.Reason, reason)
-		}
-		if pj.Requeues != requeues {
-			t.Errorf("%s: replayed requeues %d, live %d", lj.j.id, pj.Requeues, requeues)
-		}
-		if len(pj.Daemons) != len(daemons) {
-			t.Errorf("%s: replayed daemons %v, live %v", lj.j.id, pj.Daemons, daemons)
-		}
-		if pj.Gang != lj.j.gang || pj.Workload != lj.j.workload {
-			t.Errorf("%s: identity fields drifted: %+v", lj.j.id, pj)
-		}
-	}
+func submitRec(id, name, workload string, gang int) jSubmitRec {
+	return jSubmitRec{ID: id, Name: name, Workload: workload, Gang: gang}
 }
 
 // TestJournalTornTailTruncated appends good records, then a torn
@@ -143,9 +49,9 @@ func TestJournalReplayMatchesFSM(t *testing.T) {
 // afterwards.
 func TestJournalTornTailTruncated(t *testing.T) {
 	jn, dir := journalFixture(t)
-	jn.epochStart(3)
-	jn.submit("job-1", "a", "pingpong", nil, 2, 0, 0)
-	jn.submit("job-2", "b", "jacobi", nil, 4, time.Second, 64)
+	jn.append(jEpochRec{Epoch: 3})
+	jn.append(submitRec("job-1", "a", "pingpong", 2))
+	jn.append(jSubmitRec{ID: "job-2", Name: "b", Workload: "jacobi", Gang: 4, DeadlineMS: 1000, MaxMemMB: 64})
 	jn.close()
 
 	path := journalPath(dir)
@@ -166,28 +72,32 @@ func TestJournalTornTailTruncated(t *testing.T) {
 	}
 	f.Close()
 
+	if _, n := replayRecords(append(whole, torn...), t.Logf); n != int64(len(torn)) {
+		t.Errorf("truncated = %d bytes, want %d", n, len(torn))
+	}
 	jn2, st, err := openJournal(dir, t.Logf)
 	if err != nil {
 		t.Fatalf("reopening torn journal: %v", err)
 	}
 	defer jn2.close()
-	if st.truncated != int64(len(torn)) {
-		t.Errorf("truncated = %d bytes, want %d", st.truncated, len(torn))
+	if len(st.order) != 2 || st.jobs["job-1"] == nil || st.jobs["job-2"] == nil {
+		t.Fatalf("replay lost whole records: %d jobs", len(st.order))
 	}
-	if len(st.jobs) != 2 || st.byID["job-1"] == nil || st.byID["job-2"] == nil {
-		t.Fatalf("replay lost whole records: %d jobs", len(st.jobs))
-	}
-	if pj := st.byID["job-2"]; pj.DeadlineMS != 1000 || pj.MaxMemMB != 64 {
-		t.Errorf("job-2 limits = %d ms / %d MB, want 1000/64", pj.DeadlineMS, pj.MaxMemMB)
+	if j := st.jobs["job-2"]; j.DeadlineMS != 1000 || j.MaxMemMB != 64 {
+		t.Errorf("job-2 limits = %d ms / %d MB, want 1000/64", j.DeadlineMS, j.MaxMemMB)
 	}
 	if got, _ := os.ReadFile(path); len(got) != len(whole) {
 		t.Errorf("file is %d bytes after truncation, want %d", len(got), len(whole))
 	}
 	// The truncated file must accept appends at the cut.
-	jn2.submit("job-3", "c", "pingpong", nil, 1, 0, 0)
-	_, st3 := reopen(t, jn2, dir)
-	if len(st3.jobs) != 3 || st3.truncated != 0 {
-		t.Fatalf("post-truncation append replayed %d jobs (truncated %d), want 3 clean", len(st3.jobs), st3.truncated)
+	jn2.append(submitRec("job-3", "c", "pingpong", 1))
+	jn2.close()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st3, n := replayRecords(data, t.Logf); len(st3.order) != 3 || n != 0 {
+		t.Fatalf("post-truncation append replayed %d jobs (truncated %d), want 3 clean", len(st3.order), n)
 	}
 }
 
@@ -196,14 +106,14 @@ func TestJournalTornTailTruncated(t *testing.T) {
 // and everything after — the CRC catches silent disk corruption.
 func TestJournalCorruptRecordCutsStream(t *testing.T) {
 	jn, dir := journalFixture(t)
-	jn.epochStart(1)
-	jn.submit("keep-1", "a", "pingpong", nil, 1, 0, 0)
+	jn.append(jEpochRec{Epoch: 1})
+	jn.append(submitRec("keep-1", "a", "pingpong", 1))
 	mark, err := os.Stat(journalPath(dir))
 	if err != nil {
 		t.Fatalf("stat: %v", err)
 	}
-	jn.submit("corrupt-me", "b", "pingpong", nil, 1, 0, 0)
-	jn.submit("after", "c", "pingpong", nil, 1, 0, 0)
+	jn.append(submitRec("corrupt-me", "b", "pingpong", 1))
+	jn.append(submitRec("after", "c", "pingpong", 1))
 	jn.close()
 
 	data, err := os.ReadFile(journalPath(dir))
@@ -216,16 +126,20 @@ func TestJournalCorruptRecordCutsStream(t *testing.T) {
 		t.Fatalf("rewrite: %v", err)
 	}
 
-	jn2, st, err := openJournal(dir, t.Logf)
+	st, n := replayRecords(data, t.Logf)
+	if len(st.order) != 1 || st.jobs["keep-1"] == nil {
+		t.Fatalf("replay kept %d jobs, want only keep-1", len(st.order))
+	}
+	if n != int64(len(data))-mark.Size() {
+		t.Errorf("truncated = %d, want %d", n, int64(len(data))-mark.Size())
+	}
+	jn2, _, err := openJournal(dir, t.Logf)
 	if err != nil {
 		t.Fatalf("reopening corrupt journal: %v", err)
 	}
 	defer jn2.close()
-	if len(st.jobs) != 1 || st.byID["keep-1"] == nil {
-		t.Fatalf("replay kept %d jobs, want only keep-1", len(st.jobs))
-	}
-	if st.truncated != int64(len(data))-mark.Size() {
-		t.Errorf("truncated = %d, want %d", st.truncated, int64(len(data))-mark.Size())
+	if fi, err := os.Stat(journalPath(dir)); err != nil || fi.Size() != mark.Size() {
+		t.Errorf("corrupt journal not cut back to its last whole record (%v)", err)
 	}
 }
 
@@ -234,17 +148,15 @@ func TestJournalCorruptRecordCutsStream(t *testing.T) {
 // uncompacted outcome.
 func TestJournalCompactionPreservesState(t *testing.T) {
 	jn, dir := journalFixture(t)
-	jn.epochStart(2)
-	jn.submit("old", "a", "pingpong", nil, 2, 0, 0)
-	jn.transition("old", Queued, Admitted, "", "", 0)
-	jn.transition("old", Admitted, Running, "", "", 0)
-	jn.transition("old", Running, Done, "", "", 0)
+	jn.append(jEpochRec{Epoch: 2})
+	jn.append(submitRec("old", "a", "pingpong", 2))
+	jn.append(jTransRec{ID: "old", From: string(Queued), To: string(Admitted)})
+	jn.append(jTransRec{ID: "old", From: string(Admitted), To: string(Running)})
+	jn.append(jTransRec{ID: "old", From: string(Running), To: string(Done)})
 
-	jn.compact(2, []persistedJob{{
-		ID: "old", Name: "a", Workload: "pingpong", Gang: 2, State: string(Done),
-	}})
-	jn.submit("new", "b", "jacobi", nil, 1, 0, 0)
-	jn.shutdown()
+	jn.compact(2, []*Job{{ID: "old", Name: "a", Workload: "pingpong", Gang: 2, State: Done}}, time.Now())
+	jn.append(submitRec("new", "b", "jacobi", 1))
+	jn.append(jShutdownRec{})
 
 	_, st := reopen(t, jn, dir)
 	if !st.clean {
@@ -253,14 +165,14 @@ func TestJournalCompactionPreservesState(t *testing.T) {
 	if st.epoch != 2 {
 		t.Errorf("epoch = %d, want 2", st.epoch)
 	}
-	if len(st.jobs) != 2 {
-		t.Fatalf("replayed %d jobs, want 2 (snapshot + append)", len(st.jobs))
+	if len(st.order) != 2 {
+		t.Fatalf("replayed %d jobs, want 2 (snapshot + append)", len(st.order))
 	}
-	if pj := st.byID["old"]; pj == nil || pj.State != string(Done) {
-		t.Errorf("snapshot job old = %+v, want done", st.byID["old"])
+	if j := st.jobs["old"]; j == nil || j.State != Done {
+		t.Errorf("snapshot job old = %+v, want done", st.jobs["old"])
 	}
-	if pj := st.byID["new"]; pj == nil || pj.State != string(Queued) {
-		t.Errorf("appended job new = %+v, want queued", st.byID["new"])
+	if j := st.jobs["new"]; j == nil || j.State != Queued {
+		t.Errorf("appended job new = %+v, want queued", st.jobs["new"])
 	}
 }
 
@@ -269,15 +181,15 @@ func TestJournalCompactionPreservesState(t *testing.T) {
 // for fields that need escaping, raw args, and the empty and nil job
 // lists, and replays a compacted file written with it.
 func TestSnapshotEncodingMatchesMarshal(t *testing.T) {
-	odd := persistedJob{
+	odd := &Job{
 		ID: "j\"1\\", Name: "<a&b> \n\t\x01é", Workload: "ping\"pong",
 		Args: json.RawMessage(` { "bytes" : 64, "s": "<x>" } `), Gang: 3, DeadlineMS: 1500,
-		MaxMemMB: 64, State: string(Failed), Err: "rank 1: \"boom\"\n", Reason: "deadline",
+		MaxMemMB: 64, State: Failed, Err: "rank 1: \"boom\"\n", Reason: "deadline",
 		Requeues: 2, Attempt: 3, Daemons: []string{"w\u00001", "gw"}, Sizes: []int{2, 1},
 		SubmittedMS: 1700000000123,
 	}
-	plain := persistedJob{ID: "j2", Name: "b", Workload: "jacobi", Gang: 1, State: string(Queued)}
-	for _, jobs := range [][]persistedJob{nil, {}, {plain}, {odd, plain, odd}} {
+	plain := &Job{ID: "j2", Name: "b", Workload: "jacobi", Gang: 1, State: Queued}
+	for _, jobs := range [][]*Job{nil, {}, {plain}, {odd, plain, odd}} {
 		want, err := json.Marshal(jSnapshotRec{Epoch: 7, Jobs: jobs})
 		if err != nil {
 			t.Fatal(err)
@@ -292,13 +204,12 @@ func TestSnapshotEncodingMatchesMarshal(t *testing.T) {
 	}
 
 	jn, dir := journalFixture(t)
-	jn.compact(7, []persistedJob{odd, plain})
+	jn.compact(7, []*Job{odd, plain}, time.Now())
 	_, st := reopen(t, jn, dir)
-	if st.epoch != 7 || len(st.jobs) != 2 {
-		t.Fatalf("replayed epoch %d with %d jobs, want 7 and 2", st.epoch, len(st.jobs))
+	if st.epoch != 7 || len(st.order) != 2 {
+		t.Fatalf("replayed epoch %d with %d jobs, want 7 and 2", st.epoch, len(st.order))
 	}
-	got := *st.byID[odd.ID]
-	gb, _ := json.Marshal(got)
+	gb, _ := json.Marshal(st.jobs[odd.ID])
 	wb, _ := json.Marshal(odd)
 	if !bytes.Equal(gb, wb) {
 		t.Errorf("replayed job\n got %s\nwant %s", gb, wb)

@@ -11,52 +11,12 @@ import (
 	"converse/internal/core"
 )
 
-// hardStop simulates a gateway crash (SIGKILL): every socket dies at
-// once — daemon sessions and client connections, idle or busy — and
-// nothing is journaled, cancelled, or drained. The journal file is left
-// exactly as the crash would leave it.
-func hardStop(g *Gateway) {
-	g.mu.Lock()
-	if g.closed {
-		g.mu.Unlock()
-		return
-	}
-	g.closed = true
-	ds := make([]*daemonSession, 0, len(g.daemons))
-	for _, d := range g.daemons {
-		ds = append(ds, d)
-	}
-	for conn := range g.clients {
-		conn.Close()
-	}
-	atts := make([]*jobAttempt, 0, len(g.attempts))
-	for _, at := range g.attempts {
-		atts = append(atts, at)
-	}
-	g.mu.Unlock()
-	for _, at := range atts {
-		if at.wdog != nil {
-			at.wdog.Stop()
-		}
-		if at.cs != nil {
-			at.cs.Shutdown()
-		}
-		if at.ls != nil {
-			at.ls.Close()
-		}
-	}
-	for _, d := range ds {
-		d.conn.Close()
-	}
-	close(g.done)
-	g.ls.Close()
-	g.kick()
-	g.wg.Wait()
-	if g.recoverTimer != nil {
-		g.recoverTimer.Stop()
-	}
-	g.jn.close()
-}
+// hardStop simulates a gateway crash (SIGKILL) through the gateway's
+// own teardown with nothing cancelled, drained or journaled: every
+// daemon session, control server and idle client connection dies at
+// once, and the journal file is left exactly as the crash would leave
+// it.
+func hardStop(g *Gateway) { g.stop(true) }
 
 // memhog grows its heap ~1 MiB per scheduled message up to a 64 MiB
 // plateau and never finishes on its own — the mem watchdog's prey.
@@ -309,7 +269,7 @@ func TestGatewayDrainJournalsCleanShutdown(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		g1.mu.Lock()
-		draining := g1.draining
+		draining := g1.f.draining
 		g1.mu.Unlock()
 		if draining {
 			break
@@ -344,12 +304,12 @@ func TestGatewayDrainJournalsCleanShutdown(t *testing.T) {
 	if !st.clean {
 		t.Errorf("clean = false after drain; shutdown record missing")
 	}
-	if len(st.jobs) != 2 {
-		t.Fatalf("drained journal jobs = %+v, want both handed over", st.jobs)
+	if len(st.order) != 2 {
+		t.Fatalf("drained journal jobs = %+v, want both handed over", st.order)
 	}
 	states := map[string]string{}
-	for _, pj := range st.jobs {
-		states[pj.Name] = pj.State
+	for _, j := range st.order {
+		states[j.Name] = string(j.State)
 	}
 	if states["handoff"] != string(Queued) {
 		t.Errorf("queued job handed over as %q, want queued", states["handoff"])
@@ -391,13 +351,10 @@ func TestDrainEndsLogFollowers(t *testing.T) {
 		_, _, err := c.Logs(id, true, nil)
 		logsDone <- err
 	}()
-	g.mu.Lock()
-	j := g.jobs[id]
-	g.mu.Unlock()
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		j.mu.Lock()
-		following := len(j.followers) > 0
-		j.mu.Unlock()
+		g.mu.Lock()
+		following := g.logs[id] != nil && len(g.logs[id].followers) > 0
+		g.mu.Unlock()
 		if following {
 			break
 		}

@@ -1,4 +1,4 @@
-//go:build !msgcheck
+//go:build !msgcheck && !race
 
 package service
 

@@ -318,82 +318,93 @@ func TestRequestHeadLeadsEncoding(t *testing.T) {
 	}
 }
 
-// TestCancelBetweenPlacementAndLaunch: placement builds an attempt
-// complete (listener, control server, watchdog) before publishing it, so
-// a cancel landing before launch runs aborts a whole attempt, and launch
-// then releases it. The job ends Cancelled, through exactly one terminal
-// transition, and holds no slot, port or timer afterwards.
+// TestCancelBetweenPlacementAndLaunch: placement arms the attempt's
+// watchdog and queues its launch, so a cancel — or a daemon loss — can
+// land before launch runs. Launch then sends nothing, starts no control
+// server and hands the attempt back: a cancelled job ends Cancelled
+// through exactly one terminal transition, a job that lost a daemon is
+// requeued at once, and neither holds a slot, attempt or timer after.
 func TestCancelBetweenPlacementAndLaunch(t *testing.T) {
-	jn, _, err := openJournal(t.TempDir(), t.Logf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jn.close()
-	g := &Gateway{
-		cfg:      GatewayConfig{Heartbeat: time.Second, JobWatchdog: time.Minute, Logf: t.Logf},
-		jn:       jn,
-		daemons:  map[string]*daemonSession{},
-		jobs:     map[string]*Job{},
-		attempts: map[string]*jobAttempt{},
-		schedCh:  make(chan struct{}, 1),
-	}
-	// The daemon's session is already gone, so the abort's unassign
-	// fails at once instead of waiting for a reader.
-	local, remote := net.Pipe()
-	remote.Close()
-	d := &daemonSession{name: "d", slots: 2, live: true, conn: local}
-	g.daemons[d.name] = d
-	j := newJob("job-1", "pp", "pingpong", nil, 2)
-	j.jn = jn
-	g.jobs[j.id] = j
+	for _, tc := range []struct {
+		name      string
+		interrupt func(f *fleet, now time.Time)
+		want      State
+		terminal  string
+	}{
+		{"cancel", func(f *fleet, now time.Time) { f.cancel("job-1", "cancelled by client", now) }, Cancelled, "running->cancelled"},
+		{"daemon-loss", func(f *fleet, now time.Time) { f.leave("d1", "killed", now) }, Queued, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			jn, _, err := openJournal(t.TempDir(), t.Logf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer jn.close()
+			g := &Gateway{
+				cfg: GatewayConfig{Heartbeat: time.Second, JobWatchdog: time.Minute, Logf: t.Logf},
+				jn:  jn, f: testFleet(),
+				sessions: map[string]*daemonSession{}, io: map[string]*attemptIO{}, logs: map[string]*jobLog{},
+			}
+			now := time.Now()
+			g.mu.Lock()
+			for _, name := range []string{"d0", "d1"} {
+				// The session is already gone, so a send fails at once
+				// instead of waiting for a reader.
+				local, remote := net.Pipe()
+				remote.Close()
+				d := &daemonSession{conn: local, ready: make(chan struct{})}
+				close(d.ready) // registered: its reply went out
+				g.registerLocked(d, name)
+				g.f.join(name, 1, nil, now)
+			}
+			submitJob(t, g.f, "job-1", 2, now)
+			launch, _ := g.commitLocked()
+			e := g.io["job-1"]
+			g.mu.Unlock()
+			if e == nil || e.wdog == nil {
+				t.Fatalf("placement armed no watchdog: %+v", e)
+			}
 
-	g.mu.Lock()
-	at := g.placeLocked(j)
-	g.mu.Unlock()
-	if at == nil || at.ls == nil || at.cs == nil || at.wdog == nil {
-		t.Fatalf("placement published an incomplete attempt: %+v", at)
-	}
-	if err := g.cancel(j.id); err != nil {
-		t.Fatal(err)
-	}
-	g.launch(at)
+			g.step(tc.interrupt)
+			for _, run := range launch {
+				run()
+			}
 
-	if st := j.State(); st != Cancelled {
-		t.Fatalf("job state %s, want cancelled", st)
-	}
-	g.mu.Lock()
-	held, busy := len(g.attempts), d.busy
-	g.mu.Unlock()
-	if held != 0 || busy != 0 {
-		t.Errorf("after launch: %d attempts held, %d slots busy; want none", held, busy)
-	}
-	if _, err := at.ls.Accept(); !errors.Is(err, net.ErrClosed) {
-		t.Errorf("attempt listener still open: Accept err = %v", err)
-	}
-	at.cs.Serve(at.ls) // returns at once: nothing is left to serve
-	if at.wdog.Stop() {
-		t.Error("attempt watchdog was still armed")
-	}
+			g.mu.Lock()
+			j, held, ios := g.f.jobs["job-1"], len(g.f.attempts), len(g.io)
+			busy := g.f.daemons["d0"].busy
+			g.mu.Unlock()
+			if j.State != tc.want || (tc.want == Queued && j.Requeues != 1) {
+				t.Fatalf("job %s after %d requeues, want %s", j.State, j.Requeues, tc.want)
+			}
+			if held != 0 || busy != 0 || ios != 0 {
+				t.Errorf("after launch: %d attempts held, %d slots busy, %d control servers; want none", held, busy, ios)
+			}
+			if e.cs != nil {
+				t.Error("launch started a control server for an attempt given up before it")
+			}
+			if e.wdog.Stop() {
+				t.Error("attempt watchdog was still armed")
+			}
 
-	data, err := os.ReadFile(jn.path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var edges []string
-	for r := bytes.NewReader(data); r.Len() > 0; {
-		k, payload, err := wire.ReadFrame(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var tr jTransRec
-		if k != jkTrans || wire.DecodeJSON(k, payload, &tr) != nil {
-			continue
-		}
-		if State(tr.To).Terminal() || tr.To == string(Admitted) || tr.To == string(Running) {
-			edges = append(edges, tr.From+"->"+tr.To)
-		}
-	}
-	if len(edges) != 1 || edges[0] != "queued->cancelled" {
-		t.Errorf("journaled edges out of queued: %v, want exactly [queued->cancelled]", edges)
+			data, err := os.ReadFile(jn.path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var terminal []string
+			for r := bytes.NewReader(data); r.Len() > 0; {
+				k, payload, err := wire.ReadFrame(r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var tr jTransRec
+				if k == jkTrans && wire.DecodeJSON(k, payload, &tr) == nil && State(tr.To).Terminal() {
+					terminal = append(terminal, tr.From+"->"+tr.To)
+				}
+			}
+			if strings.Join(terminal, ",") != tc.terminal {
+				t.Errorf("journaled terminal edges: %v, want [%s]", terminal, tc.terminal)
+			}
+		})
 	}
 }

@@ -5,12 +5,16 @@
 #   make machine-race  the machine layer alone under -race
 #   make overhead      zero-allocation gate: the disabled-path
 #                      observability benchmarks, the simulated
-#                      steady-state send path and the tcp stream
-#                      benchmark must report zero allocations; plus a
+#                      steady-state send path, the tcp stream
+#                      benchmark and the cth thread switch must
+#                      report zero allocations; plus a
 #                      footprint gate of 200 KB per tcp node bring-up
 #                      and a gate of 0.01 gateway connections per
 #                      warm service job
 #   make bench         comm fast-path benchmarks; writes BENCH_comm.json
+#   make commbench-smoke
+#                      a full commbench run, byte-compared with
+#                      BENCH_comm.json
 #   make net-smoke     multi-process smoke: jacobi + quickstart + commbench
 #                      under converserun -np 4 on real TCP sockets
 #   make chaos-smoke   reliability gate: jacobi under a fault plan must
@@ -119,7 +123,11 @@ machine-race:
 # BenchmarkNetStream (a 64-message window of 256 B between two
 # in-process TCP nodes, plus the ack) holds the tcp send -> pack ->
 # frame -> receive -> unpack -> dispatch path to the same zero, and BenchmarkNetPingPong (one 64 B round trip, a pack of
-# one each way) holds the one-message tcp path there too. The footprint
+# one each way) holds the one-message tcp path there too.
+# BenchmarkThreadSwitch (main resumes a cth thread that suspends back)
+# and BenchmarkThreadSwitchBetweenThreads (two threads resuming each
+# other through main's trampoline) hold a thread object's coroutine
+# switch to zero as well. The footprint
 # leg runs BenchmarkNodeBringUp (a control server, two nodes joined, a
 # 20-round-trip pingpong, close — a small job's whole life) and fails
 # above 200 KB allocated per bring-up. The connection leg runs
@@ -133,7 +141,9 @@ overhead:
 		$(GO) test ./internal/bench/ -run '^$$' -bench 'SendAndFreeSteadyState' \
 		-benchmem -benchtime 20000x && \
 		$(GO) test ./internal/mnet/ -run '^$$' -bench 'NetStream|NetPingPong' \
-		-benchmem -benchtime 5000x) || { echo "$$out"; echo 'FAIL: overhead benchmarks did not run'; exit 1; }; \
+		-benchmem -benchtime 5000x && \
+		$(GO) test ./internal/cth/ -run '^$$' -bench 'ThreadSwitch' \
+		-benchmem -benchtime 200000x) || { echo "$$out"; echo 'FAIL: overhead benchmarks did not run'; exit 1; }; \
 	echo "$$out"; \
 	if echo "$$out" | grep -E ' [1-9][0-9]* allocs/op'; then \
 		echo 'FAIL: observability path allocates when it must not'; exit 1; \
@@ -165,10 +175,16 @@ bench:
 		-benchmem -benchtime 20000x
 	$(GO) run ./cmd/commbench -o BENCH_comm.json
 
-# CI smoke: a fast deterministic commbench run proving the tool and the
-# fan-in/ping-pong harness work end to end (no wall-clock benchmarks).
+# Comm fast-path gate: a full commbench run, compared byte for byte
+# with BENCH_comm.json. Fan-in and ping-pong are virtual time rounded to
+# the nanosecond, so reruns write the identical file and any change to a
+# modeled cost or to the coalescing path shows up as a diff: such a
+# change must regenerate the file (make bench) in the same change.
 commbench-smoke:
-	$(GO) run ./cmd/commbench -smoke -o /dev/null
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) run ./cmd/commbench -o $$tmp/comm.json >/dev/null && \
+	cmp $$tmp/comm.json BENCH_comm.json && \
+	echo 'commbench-smoke: fan-in and ping-pong report matches BENCH_comm.json'
 
 # Multi-process smoke: real programs as converserun jobs, each rank an
 # OS process on the TCP machine layer, with a hard timeout so a

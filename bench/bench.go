@@ -53,12 +53,6 @@ func FanInThroughput(elapsedUs float64, pes, msgs int) float64 {
 	return bench.FanInThroughput(elapsedUs, pes, msgs)
 }
 
-// SteadyStateAllocs reports wall-clock heap allocations and
-// nanoseconds per pooled SyncSendAndFree round trip.
-func SteadyStateAllocs(co core.CoalesceConfig) (allocsPerOp, nsPerOp float64) {
-	return bench.SteadyStateAllocs(co)
-}
-
 // SteadyStateBench exposes the steady-state round trip to go-test
 // benchmarks.
 func SteadyStateBench(b *testing.B, co core.CoalesceConfig) { bench.SteadyStateBench(b, co) }

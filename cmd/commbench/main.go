@@ -1,8 +1,9 @@
 // Command commbench measures the communication fast path and writes
 // BENCH_comm.json: small-message fan-in throughput and ping-pong
-// latency with coalescing off and on (virtual time, deterministic),
-// plus wall-clock steady-state allocation counts for the pooled send
-// path.
+// latency with coalescing off and on, in virtual time rounded to the
+// nanosecond, so reruns write the identical file. (The pooled send
+// path's zero allocations are gated by `make overhead`, not recorded
+// here.)
 //
 // With -transport tcp it instead measures the machine layer itself in
 // wall-clock time — the same ping-pong and fan-in programs on the
@@ -52,6 +53,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"sync/atomic"
 	"time"
@@ -78,21 +80,21 @@ type pingPongResult struct {
 	CoalescedUs float64 `json:"coalesced_us"`
 }
 
-type steadyStateResult struct {
-	Coalesced   bool    `json:"coalesced"`
-	AllocsPerOp float64 `json:"allocs_per_op"`
-	NsPerOp     float64 `json:"ns_per_op"`
+type report struct {
+	PEs       int              `json:"pes"`
+	MsgsPerPE int              `json:"msgs_per_pe"`
+	MsgSize   int              `json:"msg_size"`
+	Rounds    int              `json:"pingpong_rounds"`
+	FanIn     []fanInResult    `json:"fan_in"`
+	PingPong  []pingPongResult `json:"ping_pong"`
 }
 
-type report struct {
-	PEs         int                 `json:"pes"`
-	MsgsPerPE   int                 `json:"msgs_per_pe"`
-	MsgSize     int                 `json:"msg_size"`
-	Rounds      int                 `json:"pingpong_rounds"`
-	FanIn       []fanInResult       `json:"fan_in"`
-	PingPong    []pingPongResult    `json:"ping_pong"`
-	SteadyState []steadyStateResult `json:"steady_state"`
-}
+// roundNs rounds a virtual time in microseconds to whole nanoseconds.
+// The modeled costs are whole nanoseconds, but the simulated PEs add
+// them up in an order the host scheduler picks, so the float sums
+// differ in their last digits from run to run. Every figure in
+// BENCH_comm.json is rounded, or derived from rounded values.
+func roundNs(us float64) float64 { return math.Round(us*1000) / 1000 }
 
 func main() {
 	out := flag.String("o", "", "output file (- for stdout; default BENCH_comm.json or BENCH_net.json)")
@@ -101,7 +103,7 @@ func main() {
 	msgs := flag.Int("msgs", 400, "messages per sending PE")
 	size := flag.Int("size", 64, "message size in bytes")
 	rounds := flag.Int("rounds", 200, "ping-pong rounds")
-	smoke := flag.Bool("smoke", false, "small, fast run for CI (skips wall-clock allocs)")
+	smoke := flag.Bool("smoke", false, "small, fast run for CI")
 	faults := flag.String("faults", "", `with -transport tcp: a fault plan run under the retry policy, or "sweep" for the drop-rate sweep (BENCH_faults.json)`)
 	scale := flag.Bool("scale", false, "run the 8..256-PE scale ladder on the sim substrate (BENCH_scale.json)")
 	collectives := flag.Bool("collectives", false, "run the flat-vs-tree broadcast sweep on the sim substrate (BENCH_collectives.json)")
@@ -166,8 +168,8 @@ func main() {
 
 	r := report{PEs: *pes, MsgsPerPE: *msgs, MsgSize: *size, Rounds: *rounds}
 	for _, m := range netmodel.All() {
-		fOff := bench.FanIn(m, *pes, *msgs, *size, off)
-		fOn := bench.FanIn(m, *pes, *msgs, *size, on)
+		fOff := roundNs(bench.FanIn(m, *pes, *msgs, *size, off))
+		fOn := roundNs(bench.FanIn(m, *pes, *msgs, *size, on))
 		r.FanIn = append(r.FanIn, fanInResult{
 			Machine:        m.Name,
 			OffUs:          fOff,
@@ -179,28 +181,15 @@ func main() {
 		})
 		r.PingPong = append(r.PingPong, pingPongResult{
 			Machine:     m.Name,
-			DirectUs:    bench.Converse(m, *size, *rounds),
-			CoalescedUs: bench.ConverseWith(m, *size, *rounds, on),
+			DirectUs:    roundNs(bench.Converse(m, *size, *rounds)),
+			CoalescedUs: roundNs(bench.ConverseWith(m, *size, *rounds, on)),
 		})
-	}
-
-	if !*smoke {
-		for _, co := range []converse.CoalesceConfig{off, on} {
-			allocs, ns := bench.SteadyStateAllocs(co)
-			r.SteadyState = append(r.SteadyState, steadyStateResult{
-				Coalesced: co.Enabled, AllocsPerOp: allocs, NsPerOp: ns,
-			})
-		}
 	}
 
 	writeJSON(*out, &r)
 	for _, f := range r.FanIn {
 		fmt.Printf("%-22s fan-in %dx%dx%dB  off=%8.0fus  on=%8.0fus  speedup=%.2fx\n",
 			f.Machine, *pes, *msgs, *size, f.OffUs, f.OnUs, f.Speedup)
-	}
-	for _, s := range r.SteadyState {
-		fmt.Printf("steady-state coalesced=%-5v  %.2f allocs/op  %.0f ns/op\n",
-			s.Coalesced, s.AllocsPerOp, s.NsPerOp)
 	}
 }
 

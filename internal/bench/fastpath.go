@@ -81,8 +81,8 @@ func FanInThroughput(elapsedUs float64, pes, msgs int) float64 {
 // pool, transfers it, and blocks for the echo; processor 1's handler
 // grabs the buffer and sends it straight back. After warmup every
 // buffer in the cycle comes from and returns to a pool, so the steady
-// state performs no heap allocation — the property BENCH_comm.json
-// records and the Makefile's bench gate enforces.
+// state performs no heap allocation — the property the Makefile's
+// overhead gate enforces.
 func steadyState(b *testing.B, co core.CoalesceConfig) {
 	cm := core.NewMachine(core.Config{PEs: 2, Watchdog: watchdog, Coalesce: co})
 	var hPing, hPong, hStop int
@@ -123,13 +123,3 @@ func steadyState(b *testing.B, co core.CoalesceConfig) {
 // SteadyStateBench exposes the steady-state round trip to go-test
 // benchmarks (see fastpath_test.go).
 func SteadyStateBench(b *testing.B, co core.CoalesceConfig) { steadyState(b, co) }
-
-// SteadyStateAllocs runs the steady-state round trip under the Go
-// benchmark harness and reports heap allocations and wall-clock
-// nanoseconds per round trip. Allocations are reported as a float so a
-// rare once-per-many-ops allocation is visible rather than rounded
-// away.
-func SteadyStateAllocs(co core.CoalesceConfig) (allocsPerOp, nsPerOp float64) {
-	r := testing.Benchmark(func(b *testing.B) { steadyState(b, co) })
-	return float64(r.MemAllocs) / float64(r.N), float64(r.NsPerOp())
-}

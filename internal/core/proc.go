@@ -69,7 +69,7 @@ type TraceEvent struct {
 // scheduler queue and machine-interface state. Converse keeps all
 // runtime state strictly processor-local; a Proc's methods (other than
 // those documented as cross-PE, none currently) must be called only from
-// its PE's driver goroutine or a thread hand-off chain rooted there.
+// its PE's driver goroutine or one of that PE's cth thread coroutines.
 type Proc struct {
 	pe    Substrate
 	costs ConverseCosts // nil when the model prices no Converse costs

@@ -6,13 +6,17 @@
 // internal/lang/tsm and internal/lang/mdt).
 //
 // The paper's implementation encapsulates a stack and program counter
-// via setjmp/longjmp. Here each thread object owns a goroutine, but with
-// strictly cooperative semantics: at most one context — the processor's
-// main (scheduler) context or one thread — runs per processor at any
-// instant, and control moves only through explicit Resume/Suspend/Exit
-// hand-offs over unbuffered tokens. This preserves exactly what the
-// paper needs from threads (user-level suspend/resume with pluggable
-// awaken/suspend strategies); only the stack-switch mechanism differs.
+// via setjmp/longjmp. Here each thread object is a runtime coroutine
+// (iter.Pull) with its own stack, driven by the processor's main
+// (scheduler) context: main resumes a thread by pulling its coroutine,
+// and a thread gives up control by yielding the context that should run
+// next. A switch from one thread to another therefore passes through
+// main, which keeps pulling until control comes back to it. Exactly one
+// context runs per processor at any instant, and a panic in a thread
+// surfaces in main, where the machine driver reports it. This preserves
+// exactly what the paper needs from threads (user-level suspend/resume
+// with pluggable awaken/suspend strategies); only the stack-switch
+// mechanism differs.
 //
 // Per the paper, CthAwaken and CthSuspend work as a pair around a
 // "ready pool": by default Awaken pushes onto a FIFO queue and Suspend
@@ -26,6 +30,7 @@ package cth
 import (
 	"encoding/binary"
 	"fmt"
+	"iter"
 	"runtime"
 
 	"converse/internal/core"
@@ -47,8 +52,7 @@ type Runtime struct {
 	resumeHandler int // dispatches "ready thread" generalized messages
 	threads       map[uint32]*Thread
 	nextID        uint32
-	next          *Thread      // strategy's pick, consumed by pickNext
-	pending       *threadPanic // panic escaping a thread, re-raised on resume
+	next          *Thread // strategy's pick, consumed by pickNext
 
 	created, switches uint64 // statistics
 }
@@ -57,12 +61,17 @@ type Runtime struct {
 // (CthCreate's THREAD). The zero value is not usable; create threads
 // with Runtime.Create.
 type Thread struct {
-	rt      *Runtime
-	id      uint32
-	fn      func()
-	token   chan struct{}
-	started bool
-	done    bool
+	rt   *Runtime
+	id   uint32
+	fn   func()
+	done bool
+
+	// pull runs the thread's coroutine until it yields the next context
+	// (ok is false once fn has returned); main creates it on the first
+	// resume. yield, set inside the coroutine, is how the thread hands
+	// that next context back to main.
+	pull  func() (next *Thread, ok bool)
+	yield func(next *Thread) bool
 
 	// suspendFn picks and resumes the next context when this thread
 	// suspends; awakenFn stores the thread where suspendFn (of others)
@@ -81,7 +90,7 @@ func Init(p *core.Proc) *Runtime {
 		return rt
 	}
 	rt := &Runtime{p: p, threads: make(map[uint32]*Thread)}
-	rt.main = &Thread{rt: rt, id: 0, token: make(chan struct{}), started: true}
+	rt.main = &Thread{rt: rt, id: 0}
 	rt.main.suspendFn = rt.defaultSuspend
 	rt.main.awakenFn = rt.defaultAwaken
 	rt.current = rt.main
@@ -105,14 +114,14 @@ func (rt *Runtime) Proc() *core.Proc { return rt.p }
 
 // Create builds a new thread object that will execute fn when first
 // resumed (CthCreate). The thread is not scheduled: resume it directly,
-// or Awaken it into a ready pool. Goroutine stacks grow on demand, so
+// or Awaken it into a ready pool. Coroutine stacks grow on demand, so
 // CthCreateOfSize's stack-size parameter has no equivalent here.
 func (rt *Runtime) Create(fn func()) *Thread {
 	if fn == nil {
 		panic("cth: Create(nil)")
 	}
 	rt.nextID++
-	t := &Thread{rt: rt, id: rt.nextID, fn: fn, token: make(chan struct{})}
+	t := &Thread{rt: rt, id: rt.nextID, fn: fn}
 	t.suspendFn = rt.defaultSuspend
 	t.awakenFn = rt.defaultAwaken
 	rt.threads[t.id] = t
@@ -147,71 +156,75 @@ func (rt *Runtime) Resume(t *Thread) {
 	if t == rt.current {
 		return
 	}
-	cur := rt.current
-	rt.handoff(t)
-	<-cur.token // block until control returns here
-	rt.checkPending()
+	rt.switchTo(t)
 }
 
-// handoff performs the actual context switch to t. It must be the LAST
-// shared-state-touching action of the calling goroutine before it blocks
-// on its own token (or exits): once the token is sent (or the goroutine
-// started), t runs concurrently with whatever instructions remain in the
-// caller.
+// switchTo transfers control to t and returns when control comes back
+// to the caller's context. A thread yields t to main. Main is the
+// trampoline: it enters and pulls each context in turn — the one a
+// thread yields, or the one an exited thread's strategy picks — until
+// control is back at main. A thread's panic comes out of pull, in main.
+//
 //converse:hotpath
-func (rt *Runtime) handoff(t *Thread) {
+func (rt *Runtime) switchTo(t *Thread) {
+	if cur := rt.current; cur != rt.main {
+		cur.yield(t)
+		return
+	}
+	for t != rt.main {
+		rt.enter(t)
+		if t.pull == nil {
+			t.pull, _ = iter.Pull(t.body) // once, on the first resume; the coroutine ends with fn
+		}
+		next, ok := t.pull()
+		if !ok {
+			next = rt.exit(t)
+		}
+		t = next
+	}
+	rt.enter(rt.main)
+}
+
+// enter records t as the running context: one context switch.
+//
+//converse:hotpath
+func (rt *Runtime) enter(t *Thread) {
 	rt.current = t
 	rt.switches++
 	rt.emit(core.EvThreadResume, t)
 	if m := rt.p.Metrics(); m != nil {
 		m.ThreadSwitch()
 	}
-	if !t.started {
-		t.started = true
-		//lint:ignore noallocinhot a thread's goroutine starts exactly once, on its first resume; every later switch reuses it via the token channel
-		go t.body()
-		return
-	}
-	t.token <- struct{}{}
 }
 
-// exitSentinel is the panic value Exit uses to unwind a thread's stack
-// (running its deferred calls) before the final hand-off.
+// exitSentinel is the panic value Exit uses to unwind a thread's stack,
+// running its deferred calls, before the coroutine ends.
 type exitSentinel struct{}
 
-// threadPanic carries a real panic out of a thread goroutine so it can
-// be re-raised in the next context and ultimately reach the machine's
-// driver goroutine, where Run reports it.
-type threadPanic struct {
-	value any
-	stack []byte
-}
-
-// body is the goroutine entry of a thread object.
-func (t *Thread) body() {
-	rt := t.rt
-	rt.checkPending()
+// body is the coroutine of a thread object. Exit ends it like a return;
+// a real panic is re-raised with the thread's stack, and pull re-raises
+// that in main.
+func (t *Thread) body(yield func(*Thread) bool) {
+	t.yield = yield
 	defer func() {
-		if r := recover(); r != nil {
-			if _, isExit := r.(exitSentinel); !isExit {
-				buf := make([]byte, 16<<10)
-				n := runtime.Stack(buf, false)
-				rt.pending = &threadPanic{value: r, stack: buf[:n]}
-			}
+		r := recover()
+		if _, isExit := r.(exitSentinel); r == nil || isExit {
+			return
 		}
-		// Falling off the end (or Exit, or a panic) ends the thread.
-		rt.exitCurrent()
+		buf := make([]byte, 16<<10)
+		n := runtime.Stack(buf, false)
+		panic(fmt.Sprintf("cth: pe %d: panic in thread: %v\n%s", t.rt.p.MyPe(), r, buf[:n]))
 	}()
 	t.fn()
 }
 
-// checkPending re-raises a panic that escaped a thread goroutine, in the
-// newly resumed context, so it propagates to the machine driver.
-func (rt *Runtime) checkPending() {
-	if p := rt.pending; p != nil {
-		rt.pending = nil
-		panic(fmt.Sprintf("cth: pe %d: panic in thread: %v\n%s", rt.p.MyPe(), p.value, p.stack))
-	}
+// exit retires t, whose coroutine has ended, and returns the context its
+// suspend strategy picks to run next.
+func (rt *Runtime) exit(t *Thread) *Thread {
+	t.done = true
+	delete(rt.threads, t.id)
+	rt.emit(core.EvThreadSuspend, t)
+	return rt.pickNext(t)
 }
 
 // Suspend stops the current thread and transfers control to another
@@ -233,10 +246,8 @@ func (rt *Runtime) Suspend() {
 		return // the strategy chose to keep running this thread
 	}
 	rt.p.NoteThreadsSuspended(1)
-	rt.handoff(next)
-	<-cur.token
+	rt.switchTo(next)
 	rt.p.NoteThreadsSuspended(-1)
-	rt.checkPending()
 }
 
 // pickNext runs cur's suspend strategy and returns the chosen context.
@@ -281,22 +292,8 @@ func (rt *Runtime) Exit() {
 		panic(fmt.Sprintf("cth: pe %d: Exit called from the main context", rt.p.MyPe()))
 	}
 	// Unwind via a sentinel panic so the thread's deferred calls run
-	// before the final hand-off in body's recover block.
+	// before its coroutine ends.
 	panic(exitSentinel{})
-}
-
-// exitCurrent marks the current thread dead and hands control onward
-// without expecting it back.
-func (rt *Runtime) exitCurrent() {
-	cur := rt.current
-	cur.done = true
-	delete(rt.threads, cur.id)
-	rt.emit(core.EvThreadSuspend, cur)
-	next := rt.pickNext(cur)
-	if next == cur {
-		panic(fmt.Sprintf("cth: pe %d: suspend strategy picked the exiting thread %d", rt.p.MyPe(), cur.id))
-	}
-	rt.handoff(next) // transfers control; nobody will resume cur
 }
 
 // SetStrategy overrides how Awaken stores t and how Suspend (called by
@@ -316,8 +313,7 @@ func (t *Thread) SetStrategy(suspend func(*Thread), awaken func(*Thread)) {
 
 // ResumeFromStrategy selects t as the next context to run. It may only
 // be called from inside a suspend strategy; the runtime performs the
-// actual switch after the strategy returns (so that the hand-off is the
-// suspending goroutine's final shared-state action).
+// actual switch after the strategy returns.
 func (rt *Runtime) ResumeFromStrategy(t *Thread) {
 	if t.done {
 		panic(fmt.Sprintf("cth: pe %d: strategy resumed exited thread %d", rt.p.MyPe(), t.id))

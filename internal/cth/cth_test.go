@@ -9,7 +9,7 @@ import (
 )
 
 // run executes body on PE0 of a 1-PE machine with watchdog.
-func run(t *testing.T, body func(p *core.Proc, rt *Runtime)) {
+func run(t testing.TB, body func(p *core.Proc, rt *Runtime)) {
 	t.Helper()
 	cm := core.NewMachine(core.Config{PEs: 1, Watchdog: 10 * time.Second})
 	err := cm.Run(func(p *core.Proc) {
@@ -376,25 +376,59 @@ func TestStats(t *testing.T) {
 	})
 }
 
-func TestThreadPanicPropagates(t *testing.T) {
+// runPanicking runs body on PE0 of a 1-PE machine and returns the error
+// Run reports.
+func runPanicking(body func(p *core.Proc, rt *Runtime)) error {
 	cm := core.NewMachine(core.Config{PEs: 1, Watchdog: 10 * time.Second})
-	err := cm.Run(func(p *core.Proc) {
-		rt := Init(p)
-		th := rt.Create(func() {
-			panic("thread exploded")
-		})
-		rt.Resume(th)
+	return cm.Run(func(p *core.Proc) { body(p, Init(p)) })
+}
+
+// suspendedBystander creates a thread that defers setting *deferred,
+// suspends once and sits awakened in the default ready pool.
+func suspendedBystander(rt *Runtime, deferred *bool) *Thread {
+	th := rt.Create(func() {
+		defer func() { *deferred = true }()
+		rt.Suspend()
 	})
-	if err == nil || !strings.Contains(err.Error(), "thread exploded") {
-		t.Fatalf("err = %v, want thread panic propagation", err)
+	rt.Resume(th)
+	rt.Awaken(th)
+	return th
+}
+
+func TestThreadPanicPropagates(t *testing.T) {
+	cases := []struct {
+		name string
+		body func(p *core.Proc, rt *Runtime)
+	}{
+		{"resumed by main", func(p *core.Proc, rt *Runtime) {
+			rt.Resume(rt.Create(func() { panic("thread exploded") }))
+		}},
+		{"resumed by another thread", func(p *core.Proc, rt *Runtime) {
+			bad := rt.Create(func() { panic("thread exploded") })
+			rt.Resume(rt.Create(func() { rt.Resume(bad) }))
+		}},
+		{"with a ready bystander", func(p *core.Proc, rt *Runtime) {
+			var deferred bool
+			suspendedBystander(rt, &deferred)
+			rt.Resume(rt.Create(func() { panic("thread exploded") }))
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := runPanicking(tc.body)
+			if err == nil || !strings.Contains(err.Error(), "thread exploded") {
+				t.Fatalf("err = %v, want thread panic propagation", err)
+			}
+			if n := strings.Count(err.Error(), "cth: pe 0: panic in thread"); n != 1 {
+				t.Errorf("error names the thread panic %d times, want once:\n%v", n, err)
+			}
+		})
 	}
 }
 
 func TestThreadPanicRunsDefers(t *testing.T) {
-	cm := core.NewMachine(core.Config{PEs: 1, Watchdog: 10 * time.Second})
 	cleaned := false
-	_ = cm.Run(func(p *core.Proc) {
-		rt := Init(p)
+	_ = runPanicking(func(p *core.Proc, rt *Runtime) {
 		th := rt.Create(func() {
 			defer func() { cleaned = true }()
 			panic("boom")
@@ -403,6 +437,43 @@ func TestThreadPanicRunsDefers(t *testing.T) {
 	})
 	if !cleaned {
 		t.Fatal("thread defers did not run on panic")
+	}
+
+	// A panic belongs to the thread that raised it: a thread waiting
+	// in the ready pool is neither unwound nor retired by it.
+	var bystander *Thread
+	cleaned, bystanderDeferred := false, false
+	err := runPanicking(func(p *core.Proc, rt *Runtime) {
+		bystander = suspendedBystander(rt, &bystanderDeferred)
+		rt.Resume(rt.Create(func() {
+			defer func() { cleaned = true }()
+			panic("boom")
+		}))
+	})
+	if err == nil || !strings.Contains(err.Error(), "boom") {
+		t.Fatalf("err = %v, want the thread's panic", err)
+	}
+	if !cleaned {
+		t.Error("panicking thread's defers did not run")
+	}
+	if bystanderDeferred {
+		t.Error("a ready bystander's defers ran on another thread's panic")
+	}
+	if bystander.Done() {
+		t.Error("a ready bystander was retired by another thread's panic")
+	}
+}
+
+func TestStrategyResumingExitingThreadPanics(t *testing.T) {
+	// A suspend strategy that picks the thread that is exiting names a
+	// thread that no longer exists.
+	err := runPanicking(func(p *core.Proc, rt *Runtime) {
+		th := rt.Create(func() {})
+		th.SetStrategy(func(self *Thread) { rt.ResumeFromStrategy(self) }, nil)
+		rt.Resume(th)
+	})
+	if err == nil || !strings.Contains(err.Error(), "strategy resumed exited thread") {
+		t.Fatalf("err = %v, want strategy-resumed-exited-thread panic", err)
 	}
 }
 
@@ -470,4 +541,55 @@ func TestInterleavedResumeAndScheduler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// BenchmarkThreadSwitch is one main↔thread round trip: main resumes a
+// thread that suspends straight back to it.
+func BenchmarkThreadSwitch(b *testing.B) {
+	run(b, func(p *core.Proc, rt *Runtime) {
+		stop := false
+		th := rt.Create(func() {
+			for !stop {
+				rt.Suspend()
+			}
+		})
+		rt.Resume(th) // the first resume starts the thread
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			rt.Resume(th)
+		}
+		b.StopTimer()
+		stop = true
+		rt.Resume(th)
+	})
+}
+
+// BenchmarkThreadSwitchBetweenThreads is one thread↔thread round trip:
+// two threads resume each other, main only starting and finishing them.
+func BenchmarkThreadSwitchBetweenThreads(b *testing.B) {
+	run(b, func(p *core.Proc, rt *Runtime) {
+		stop := false
+		var ping, pong *Thread
+		ping = rt.Create(func() {
+			rt.Resume(pong) // the first resume starts pong
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rt.Resume(pong)
+			}
+			b.StopTimer()
+			stop = true
+		})
+		pong = rt.Create(func() {
+			for !stop {
+				rt.Resume(ping)
+			}
+		})
+		rt.Resume(ping)
+		rt.Resume(pong)
+		if !ping.Done() || !pong.Done() {
+			b.Fatal("benchmark threads did not finish")
+		}
+	})
 }

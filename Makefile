@@ -5,8 +5,8 @@
 #   make machine-race  the machine layer alone under -race
 #   make overhead      zero-allocation gate: the disabled-path
 #                      observability benchmarks, the simulated
-#                      steady-state send path, the tcp stream
-#                      benchmark and the cth thread switch must
+#                      steady-state send path and collectives, the
+#                      tcp stream benchmark and the cth thread switch must
 #                      report zero allocations; plus a
 #                      footprint gate of 200 KB per tcp node bring-up
 #                      and a gate of 0.01 gateway connections per
@@ -120,6 +120,9 @@ machine-race:
 # invisible to the scheduler; BenchmarkSendAndFreeSteadyState and its
 # Coalesced twin hold the simulated cross-PE send -> inbox -> receive ->
 # free path to zero (every buffer from and back to the per-PE pool);
+# BenchmarkCollectiveSteadyState (an AllReduce plus a Barrier on an
+# 8-PE, 4-node x 2-PE simulated machine) holds the collective engine and
+# the conductor's PE-to-PE switches there too;
 # BenchmarkNetStream (a 64-message window of 256 B between two
 # in-process TCP nodes, plus the ack) holds the tcp send -> pack ->
 # frame -> receive -> unpack -> dispatch path to the same zero, and BenchmarkNetPingPong (one 64 B round trip, a pack of
@@ -138,7 +141,7 @@ overhead:
 	@out=$$($(GO) test ./internal/core/ -run '^$$' \
 		-bench 'DispatchOff|NullTracerOverhead|MetricsEnabled|MetricsDisabled|MonitorIdle' \
 		-benchmem -benchtime 200000x && \
-		$(GO) test ./internal/bench/ -run '^$$' -bench 'SendAndFreeSteadyState' \
+		$(GO) test ./internal/bench/ -run '^$$' -bench 'SendAndFreeSteadyState|CollectiveSteadyState' \
 		-benchmem -benchtime 20000x && \
 		$(GO) test ./internal/mnet/ -run '^$$' -bench 'NetStream|NetPingPong' \
 		-benchmem -benchtime 5000x && \

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"converse/internal/core"
@@ -53,16 +54,77 @@ func BenchmarkSendAndFreeSteadyStateCoalesced(b *testing.B) {
 	SteadyStateBench(b, core.CoalesceConfig{Enabled: true})
 }
 
+// TestFanInDeterministic: fan-in imposes no order between the senders,
+// and how the receiver's dispatch charges interleave with its
+// arrival-stamp advances depends on how many packets each inbox poll
+// finds. The simulated machine resumes its PEs in a fixed order, so
+// that count, and with it the elapsed virtual time, is the same on
+// every run.
+func TestFanInDeterministic(t *testing.T) {
+	model := netmodel.T3D()
+	for _, co := range []core.CoalesceConfig{{}, {Enabled: true}} {
+		a := FanIn(model, 8, 100, 64, co)
+		b := FanIn(model, 8, 100, 64, co)
+		if a != b {
+			t.Errorf("coalesced=%v: fan-in not deterministic: %v vs %v", co.Enabled, a, b)
+		}
+	}
+}
+
+// BenchmarkCollectiveSteadyState is the 0 allocs/op gate for the
+// collective engine on the simulated machine (run by the Makefile's
+// overhead target): one op is a core sum reduction plus a Barrier on 8
+// PEs mapped 4 nodes × 2 PEs, every PE taking part. Its messages all
+// come from and return to the per-PE pools, and every hand-off between
+// PEs is a conductor switch, so an op that allocates means one of the
+// two has started to. The reduction is AllReduce, whose result comes
+// back down the tree: a plain Reduce moves one buffer per op from each
+// leaf's pool to the root's, so its leaves allocate by design.
+func BenchmarkCollectiveSteadyState(b *testing.B) {
+	const warm = 64
+	cm := core.NewMachine(core.Config{PEs: 8, NodeSizes: []int{2, 2, 2, 2}, Watchdog: watchdog})
+	sum := cm.RegisterCombiner(func(a, b []byte) []byte {
+		binary.LittleEndian.PutUint64(a, binary.LittleEndian.Uint64(a)+binary.LittleEndian.Uint64(b))
+		return a
+	})
+	var reduced, want [8]uint64 // per PE
+	hRed := cm.RegisterHandler(func(p *core.Proc, msg []byte) { reduced[p.MyPe()]++ })
+	b.ReportAllocs()
+	err := cm.Run(func(p *core.Proc) {
+		me := p.MyPe()
+		done := func() bool { return reduced[me] == want[me] }
+		op := func() {
+			msg := p.Alloc(8)
+			core.SetHandler(msg, hRed)
+			binary.LittleEndian.PutUint64(core.Payload(msg), uint64(me+1))
+			p.AllReduce(sum, msg, core.Transfer)
+			want[me]++
+			p.ServeUntil(done)
+			p.Barrier()
+		}
+		for i := 0; i < warm; i++ {
+			op() // warm every processor's pools
+		}
+		if p.MyPe() == 0 {
+			b.ResetTimer()
+		}
+		for i := 0; i < b.N; i++ {
+			op()
+		}
+		if p.MyPe() == 0 {
+			b.StopTimer()
+		}
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+}
+
 // TestPingPongDeterministic checks that virtual-time measurements are
 // exactly repeatable when the workload forces a total order on
 // communication, as the strictly alternating round trip does: each
 // side blocks for the other, so the schedule — and therefore every
-// clock advance — is fixed regardless of goroutine timing. (Fan-in
-// elapsed time is deliberately not asserted equal across runs: how the
-// receiver's dispatch charges interleave with its arrival-stamp
-// advances depends on how many packets each inbox poll finds, which
-// varies with real scheduling; that is a property of the concurrent
-// simulation, not a bug.)
+// clock advance — is fixed by the program.
 func TestPingPongDeterministic(t *testing.T) {
 	model := netmodel.T3D()
 	for _, co := range []core.CoalesceConfig{{}, {Enabled: true}} {

@@ -307,6 +307,7 @@ func (cm *Machine) Run(start func(p *Proc)) error {
 		// A driver that returns right after sending must not strand
 		// staged coalescing packs.
 		p.flushAll()
+		p.driverExit()
 	})
 }
 
@@ -334,6 +335,7 @@ func (cm *Machine) runNet(start func(p *Proc)) error {
 			}()
 			start(p)
 			p.flushAll()
+			p.driverExit()
 			done <- nil
 		}(p)
 	}

@@ -151,7 +151,7 @@ func TestMsgCheckGenerationReuseDetected(t *testing.T) {
 func TestMsgCheckCanaryCatchesRawWriteAfterFree(t *testing.T) {
 	cm := newStagingMachine()
 	h := cm.RegisterHandler(func(p *Proc, msg []byte) {})
-	// The violation happens on a PE goroutine, where the machine layer
+	// The violation happens inside a PE's driver, where the machine layer
 	// converts the msgcheck panic into Run's error.
 	err := cm.Run(func(p *Proc) {
 		if p.MyPe() != 0 {

@@ -69,7 +69,7 @@ type TraceEvent struct {
 // scheduler queue and machine-interface state. Converse keeps all
 // runtime state strictly processor-local; a Proc's methods (other than
 // those documented as cross-PE, none currently) must be called only from
-// its PE's driver goroutine or one of that PE's cth thread coroutines.
+// its PE's driver or one of that PE's cth thread coroutines.
 type Proc struct {
 	pe    Substrate
 	costs ConverseCosts // nil when the model prices no Converse costs
@@ -116,6 +116,8 @@ type Proc struct {
 	// dispatch; a hook returning true consumes the message (used by the
 	// EMI scatter facility).
 	pre []func(msg []byte) bool
+
+	atExit []func() // run when the driver returns (AtExit)
 
 	tracer Tracer
 	met    *metrics.PE // nil when no metrics registry is attached
@@ -362,6 +364,21 @@ func (p *Proc) NoteThreadsSuspended(delta int) {
 func (p *Proc) NoteBarrierWaiters(delta int) {
 	if n, ok := p.pe.(blockStateNoter); ok {
 		n.NoteBarrierWaiters(delta)
+	}
+}
+
+// AtExit registers f to run on this processor when its driver's start
+// function returns, before Run counts the driver finished. It is the
+// seam through which a layer releases what it holds per processor —
+// cth unwinds the threads still suspended there. Functions run in
+// registration order. A driver that panics skips them: the machine
+// reports the panic with the processor's state as the panic left it.
+func (p *Proc) AtExit(f func()) { p.atExit = append(p.atExit, f) }
+
+// driverExit runs the AtExit functions.
+func (p *Proc) driverExit() {
+	for _, f := range p.atExit {
+		f()
 	}
 }
 

@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"iter"
 	"runtime"
+	"slices"
 
 	"converse/internal/core"
 	"converse/internal/queue"
@@ -67,10 +68,13 @@ type Thread struct {
 	done bool
 
 	// pull runs the thread's coroutine until it yields the next context
-	// (ok is false once fn has returned); main creates it on the first
-	// resume. yield, set inside the coroutine, is how the thread hands
-	// that next context back to main.
+	// (ok is false once fn has returned); main creates it, and stop, on
+	// the first resume. stop unwinds a coroutine still suspended when
+	// the processor's driver returns (release). yield, set inside the
+	// coroutine, is how the thread hands that next context back to
+	// main; it reports false once stop was called.
 	pull  func() (next *Thread, ok bool)
+	stop  func()
 	yield func(next *Thread) bool
 
 	// suspendFn picks and resumes the next context when this thread
@@ -96,6 +100,7 @@ func Init(p *core.Proc) *Runtime {
 	rt.current = rt.main
 	rt.resumeHandler = p.RegisterHandler(resumeFromMsg)
 	p.SetExt(extKey, rt)
+	p.AtExit(rt.release)
 	return rt
 }
 
@@ -156,7 +161,9 @@ func (rt *Runtime) Resume(t *Thread) {
 	if t == rt.current {
 		return
 	}
-	rt.switchTo(t)
+	if !rt.switchTo(t) {
+		panic(exitSentinel{}) // released at processor end
+	}
 }
 
 // switchTo transfers control to t and returns when control comes back
@@ -164,17 +171,18 @@ func (rt *Runtime) Resume(t *Thread) {
 // trampoline: it enters and pulls each context in turn — the one a
 // thread yields, or the one an exited thread's strategy picks — until
 // control is back at main. A thread's panic comes out of pull, in main.
+// It reports false when the calling thread was released instead of
+// resumed; the caller then unwinds it with the Exit sentinel.
 //
 //converse:hotpath
-func (rt *Runtime) switchTo(t *Thread) {
+func (rt *Runtime) switchTo(t *Thread) bool {
 	if cur := rt.current; cur != rt.main {
-		cur.yield(t)
-		return
+		return cur.yield(t)
 	}
 	for t != rt.main {
 		rt.enter(t)
 		if t.pull == nil {
-			t.pull, _ = iter.Pull(t.body) // once, on the first resume; the coroutine ends with fn
+			t.pull, t.stop = iter.Pull(t.body) // once, on the first resume; the coroutine ends with fn
 		}
 		next, ok := t.pull()
 		if !ok {
@@ -183,6 +191,7 @@ func (rt *Runtime) switchTo(t *Thread) {
 		t = next
 	}
 	rt.enter(rt.main)
+	return true
 }
 
 // enter records t as the running context: one context switch.
@@ -227,6 +236,29 @@ func (rt *Runtime) exit(t *Thread) *Thread {
 	return rt.pickNext(t)
 }
 
+// release unwinds, in creation order, every thread still suspended when
+// the processor's driver returns, so no coroutine outlives its
+// processor: stop makes the thread's pending switch report false, and
+// the thread unwinds as if by Exit — its deferred calls run, nothing
+// after the switch does.
+func (rt *Runtime) release() {
+	ids := make([]uint32, 0, len(rt.threads))
+	for id, t := range rt.threads {
+		if t.stop != nil {
+			ids = append(ids, id)
+		}
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		t := rt.threads[id]
+		rt.current = t
+		t.stop()
+		t.done = true
+		delete(rt.threads, id)
+	}
+	rt.current = rt.main
+}
+
 // Suspend stops the current thread and transfers control to another
 // (CthSuspend). Which one is chosen by the current thread's suspend
 // strategy: by default, the thread longest in the ready pool, or the
@@ -246,8 +278,11 @@ func (rt *Runtime) Suspend() {
 		return // the strategy chose to keep running this thread
 	}
 	rt.p.NoteThreadsSuspended(1)
-	rt.switchTo(next)
+	resumed := rt.switchTo(next)
 	rt.p.NoteThreadsSuspended(-1)
+	if !resumed {
+		panic(exitSentinel{}) // released at processor end
+	}
 }
 
 // pickNext runs cur's suspend strategy and returns the chosen context.

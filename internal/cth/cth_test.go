@@ -1,6 +1,7 @@
 package cth
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -474,6 +475,44 @@ func TestStrategyResumingExitingThreadPanics(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "strategy resumed exited thread") {
 		t.Fatalf("err = %v, want strategy-resumed-exited-thread panic", err)
+	}
+}
+
+// TestSuspendedThreadReleasedAtProcessorEnd: a thread still suspended
+// when its processor's driver returns is unwound as if by Exit — its
+// deferred calls run, the code after its Suspend does not — and its
+// coroutine does not outlive the machine.
+func TestSuspendedThreadReleasedAtProcessorEnd(t *testing.T) {
+	var th *Thread
+	deferred, resumed := false, false
+	run(t, func(p *core.Proc, rt *Runtime) {
+		th = rt.Create(func() {
+			defer func() { deferred = true }()
+			rt.Suspend()
+			resumed = true
+		})
+		rt.Resume(th)
+	})
+	if !deferred || resumed {
+		t.Errorf("released thread: deferred=%v resumed=%v, want its defers run and nothing after Suspend", deferred, resumed)
+	}
+	if !th.Done() {
+		t.Error("released thread is not Done")
+	}
+
+	before := runtime.NumGoroutine()
+	for i := 0; i < 20; i++ {
+		run(t, func(p *core.Proc, rt *Runtime) {
+			rt.Resume(rt.Create(func() { rt.Suspend() }))
+		})
+	}
+	after := runtime.NumGoroutine()
+	for deadline := time.Now().Add(time.Second); after > before && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond) // let unrelated goroutines wind down
+		after = runtime.NumGoroutine()
+	}
+	if after > before {
+		t.Fatalf("20 machines that each ended with a suspended thread: %d goroutines, want at most %d", after, before)
 	}
 }
 

@@ -9,7 +9,9 @@ import (
 // one consumer, per-producer FIFO. It is extracted so any substrate
 // hosting processors in-process can reuse it: the simulated PE and the
 // network machine layer's intra-node delivery path (internal/mnet in
-// nodes×PEs mode) share this one implementation.
+// nodes×PEs mode) share this one implementation. Only mnet's consumer
+// sleeps in Pop: a simulated PE waits by yielding to its machine's
+// conductor (conductor.go) and pops with TryPop.
 //
 // Producers (Put) append to a slice under the inbox mutex. The consumer
 // (TryPop, Pop) swaps that whole slice out under the same mutex and then

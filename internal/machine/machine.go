@@ -2,10 +2,13 @@
 // stands in for the parallel hardware of the paper's evaluation (Sun/HP
 // workstation networks, Cray T3D, IBM SP, Intel Paragon).
 //
-// A Machine is a set of logical processing elements (PEs). Each PE is
-// driven by exactly one goroutine, owns a private address space by
-// convention (nothing is shared except through messages), and has a
-// thread-safe inbound packet queue fed by the other PEs. This is the
+// A Machine is a set of logical processing elements (PEs). Each PE's
+// driver is a coroutine, and one conductor loop on the goroutine that
+// calls Run switches between them (conductor.go), so exactly one PE
+// runs at a time and a message hand-off costs a coroutine switch. Each
+// PE owns a private address space by convention (nothing is shared
+// except through messages) and has a thread-safe inbound packet queue
+// fed by the other PEs and by foreign goroutines (Inject). This is the
 // layer below the Converse machine interface (CMI): internal/core
 // implements CmiSyncSend, CmiGetMsg and friends on top of it.
 //
@@ -19,7 +22,6 @@ package machine
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 )
@@ -73,6 +75,8 @@ type Machine struct {
 
 	stopMu  sync.Mutex
 	stopped bool
+
+	cd conductor // runs the PEs during Run (conductor.go)
 }
 
 // New creates a machine with the given configuration.
@@ -92,6 +96,7 @@ func New(cfg Config) *Machine {
 		m.topo = FlatTopology(cfg.PEs)
 	}
 	m.console.init()
+	m.cd.init(cfg.PEs)
 	m.pes = make([]*PE, cfg.PEs)
 	for i := range m.pes {
 		m.pes[i] = newPE(m, i)
@@ -115,67 +120,6 @@ func (m *Machine) Topology() *Topology { return m.topo }
 // Model returns the machine's cost model (possibly nil).
 func (m *Machine) Model() CostModel { return m.model }
 
-// Run starts one driver goroutine per PE, each executing start with its
-// PE, and returns when all of them have returned. It corresponds to the
-// process creation and coordination at initiation and termination points
-// that the paper assigns to the MMI (CmiInit/CmiExit).
-//
-// If any PE panics, Run recovers it and returns it as an error after the
-// remaining PEs finish or the watchdog fires. If the watchdog fires
-// first, Run unblocks every blocked receive and returns an error.
-func (m *Machine) Run(start func(pe *PE)) error {
-	var wg sync.WaitGroup
-	errs := make(chan error, len(m.pes))
-	for _, pe := range m.pes {
-		wg.Add(1)
-		go func(pe *PE) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					buf := make([]byte, 16<<10)
-					n := runtime.Stack(buf, false)
-					errs <- fmt.Errorf("machine: PE %d panicked: %v\n%s", pe.id, r, buf[:n])
-					m.Stop() // unblock the other PEs
-				}
-			}()
-			start(pe)
-		}(pe)
-	}
-
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-
-	var timeout <-chan time.Time
-	if m.watchdog > 0 {
-		t := time.NewTimer(m.watchdog)
-		defer t.Stop()
-		timeout = t.C
-	}
-
-	select {
-	case <-done:
-	case <-timeout:
-		// Snapshot the block states before Stop wakes the blocked
-		// receives (waking them clears their blocked-in-recv flag, which
-		// is the most important part of the diagnosis).
-		desc := m.describeBlocked()
-		m.Stop()
-		<-done
-		select {
-		case err := <-errs:
-			return err
-		default:
-		}
-		return fmt.Errorf("machine: watchdog expired after %v (likely deadlock: %s)", m.watchdog, desc)
-	}
-	select {
-	case err := <-errs:
-		return err
-	default:
-	}
-	return nil
-}
-
 // Stop marks the machine stopped and unblocks every PE blocked in a
 // receive; their blocking calls return ok=false. Stop is idempotent and
 // safe to call from any goroutine.
@@ -189,6 +133,7 @@ func (m *Machine) Stop() {
 	m.stopMu.Unlock()
 	for _, pe := range m.pes {
 		pe.inbox.Stop()
+		m.cd.mark(pe.id)
 	}
 }
 

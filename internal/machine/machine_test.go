@@ -107,6 +107,20 @@ func TestTryRecvNonBlocking(t *testing.T) {
 	}
 }
 
+func TestRecvOutsideRunPanics(t *testing.T) {
+	pe := New(Config{PEs: 1}).PE(0)
+	pe.Send(0, []byte("queued"))
+	if pkt, ok := pe.Recv(); !ok || string(pkt.Data) != "queued" {
+		t.Fatalf("Recv of a queued packet outside Run = %q, %v", pkt.Data, ok)
+	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "outside Machine.Run") {
+			t.Fatalf("blocking Recv outside Run: recovered %v, want a panic naming Machine.Run", r)
+		}
+	}()
+	pe.Recv() // nothing queued: it would have to wait, and no conductor runs
+}
+
 func TestSendInvalidDestinationPanics(t *testing.T) {
 	m := New(Config{PEs: 2})
 	defer func() {

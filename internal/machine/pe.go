@@ -19,8 +19,8 @@ type Packet struct {
 
 // PE is one processing element of a simulated multicomputer. All of its
 // methods except the send family must be called only from the PE's own
-// driver goroutine (or a context hand-off chain rooted in it); the send
-// family may be called by any PE targeting this one.
+// driver (or a context hand-off chain rooted in it, such as its cth
+// threads); the send family may be called by any PE targeting this one.
 //
 // The inbound queue is an Inbox: senders append under its mutex, and
 // the receiver takes everything queued as one batch and pops it without
@@ -37,10 +37,10 @@ type PE struct {
 	// lastArrive[dst] is the arrival stamp of the previous packet this
 	// PE sent to dst. Links are FIFO (non-overtaking), so a packet's
 	// arrival time is never earlier than its predecessor's on the same
-	// link. Owned by the driver goroutine.
+	// link. Owned by the driver.
 	lastArrive []float64
 
-	// statistics, owned by the driver goroutine
+	// statistics, owned by the driver
 	sent     uint64
 	received uint64
 	sentToMe atomic.Uint64 // updated by senders
@@ -52,6 +52,15 @@ type PE struct {
 	// NoteThreadsSuspended/NoteBarrierWaiters hooks.
 	threadsSusp    atomic.Int64
 	barrierWaiters atomic.Int64
+
+	// Conductor state (conductor.go). yield, set while Run drives the
+	// PE as a coroutine, hands the CPU back to the conductor; nil
+	// outside Run, where a receive cannot wait. polls counts empty
+	// TryRecv polls since the last yield; spun marks a PE that yielded
+	// from a poll (or has not started) and so stays runnable.
+	yield func(struct{}) bool
+	polls int
+	spun  bool
 }
 
 func newPE(m *Machine, id int) *PE {
@@ -157,15 +166,23 @@ func (pe *PE) Inject(data []byte) {
 func (pe *PE) deliver(pkt Packet) {
 	pe.sentToMe.Add(1)
 	pe.inbox.Put(pkt)
+	pe.m.cd.mark(pe.id)
 }
 
 // TryRecv removes and returns the oldest inbound packet without
 // blocking. It returns ok=false if the inbox is empty. On success the
 // PE's clock advances to the packet's arrival time plus the model's
-// receive overhead.
+// receive overhead. Under Run, every pollBudget-th empty poll first
+// lets the other PEs run, so a PE busy-polling for another's progress
+// gets it.
 func (pe *PE) TryRecv() (Packet, bool) {
 	pkt, ok := pe.inbox.TryPop()
 	if !ok {
+		if pe.yield != nil {
+			if pe.polls++; pe.polls >= pollBudget {
+				pe.park(true)
+			}
+		}
 		return Packet{}, false
 	}
 	pe.arrived(&pkt)
@@ -174,14 +191,20 @@ func (pe *PE) TryRecv() (Packet, bool) {
 
 // Recv blocks until a packet is available and returns it. It returns
 // ok=false if the machine is stopped while waiting (watchdog or
-// explicit Stop).
+// explicit Stop). Blocking parks the PE's coroutine until the
+// conductor finds a packet for it or the machine stopped, so only a PE
+// driven by Run can wait here.
 func (pe *PE) Recv() (Packet, bool) {
-	pkt, ok := pe.inbox.Pop()
-	if !ok {
-		return Packet{}, false
+	for {
+		if pkt, ok := pe.inbox.TryPop(); ok {
+			pe.arrived(&pkt)
+			return pkt, true
+		}
+		if pe.inbox.Stopped() {
+			return Packet{}, false
+		}
+		pe.park(false)
 	}
-	pe.arrived(&pkt)
-	return pkt, true
 }
 
 // arrived performs the receive-side clock accounting for a packet.

@@ -122,7 +122,11 @@ machine-race:
 # free path to zero (every buffer from and back to the per-PE pool);
 # BenchmarkCollectiveSteadyState (an AllReduce plus a Barrier on an
 # 8-PE, 4-node x 2-PE simulated machine) holds the collective engine and
-# the conductor's PE-to-PE switches there too;
+# the conductor's PE-to-PE switches there too, and
+# BenchmarkReduceSteadyState (a plain Reduce plus a Barrier) and
+# BenchmarkFanInSteadyState (bursts from 7 PEs to PE 0, freed there) on
+# the same machine hold the machine-wide depot that carries buffers
+# back from the receiver's full pool to the senders';
 # BenchmarkNetStream (a 64-message window of 256 B between two
 # in-process TCP nodes, plus the ack) holds the tcp send -> pack ->
 # frame -> receive -> unpack -> dispatch path to the same zero, and BenchmarkNetPingPong (one 64 B round trip, a pack of
@@ -141,7 +145,7 @@ overhead:
 	@out=$$($(GO) test ./internal/core/ -run '^$$' \
 		-bench 'DispatchOff|NullTracerOverhead|MetricsEnabled|MetricsDisabled|MonitorIdle' \
 		-benchmem -benchtime 200000x && \
-		$(GO) test ./internal/bench/ -run '^$$' -bench 'SendAndFreeSteadyState|CollectiveSteadyState' \
+		$(GO) test ./internal/bench/ -run '^$$' -bench 'SendAndFreeSteadyState|CollectiveSteadyState|ReduceSteadyState|FanInSteadyState' \
 		-benchmem -benchtime 20000x && \
 		$(GO) test ./internal/mnet/ -run '^$$' -bench 'NetStream|NetPingPong' \
 		-benchmem -benchtime 5000x && \

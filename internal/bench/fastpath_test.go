@@ -71,39 +71,23 @@ func TestFanInDeterministic(t *testing.T) {
 	}
 }
 
-// BenchmarkCollectiveSteadyState is the 0 allocs/op gate for the
-// collective engine on the simulated machine (run by the Makefile's
-// overhead target): one op is a core sum reduction plus a Barrier on 8
-// PEs mapped 4 nodes × 2 PEs, every PE taking part. Its messages all
-// come from and return to the per-PE pools, and every hand-off between
-// PEs is a conductor switch, so an op that allocates means one of the
-// two has started to. The reduction is AllReduce, whose result comes
-// back down the tree: a plain Reduce moves one buffer per op from each
-// leaf's pool to the root's, so its leaves allocate by design.
-func BenchmarkCollectiveSteadyState(b *testing.B) {
+// steadyOps is the 0 allocs/op harness for steady states on the
+// simulated machine with several PEs: 8 PEs mapped 4 nodes × 2 PEs,
+// every one running build's op for it b.N times after warm rounds that
+// fill the pools, timed on PE 0. Every buffer an op sends comes from a
+// pool and goes back to one — the receiver's, or the machine's depot
+// behind it when that is full, from which the senders draw it back —
+// and every hand-off between PEs is a conductor switch, so an op that
+// allocates means one of the two has started to.
+func steadyOps(b *testing.B, build func(cm *core.Machine) func(p *core.Proc) func()) {
 	const warm = 64
 	cm := core.NewMachine(core.Config{PEs: 8, NodeSizes: []int{2, 2, 2, 2}, Watchdog: watchdog})
-	sum := cm.RegisterCombiner(func(a, b []byte) []byte {
-		binary.LittleEndian.PutUint64(a, binary.LittleEndian.Uint64(a)+binary.LittleEndian.Uint64(b))
-		return a
-	})
-	var reduced, want [8]uint64 // per PE
-	hRed := cm.RegisterHandler(func(p *core.Proc, msg []byte) { reduced[p.MyPe()]++ })
+	mk := build(cm)
 	b.ReportAllocs()
 	err := cm.Run(func(p *core.Proc) {
-		me := p.MyPe()
-		done := func() bool { return reduced[me] == want[me] }
-		op := func() {
-			msg := p.Alloc(8)
-			core.SetHandler(msg, hRed)
-			binary.LittleEndian.PutUint64(core.Payload(msg), uint64(me+1))
-			p.AllReduce(sum, msg, core.Transfer)
-			want[me]++
-			p.ServeUntil(done)
-			p.Barrier()
-		}
+		op := mk(p)
 		for i := 0; i < warm; i++ {
-			op() // warm every processor's pools
+			op()
 		}
 		if p.MyPe() == 0 {
 			b.ResetTimer()
@@ -118,6 +102,92 @@ func BenchmarkCollectiveSteadyState(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+}
+
+// sumContribution allocates this processor's 8-byte contribution to a
+// sum reduction, addressed to handler h.
+func sumContribution(p *core.Proc, h int) []byte {
+	msg := p.Alloc(8)
+	core.SetHandler(msg, h)
+	binary.LittleEndian.PutUint64(core.Payload(msg), uint64(p.MyPe()+1))
+	return msg
+}
+
+func sumCombiner(a, b []byte) []byte {
+	binary.LittleEndian.PutUint64(a, binary.LittleEndian.Uint64(a)+binary.LittleEndian.Uint64(b))
+	return a
+}
+
+// BenchmarkCollectiveSteadyState: one op is an AllReduce, whose result
+// comes back down the tree to every PE, plus a Barrier (run by the
+// Makefile's overhead target, as are the two below).
+func BenchmarkCollectiveSteadyState(b *testing.B) {
+	steadyOps(b, func(cm *core.Machine) func(p *core.Proc) func() {
+		sum := cm.RegisterCombiner(sumCombiner)
+		var reduced, want [8]uint64 // per PE
+		h := cm.RegisterHandler(func(p *core.Proc, msg []byte) { reduced[p.MyPe()]++ })
+		return func(p *core.Proc) func() {
+			me := p.MyPe()
+			done := func() bool { return reduced[me] == want[me] }
+			return func() {
+				p.AllReduce(sum, sumContribution(p, h), core.Transfer)
+				want[me]++
+				p.ServeUntil(done)
+				p.Barrier()
+			}
+		}
+	})
+}
+
+// BenchmarkReduceSteadyState: one op is a plain Reduce, whose result
+// stays on PE 0, plus a Barrier. Each op moves one buffer from every
+// leaf's pool towards the root's; the depot carries them back.
+func BenchmarkReduceSteadyState(b *testing.B) {
+	steadyOps(b, func(cm *core.Machine) func(p *core.Proc) func() {
+		sum := cm.RegisterCombiner(sumCombiner)
+		var reduced, want uint64 // PE 0's
+		h := cm.RegisterHandler(func(p *core.Proc, msg []byte) { reduced++ })
+		return func(p *core.Proc) func() {
+			done := func() bool { return reduced == want }
+			return func() {
+				p.Reduce(sum, sumContribution(p, h), core.Transfer)
+				if p.MyPe() == 0 {
+					want++
+					p.ServeUntil(done)
+				}
+				p.Barrier()
+			}
+		}
+	})
+}
+
+// BenchmarkFanInSteadyState: one op is a burst of fanInBurst messages
+// from each of PEs 1-7 to PE 0 (SyncSendAndFree), which PE 0's handler
+// leaves to the runtime to free, plus a Barrier.
+func BenchmarkFanInSteadyState(b *testing.B) {
+	const fanInBurst = 8
+	steadyOps(b, func(cm *core.Machine) func(p *core.Proc) func() {
+		var got, want int // PE 0's
+		h := cm.RegisterHandler(func(p *core.Proc, msg []byte) { got++ })
+		return func(p *core.Proc) func() {
+			if p.MyPe() == 0 {
+				done := func() bool { return got == want }
+				return func() {
+					want += fanInBurst * (p.NumPes() - 1)
+					p.ServeUntil(done)
+					p.Barrier()
+				}
+			}
+			return func() {
+				for i := 0; i < fanInBurst; i++ {
+					msg := p.Alloc(56)
+					core.SetHandler(msg, h)
+					p.SyncSendAndFree(0, msg)
+				}
+				p.Barrier()
+			}
+		}
+	})
 }
 
 // TestPingPongDeterministic checks that virtual-time measurements are

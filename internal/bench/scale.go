@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -26,6 +27,12 @@ import (
 
 // ScalePEs is the default processor ladder for the scale profile.
 var ScalePEs = []int{8, 16, 32, 64, 128, 256}
+
+// pingPongSamples is how many ping-pong runs, each on a fresh machine,
+// every ladder point takes. One run is a shot of a few hundred
+// microseconds that a single GC pause or host preemption can multiply,
+// so a point records the samples' median and quartiles.
+const pingPongSamples = 9
 
 // schedFrames are the scheduler-loop frames whose cumulative CPU share
 // the profile reports: the main dispatch loops and the network-drain
@@ -41,8 +48,12 @@ var schedFrames = []string{
 type ScalePoint struct {
 	PEs int `json:"pes"`
 	// PingPongOneWayUs is the 0↔1 one-way latency with pes-2 other
-	// processors idle on the same machine.
-	PingPongOneWayUs float64 `json:"pingpong_one_way_us"`
+	// processors idle on the same machine: the median of
+	// PingPongSamples runs, whose quartiles are P25 and P75.
+	PingPongOneWayUs    float64 `json:"pingpong_one_way_us"`
+	PingPongOneWayP25Us float64 `json:"pingpong_one_way_p25_us"`
+	PingPongOneWayP75Us float64 `json:"pingpong_one_way_p75_us"`
+	PingPongSamples     int     `json:"pingpong_samples"`
 	// Fan-in burst: every processor but 0 sends Msgs messages to 0.
 	FanInElapsedUs float64 `json:"fanin_elapsed_us"`
 	FanInMsgsPerMs float64 `json:"fanin_msgs_per_ms"`
@@ -95,8 +106,9 @@ func ScaleSweep(peList []int, opt ScaleOptions) ([]ScalePoint, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bench: scale point pes=%d: %w", pes, err)
 		}
-		logf("pes=%-4d ping-pong %7.2f us   fan-in %9.0f us %8.1f msgs/ms   sched %4.1f%% core %4.1f%%   %.2f allocs/msg\n",
-			pt.PEs, pt.PingPongOneWayUs, pt.FanInElapsedUs, pt.FanInMsgsPerMs,
+		logf("pes=%-4d ping-pong %7.2f us (%.2f-%.2f)   fan-in %9.0f us %8.1f msgs/ms   sched %4.1f%% core %4.1f%%   %.2f allocs/msg\n",
+			pt.PEs, pt.PingPongOneWayUs, pt.PingPongOneWayP25Us, pt.PingPongOneWayP75Us,
+			pt.FanInElapsedUs, pt.FanInMsgsPerMs,
 			pt.SchedCPUShare*100, pt.CoreCPUShare*100, pt.AllocsPerMsg)
 		points = append(points, pt)
 	}
@@ -108,11 +120,18 @@ func scalePoint(pes int, opt ScaleOptions) (ScalePoint, error) {
 	pt := ScalePoint{PEs: pes}
 
 	cfg.PEs = pes
-	pp, err := NetPingPong(cfg, opt.Size, opt.Rounds)
-	if err != nil {
-		return pt, err
+	pp := make([]float64, pingPongSamples)
+	for i := range pp {
+		us, err := NetPingPong(cfg, opt.Size, opt.Rounds)
+		if err != nil {
+			return pt, err
+		}
+		pp[i] = us
 	}
-	pt.PingPongOneWayUs = pp
+	slices.Sort(pp)
+	rank := func(q float64) float64 { return pp[int(q*float64(len(pp)-1)+0.5)] }
+	pt.PingPongOneWayP25Us, pt.PingPongOneWayUs, pt.PingPongOneWayP75Us = rank(0.25), rank(0.5), rank(0.75)
+	pt.PingPongSamples = len(pp)
 
 	// The timed fan-in doubles as the allocation count: the Mallocs
 	// delta over machine build + burst, per delivered message.

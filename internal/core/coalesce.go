@@ -201,11 +201,12 @@ func packSeg(data []byte, off int) (seg []byte, next int, err error) {
 // runtime-integrity failure (the sender staged it, so it was well
 // formed when it left): unpack fails the processor loudly.
 //
-// On a network substrate the spent pack goes straight to the node's
-// depot rather than this processor's pool: packs are read by link
-// readers, which draw from the depot, while this processor allocates
-// pack-sized buffers only to stage its own sends. Pooling them here
-// would park up to a class's worth of 4 KB buffers per receiving PE.
+// The spent pack goes straight to the substrate's depot rather than
+// this processor's pool: on a network substrate packs are read by link
+// readers, which draw from the depot, and on either substrate this
+// processor allocates pack-sized buffers only to stage its own sends.
+// Pooling them here would park up to a class's worth of 4 KB buffers
+// per receiving PE.
 func (p *Proc) unpack(data []byte, src int) {
 	for off := HeaderSize; off < len(data); {
 		seg, next, err := packSeg(data, off)
@@ -221,7 +222,7 @@ func (p *Proc) unpack(data []byte, src int) {
 		}
 		p.netq.PushBack(netMsg{data: buf, src: src})
 	}
-	if ci := machine.RecycleClass(cap(data)); ci >= 0 && p.pool.depot != nil {
+	if ci := machine.RecycleClass(cap(data)); ci >= 0 {
 		mcSpill(p.pool.depot, ci, data[:cap(data)])
 		return
 	}

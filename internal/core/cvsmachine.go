@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"time"
 
-	"converse/internal/faultnet"
 	"converse/internal/machine"
 	"converse/internal/metrics"
 )
@@ -99,11 +98,11 @@ type Config struct {
 	// one-machine batch runs.
 	Job string
 	// Faults is a fault-injection plan in the internal/faultnet grammar
-	// (e.g. "seed=7,drop=1%,killlink=1-0@120"); empty means no
-	// injection. Under the TCP substrate faults hit outbound data frames
-	// *below* the reliability layer, so FailRetry must repair them;
-	// under the simulated substrate packets are faulted directly — there
-	// is no reliability layer, so the program itself feels the loss.
+	// (e.g. "seed=7,drop=1%,killlink=1-0@120") for the TCP substrate;
+	// empty means no injection. Faults hit outbound data frames *below*
+	// the reliability layer, so FailRetry must repair them. The
+	// simulated machine has no wire to fault: NewMachine panics if a
+	// plan is set there.
 	Faults string
 }
 
@@ -127,10 +126,6 @@ type Machine struct {
 // NewMachine creates a Converse machine on the substrate selected by
 // Config.Transport (see TransportAuto).
 func NewMachine(cfg Config) *Machine {
-	if cfg.Metrics != nil && cfg.Metrics.NumPEs() != cfg.PEs {
-		panic(fmt.Sprintf("core: metrics registry built for %d PEs, machine has %d",
-			cfg.Metrics.NumPEs(), cfg.PEs))
-	}
 	switch cfg.Transport {
 	case TransportAuto:
 		if netInJob() {
@@ -146,27 +141,12 @@ func NewMachine(cfg Config) *Machine {
 		panic(fmt.Sprintf("core: unknown Transport %q (want %q, %q or %q)",
 			cfg.Transport, TransportAuto, TransportSim, TransportTCP))
 	}
-	plan, err := faultnet.Parse(cfg.Faults)
-	if err != nil {
-		panic(fmt.Sprintf("core: %v", err))
+	if cfg.Faults != "" {
+		panic(fmt.Sprintf("core: Config.Faults %q needs the TCP substrate (Transport %q under converserun): fault plans act on its data frames, and the simulated machine has no wire", cfg.Faults, TransportTCP))
 	}
 	m := machine.New(machine.Config{PEs: cfg.PEs, NodeSizes: cfg.NodeSizes, Model: cfg.Model, Watchdog: cfg.Watchdog})
-	cm := &Machine{m: m, npes: cfg.PEs, met: cfg.Metrics, job: cfg.Job}
-	cm.procs = make([]*Proc, cfg.PEs)
-	for i := range cm.procs {
-		var sub Substrate = m.PE(i)
-		if in := faultnet.New(plan, i); in != nil {
-			sub = faultnet.WrapSim(m.PE(i), in)
-		}
-		cm.procs[i] = newProc(sub, cfg.Coalesce)
-		cm.procs[i].job = cfg.Job
-		if cfg.Tracer != nil {
-			cm.procs[i].SetTracer(cfg.Tracer(i))
-		}
-		if cfg.Metrics != nil {
-			cm.procs[i].SetMetrics(cfg.Metrics.PE(i))
-		}
-	}
+	cm := newMachine(cfg, cfg.Coalesce, cfg.PEs, func(i int) machine.Substrate { return m.PE(i) })
+	cm.m = m
 	return cm
 }
 
@@ -178,21 +158,38 @@ func NewMachine(cfg Config) *Machine {
 // alternative launchers plug into. Its processors always coalesce small
 // inter-node sends; Config.Coalesce is ignored.
 func NewMachineOn(sub NetSubstrate, cfg Config) *Machine {
+	// One runtime instance per hosted PE; a surplus node builds none.
+	cm := newMachine(cfg, CoalesceConfig{Enabled: true}, sub.LocalPEs(), sub.LocalPE)
+	cm.net = sub
+	// A peer declared dead (mnet under FailRetry) is reported through
+	// the generalized-message path: the notification is posted to each
+	// local PE's built-in peer-down handler, so user callbacks
+	// (Proc.NotifyPeerDown) always run in scheduler context.
+	sub.SetPeerDownHandler(func(pe int, reason string) {
+		for _, p := range cm.procs {
+			p.pe.SendOwned(p.pe.ID(), makePeerDownMsg(p.peerDownHandler, pe, reason))
+		}
+	})
+	return cm
+}
+
+// newMachine builds a Converse machine over the n processors this
+// process hosts, pe(0) to pe(n-1): it checks cfg's metrics registry
+// and each processor against the machine size, then gives every
+// processor its runtime instance, tagged and instrumented as cfg asks.
+func newMachine(cfg Config, co CoalesceConfig, n int, pe func(i int) machine.Substrate) *Machine {
 	if cfg.Metrics != nil && cfg.Metrics.NumPEs() != cfg.PEs {
 		panic(fmt.Sprintf("core: metrics registry built for %d PEs, machine has %d",
 			cfg.Metrics.NumPEs(), cfg.PEs))
 	}
-	cm := &Machine{net: sub, npes: cfg.PEs, wdog: cfg.Watchdog, met: cfg.Metrics, job: cfg.Job}
-	// One runtime instance per hosted PE; a surplus node builds none.
-	for i := 0; i < sub.LocalPEs(); i++ {
-		s, ok := sub.LocalPE(i).(Substrate)
-		if !ok {
-			panic(fmt.Sprintf("core: substrate's LocalPE(%d) does not satisfy core.Substrate", i))
-		}
+	cm := &Machine{npes: cfg.PEs, wdog: cfg.Watchdog, met: cfg.Metrics, job: cfg.Job}
+	cm.procs = make([]*Proc, 0, n)
+	for i := 0; i < n; i++ {
+		s := pe(i)
 		if s.NumPEs() != cfg.PEs {
 			panic(fmt.Sprintf("core: substrate joined a %d-PE machine, Config.PEs is %d", s.NumPEs(), cfg.PEs))
 		}
-		p := newProc(s, CoalesceConfig{Enabled: true})
+		p := newProc(s, co)
 		p.job = cfg.Job
 		if cfg.Tracer != nil {
 			p.SetTracer(cfg.Tracer(s.ID()))
@@ -201,17 +198,6 @@ func NewMachineOn(sub NetSubstrate, cfg Config) *Machine {
 			p.SetMetrics(cfg.Metrics.PE(s.ID()))
 		}
 		cm.procs = append(cm.procs, p)
-	}
-	// A substrate that can declare peers dead (mnet under FailRetry)
-	// reports through the generalized-message path: the notification is
-	// posted to each local PE's built-in peer-down handler, so user
-	// callbacks (Proc.NotifyPeerDown) always run in scheduler context.
-	if n, ok := sub.(peerDownNotifier); ok {
-		n.SetPeerDownHandler(func(pe int, reason string) {
-			for _, p := range cm.procs {
-				p.pe.SendOwned(p.pe.ID(), makePeerDownMsg(p.peerDownHandler, pe, reason))
-			}
-		})
 	}
 	return cm
 }

@@ -16,23 +16,12 @@
 package core
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"converse/internal/ccs"
-	"converse/internal/machine"
 )
-
-// selfInjector is the optional substrate capability the doorbell needs:
-// publish a message to the substrate's own inbox from any goroutine.
-// Both built-in substrates (*machine.PE, *mnet.NodePE) implement it;
-// wrappers that don't (the fault-injection Sub) degrade to stale
-// snapshots.
-type selfInjector interface {
-	Inject(data []byte)
-}
 
 // SchedState is a point-in-time view of one processor's scheduler,
 // published by the doorbell handler. It is defined in internal/ccs
@@ -94,15 +83,10 @@ func (b *bellState) load() SchedState {
 // timeout for the scheduler to answer. It may be called from any
 // goroutine. ok reports freshness: true means the returned state was
 // published in response to this probe; false means the scheduler didn't
-// get to the doorbell in time (busy in a long handler, or the substrate
-// can't inject) and the state is the last published one — possibly
-// zero, never torn.
+// get to the doorbell in time (busy in a long handler) and the state is
+// the last published one — possibly zero, never torn.
 func (p *Proc) ProbeSchedState(timeout time.Duration) (st SchedState, ok bool) {
 	b := &p.bell
-	inj, can := p.pe.(selfInjector)
-	if !can {
-		return b.load(), false
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	// Drain a stale completion from a previously timed-out probe so the
@@ -114,7 +98,7 @@ func (p *Proc) ProbeSchedState(timeout time.Duration) (st SchedState, ok bool) {
 	before := b.seq.Load()
 	msg := NewMsg(p.bellHandler, 0)
 	SetImmediate(msg)
-	inj.Inject(msg)
+	p.pe.Inject(msg)
 	t := time.NewTimer(timeout)
 	defer t.Stop()
 	select {
@@ -139,26 +123,11 @@ func (s procSource) Probe(timeout time.Duration) (SchedState, bool) {
 	return s.p.ProbeSchedState(timeout)
 }
 
-func (s procSource) Blocked() string {
-	// The network substrate (mnet.NodePE) describes itself; the
-	// simulated PE exposes raw block state.
-	switch sub := s.p.pe.(type) {
-	case interface{ DescribeBlocked() string }:
-		return sub.DescribeBlocked()
-	case interface{ BlockState() machine.BlockState }:
-		return machine.FormatBlockState(fmt.Sprintf("pe%d", s.p.pe.ID()), sub.BlockState())
-	}
-	return ""
-}
+func (s procSource) Blocked() string { return s.p.pe.DescribeBlocked() }
 
 func (s procSource) Node() int { return s.p.pe.Node() }
 
-func (s procSource) InboxLen() int {
-	if il, ok := s.p.pe.(interface{ InboxLen() int }); ok {
-		return il.InboxLen()
-	}
-	return 0
-}
+func (s procSource) InboxLen() int { return s.p.pe.InboxLen() }
 
 // StartMonitor opens a live introspection endpoint (internal/ccs) for
 // this machine on addr ("127.0.0.1:0" for an ephemeral port). Every

@@ -20,7 +20,7 @@ func mcStamp(buf []byte) {}
 // retained it.
 func mcFree(buf []byte, pooled bool) {}
 
-// mcSpill hands a recycled buffer to the node's depot (the pool's
+// mcSpill hands a recycled buffer to the substrate's depot (the pool's
 // second tier), recording that it left this processor.
 func mcSpill(d *machine.Depot, ci int, buf []byte) { d.Put(ci, buf) }
 

@@ -157,16 +157,16 @@ func mcFree(buf []byte, pooled bool) {
 	rec.lossStack = stack
 }
 
-// mcSpill ends buf's generation as recycle spills it into the node's
-// depot, and performs the spill. The buffer is marked freed, so a stale
-// reference still panics on its next checked access, but it is not
-// poisoned: the machine layer draws depot buffers too and legitimately
-// writes them (a link reader fills one, then may hand it back after
-// rejecting a damaged frame), so the write-after-free canary guards the
-// PE-private tier only. The registry lock is held across the handoff:
-// once the depot has the buffer another processor may draw it and
-// stamp a new generation, which must not be overwritten by this one's
-// end. A buffer the full depot turns away leaves every tier, and its
+// mcSpill ends buf's generation as recycle spills it into the
+// substrate's depot, and performs the spill. The buffer is marked
+// freed, so a stale reference still panics on its next checked access,
+// but it is not poisoned: the TCP machine layer draws depot buffers
+// too and legitimately writes them (a link reader fills one, then may
+// hand it back after rejecting a damaged frame), so the write-after-free
+// canary guards the PE-private tier only. The registry lock is held
+// across the handoff: once the depot has the buffer another processor
+// may draw it and stamp a new generation, which must not be overwritten
+// by this one's end. A buffer the full depot turns away leaves every tier, and its
 // record goes with it, as for a buffer the pool drops.
 func mcSpill(d *machine.Depot, ci int, buf []byte) {
 	if len(buf) == 0 {

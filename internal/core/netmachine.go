@@ -2,7 +2,7 @@ package core
 
 // The binding between the core and the TCP network machine layer
 // (internal/mnet). This is deliberately the only file in the core that
-// knows mnet exists: everything else consumes the Substrate interface,
+// knows mnet exists: everything else consumes machine.Substrate,
 // mirroring how Converse ports swap machine layers under an unchanged
 // core.
 

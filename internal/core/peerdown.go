@@ -15,14 +15,6 @@ import (
 	"encoding/binary"
 )
 
-// peerDownNotifier is the optional NetSubstrate extension through which
-// a machine layer reports a peer declared dead (mnet.Node implements
-// it). The callback may run on any goroutine; core immediately re-posts
-// it through the message path.
-type peerDownNotifier interface {
-	SetPeerDownHandler(func(pe int, reason string))
-}
-
 // makePeerDownMsg encodes a peer-death declaration as a generalized
 // message: [u32 LE pe][reason bytes].
 func makePeerDownMsg(handler, pe int, reason string) []byte {

@@ -12,14 +12,16 @@ package core
 // (hot buffers stay cache-warm) with a per-class retention bound so the
 // pool cannot hold a high-water mark hostage.
 //
-// On a network substrate the pool is the first of two tiers: behind it
-// sits the node-shared machine.Depot, which link writers return sent
-// buffers to and link readers read inbound messages into. Alloc draws
-// from the depot on a miss and recycle spills into it when a class is
-// full, so buffers that cross goroutines — sent here, written out by a
-// link writer; read by a link reader, dispatched here — circulate
-// instead of becoming garbage. On the simulated machine there is no
-// depot and the pool is the only tier.
+// The pool is the first of two tiers: behind it sits the substrate's
+// shared machine.Depot. Alloc draws from the depot on a miss and
+// recycle spills into it when a class is full, so buffers that cross
+// processors circulate instead of becoming garbage. On a network
+// substrate the depot is the node's, and link writers return sent
+// buffers to it and link readers read inbound messages into it: sent
+// here, written out by a link writer; read by a link reader,
+// dispatched here. On the simulated machine it is the machine's: a
+// receiver whose pool is full after a reduction or a fan-in spills the
+// surplus there, and the senders draw it back on their next Alloc.
 
 import "converse/internal/machine"
 
@@ -30,15 +32,8 @@ const poolClassCap = 32
 // Converse runtime state, so no locking is involved.
 type msgPool struct {
 	classes [len(machine.BufClassSizes)][][]byte
-	// depot is the node-shared tier behind the pool (network
-	// substrates); nil on the simulated machine.
+	// depot is the shared tier behind the pool (Substrate.Depot).
 	depot *machine.Depot
-}
-
-// depotHolder is the optional substrate extension that supplies the
-// node-shared buffer tier; the network NodePE implements it.
-type depotHolder interface {
-	Depot() *machine.Depot
 }
 
 // Alloc returns a message buffer with at least the given payload
@@ -63,10 +58,8 @@ func (p *Proc) Alloc(payloadLen int) []byte {
 				return p.reuse(buf)
 			}
 		}
-		if d := p.pool.depot; d != nil {
-			if buf := d.Get(ci); buf != nil {
-				return p.reuse(buf[:want])
-			}
+		if buf := p.pool.depot.Get(ci); buf != nil {
+			return p.reuse(buf[:want])
 		}
 		p.notePoolMiss()
 		// Miss: allocate at full class capacity so the buffer recycles
@@ -106,9 +99,9 @@ func (p *Proc) allocMsg(handler, payloadLen int) []byte {
 	return msg
 }
 
-// recycle returns a buffer to the pool, spilling it to the node's
-// depot when its class is full, and dropping it when there is no room
-// in either tier or it is too small to ever serve an allocation.
+// recycle returns a buffer to the pool, spilling it to the depot when
+// its class is full, and dropping it when there is no room in either
+// tier or it is too small to ever serve an allocation.
 //
 //converse:hotpath
 func (p *Proc) recycle(buf []byte) {
@@ -119,7 +112,7 @@ func (p *Proc) recycle(buf []byte) {
 		p.pool.classes[ci] = append(p.pool.classes[ci], buf[:cap(buf)])
 		return
 	}
-	if ci >= 0 && p.pool.depot != nil {
+	if ci >= 0 {
 		mcSpill(p.pool.depot, ci, buf[:cap(buf)])
 		return
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"converse/internal/machine"
 	"converse/internal/metrics"
 	"converse/internal/queue"
 )
@@ -71,15 +72,8 @@ type TraceEvent struct {
 // those documented as cross-PE, none currently) must be called only from
 // its PE's driver or one of that PE's cth thread coroutines.
 type Proc struct {
-	pe    Substrate
+	pe    machine.Substrate
 	costs ConverseCosts // nil when the model prices no Converse costs
-
-	// stopq is the substrate's optional stop query (machine.PE, mnet's
-	// NodePE and Node all provide one). Scheduler loops poll it so a PE
-	// busy with purely local messages — which never blocks in Recv —
-	// still notices that the machine was stopped (watchdog, Fail, or an
-	// external kill) instead of spinning forever.
-	stopq interface{ Stopped() bool }
 
 	handlers []Handler
 
@@ -181,14 +175,9 @@ type ownedBuf struct {
 	seq     uint64
 }
 
-func newProc(pe Substrate, co CoalesceConfig) *Proc {
+func newProc(pe machine.Substrate, co CoalesceConfig) *Proc {
 	p := &Proc{pe: pe, co: co, ext: make(map[string]any)}
-	if sq, ok := pe.(interface{ Stopped() bool }); ok {
-		p.stopq = sq
-	}
-	if dh, ok := pe.(depotHolder); ok {
-		p.pool.depot = dh.Depot()
-	}
+	p.pool.depot = pe.Depot()
 	if cc, ok := pe.Model().(ConverseCosts); ok {
 		p.costs = cc
 	}
@@ -244,8 +233,8 @@ func (p *Proc) NumPes() int { return p.pe.NumPEs() }
 
 // PE exposes the underlying machine-level substrate: the simulated
 // processing element (*machine.PE) or the network one (*mnet.NodePE),
-// behind the narrow interface the core consumes.
-func (p *Proc) PE() Substrate { return p.pe }
+// behind the interface the core consumes.
+func (p *Proc) PE() machine.Substrate { return p.pe }
 
 // Timer returns the current virtual time in seconds since startup
 // (CmiTimer; "usually has at least microsecond accuracy").
@@ -351,21 +340,12 @@ func (p *Proc) noteIdleEnd(from float64) {
 
 // NoteThreadsSuspended adjusts the substrate's count of suspended
 // thread objects, feeding the blocked-state diagnostics (the thread
-// layer calls it around suspend/resume). A no-op on substrates that do
-// not track block state.
-func (p *Proc) NoteThreadsSuspended(delta int) {
-	if n, ok := p.pe.(blockStateNoter); ok {
-		n.NoteThreadsSuspended(delta)
-	}
-}
+// layer calls it around suspend/resume).
+func (p *Proc) NoteThreadsSuspended(delta int) { p.pe.NoteThreadsSuspended(delta) }
 
 // NoteBarrierWaiters adjusts the substrate's count of threads blocked
 // at a synchronization barrier (called by csync.Barrier).
-func (p *Proc) NoteBarrierWaiters(delta int) {
-	if n, ok := p.pe.(blockStateNoter); ok {
-		n.NoteBarrierWaiters(delta)
-	}
-}
+func (p *Proc) NoteBarrierWaiters(delta int) { p.pe.NoteBarrierWaiters(delta) }
 
 // AtExit registers f to run on this processor when its driver's start
 // function returns, before Run counts the driver finished. It is the

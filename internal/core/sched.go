@@ -27,7 +27,7 @@ import (
 // messages — which never reaches the blocking receive where a stop
 // normally surfaces — still winds down promptly on watchdog expiry,
 // job abort, or machine teardown.
-func (p *Proc) halted() bool { return p.stopq != nil && p.stopq.Stopped() }
+func (p *Proc) halted() bool { return p.pe.Stopped() }
 
 // Scheduler runs the Converse scheduler loop (CsdScheduler). If nMsgs is
 // negative, it loops — blocking when idle — until ExitScheduler is

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -387,7 +386,9 @@ func TestSchedulerBlocksIdleUntilMessage(t *testing.T) {
 
 // TestBlockingWaitsCountIdle: every blocking wait — ServeUntil and
 // GetSpecificMsg as well as Scheduler(-1) — shows in IdleCount. PE 1
-// sends only once PE 0 is asleep in its receive, so each wait blocks.
+// sends only once PE 0 is asleep in its receive, so each wait blocks;
+// it waits for that through the machine, polling its own inbox, whose
+// empty polls yield to PE 0 whichever PE runs first.
 func TestBlockingWaitsCountIdle(t *testing.T) {
 	cm := newTestMachine(2)
 	got := false
@@ -407,7 +408,7 @@ func TestBlockingWaitsCountIdle(t *testing.T) {
 				p.GetSpecificMsg(h)
 			}
 			for !cm.m.PE(0).BlockState().RecvWait {
-				runtime.Gosched()
+				p.DeliverMsgs(-1)
 			}
 			p.SyncSend(0, MakeMsg(h, nil))
 		}
@@ -470,6 +471,21 @@ func TestRegisterNilHandlerPanics(t *testing.T) {
 		}
 	}()
 	cm.Proc(0).RegisterHandler(nil)
+}
+
+// TestSimFaultsPanics: a fault plan is a TCP-substrate setting; the
+// simulated machine refuses one loudly, as it does a bad Transport.
+func TestSimFaultsPanics(t *testing.T) {
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("NewMachine on the simulated machine accepted Config.Faults")
+		}
+		if msg := fmt.Sprint(r); !strings.Contains(msg, "TCP substrate") {
+			t.Errorf("panic %q does not name the TCP substrate", msg)
+		}
+	}()
+	NewMachine(Config{PEs: 2, Transport: TransportSim, Faults: "seed=7,drop=1%"})
 }
 
 func TestPerPEHandlerRegistration(t *testing.T) {

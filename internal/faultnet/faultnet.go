@@ -1,13 +1,10 @@
-// Package faultnet is the deterministic fault-injection substrate: a
-// seedable plan of network faults (drop, delay, duplicate, reorder,
-// bit-corrupt, link stalls and kills, partitions, scripted crashes)
-// that composes over either machine substrate. Under the TCP machine
-// layer (internal/mnet) faults are injected at frame granularity below
-// the reliability layer, so FailurePolicy=retry repairs them and
-// failfast dies from them; under the simulated multicomputer WrapSim
-// applies the same plan at packet granularity (with no reliability
-// layer underneath, sim faults fail loudly — they exist to test how
-// upper layers react, not to be survived).
+// Package faultnet is the deterministic fault-injection plan of the
+// TCP machine layer: a seedable plan of network faults (drop, delay,
+// duplicate, reorder, bit-corrupt, link stalls and kills, partitions,
+// scripted crashes). internal/mnet injects them at frame granularity
+// below its reliability layer, so FailurePolicy=retry repairs them and
+// failfast dies from them. The simulated multicomputer has no wire and
+// takes no plan.
 //
 // A plan is a comma-separated string of key=value terms:
 //

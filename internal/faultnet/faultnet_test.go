@@ -4,8 +4,6 @@ import (
 	"reflect"
 	"testing"
 	"time"
-
-	"converse/internal/machine"
 )
 
 func TestParseFullGrammar(t *testing.T) {
@@ -154,62 +152,5 @@ func TestStallAddsDelayOnce(t *testing.T) {
 	}
 	if f := li.Tx(); f.Delay != 0 {
 		t.Errorf("frame 3 delayed by %v (stall must be one-shot)", f.Delay)
-	}
-}
-
-// simPE is a minimal in-memory Substrate for exercising WrapSim.
-type simPE struct {
-	id   int
-	sent [][]byte
-	dst  []int
-}
-
-func (s *simPE) ID() int           { return s.id }
-func (s *simPE) NumPEs() int       { return 4 }
-func (s *simPE) Node() int         { return s.id }
-func (s *simPE) NumNodes() int     { return 4 }
-func (s *simPE) NodeSize(int) int  { return 1 }
-func (s *simPE) NodeOf(pe int) int { return pe }
-func (s *simPE) Clock() float64    { return 0 }
-func (s *simPE) Charge(float64)    {}
-func (s *simPE) AdvanceTo(float64) {}
-func (s *simPE) SendOwned(dst int, data []byte) {
-	s.dst = append(s.dst, dst)
-	s.sent = append(s.sent, data)
-}
-func (s *simPE) TryRecv() (machine.Packet, bool)   { return machine.Packet{}, false }
-func (s *simPE) Recv() (machine.Packet, bool)      { return machine.Packet{}, false }
-func (s *simPE) Model() machine.CostModel          { return nil }
-func (s *simPE) Printf(string, ...any)             {}
-func (s *simPE) Errorf(string, ...any)             {}
-func (s *simPE) Scanf(string, ...any) (int, error) { return 0, nil }
-func (s *simPE) ReadLine() (string, error)         { return "", nil }
-
-func TestWrapSimDropsAndPassesLoopback(t *testing.T) {
-	inner := &simPE{id: 0}
-	sub := WrapSim(inner, New(MustParse("seed=3,drop=1"), 0))
-	// Loopback is never faulted; remote sends all drop under drop=1.
-	sub.SendOwned(0, []byte("self"))
-	for i := 0; i < 10; i++ {
-		sub.SendOwned(1, []byte("gone"))
-	}
-	if len(inner.sent) != 1 || inner.dst[0] != 0 {
-		t.Fatalf("inner saw %d sends to %v, want only the loopback", len(inner.sent), inner.dst)
-	}
-	// A nil injector must return the substrate unchanged.
-	if WrapSim(inner, nil) != Substrate(inner) {
-		t.Error("WrapSim(nil injector) wrapped anyway")
-	}
-}
-
-func TestWrapSimKillBlackholesForever(t *testing.T) {
-	inner := &simPE{id: 0}
-	sub := WrapSim(inner, New(MustParse("killlink=0-1@2"), 0))
-	for i := 0; i < 6; i++ {
-		sub.SendOwned(1, []byte{byte(i)})
-	}
-	// Frame 1 passes, frame 2 trips the kill, the rest blackhole.
-	if len(inner.sent) != 1 || inner.sent[0][0] != 0 {
-		t.Fatalf("inner saw %d sends (%v), want just the first", len(inner.sent), inner.dst)
 	}
 }

@@ -28,12 +28,13 @@ func TestFormatBlockState(t *testing.T) {
 }
 
 // TestDescribeBlockedLiveMachine drives one PE into a blocking receive
-// with thread and barrier waiters noted and checks the machine-wide
-// report names the right PE with the right reason — the diagnostic the
-// watchdog attaches to deadlocks and mnet reuses for failure reports.
+// with thread and barrier waiters noted and checks the per-PE and the
+// machine-wide report name the right PE with the right reason — the
+// diagnostic the watchdog attaches to deadlocks and mnet reuses for
+// failure reports.
 func TestDescribeBlockedLiveMachine(t *testing.T) {
 	m := New(Config{PEs: 2})
-	stateCh := make(chan string, 1)
+	var pe0, all string
 	err := m.Run(func(pe *PE) {
 		switch pe.ID() {
 		case 0:
@@ -41,30 +42,27 @@ func TestDescribeBlockedLiveMachine(t *testing.T) {
 			pe.NoteBarrierWaiters(1)
 			pe.Recv() // blocks until pe1 stops the machine
 		case 1:
-			// Wait for pe0 to be asleep inside Recv, then snapshot.
-			deadline := time.Now().Add(5 * time.Second)
-			for {
-				if st := m.PE(0).BlockState(); st.RecvWait {
-					break
-				}
-				if time.Now().After(deadline) {
-					break
-				}
-				time.Sleep(time.Millisecond)
+			// Wait for pe0 to be asleep inside Recv, through the
+			// machine: empty polls yield to pe0. Then snapshot.
+			for !m.PE(0).BlockState().RecvWait {
+				pe.TryRecv()
 			}
-			stateCh <- m.DescribeBlocked()
+			pe0, all = m.PE(0).DescribeBlocked(), m.DescribeBlocked()
 			m.Stop()
 		}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := <-stateCh
-	if !strings.Contains(got, "pe0 blocked-in-recv inbox=0 threads-suspended=2 barrier-waiters=1") {
-		t.Errorf("DescribeBlocked = %q, want pe0 blocked in recv with noted waiters", got)
+	const want = "pe0 blocked-in-recv inbox=0 threads-suspended=2 barrier-waiters=1"
+	if pe0 != want {
+		t.Errorf("PE(0).DescribeBlocked = %q, want %q", pe0, want)
 	}
-	if !strings.Contains(got, "pe1 running") {
-		t.Errorf("DescribeBlocked = %q, want pe1 running", got)
+	if !strings.Contains(all, want) {
+		t.Errorf("DescribeBlocked = %q, want pe0 blocked in recv with noted waiters", all)
+	}
+	if !strings.Contains(all, "pe1 running") {
+		t.Errorf("DescribeBlocked = %q, want pe1 running", all)
 	}
 }
 

@@ -150,7 +150,7 @@ func (m *Machine) Run(start func(pe *PE)) error {
 			// Snapshot the block states before Stop makes every parked
 			// receive runnable: the blocked-in-recv flags are the most
 			// important part of the diagnosis.
-			desc := m.describeBlocked()
+			desc := m.DescribeBlocked()
 			wdMu.Lock()
 			wdDesc = desc
 			wdMu.Unlock()

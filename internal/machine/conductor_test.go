@@ -78,14 +78,14 @@ func TestRecvInsideThreadParksPE(t *testing.T) {
 }
 
 // TestProbeAllParkedMachine: the monitor doorbell (a foreign Inject)
-// wakes a conductor whose eight PEs all sleep, and the probed PE
+// wakes a conductor whose eight PEs all sleep, and every probed PE
 // answers fresh.
 func TestProbeAllParkedMachine(t *testing.T) {
 	cm := core.NewMachine(core.Config{PEs: 8, NodeSizes: []int{2, 2, 2, 2}, Watchdog: 20 * time.Second})
 	done := make(chan error, 1)
 	go func() { done <- cm.Run(func(p *core.Proc) { p.Scheduler(-1) }) }()
 	waitAllParked(t, cm.Machine())
-	for _, pe := range []int{0, 5} {
+	for pe := 0; pe < cm.NumPes(); pe++ {
 		if st, ok := cm.Proc(pe).ProbeSchedState(5 * time.Second); !ok {
 			t.Errorf("probe of parked PE %d timed out (state %+v)", pe, st)
 		}

@@ -4,7 +4,7 @@ import "sync"
 
 // BufClassSizes are the message-buffer capacity classes, in bytes of
 // whole message (header included), shared by every buffer tier: the
-// per-PE pool in internal/core and the node-shared Depot behind it.
+// per-PE pool in internal/core and the shared Depot behind it.
 // Buffers are segregated by capacity so a small control message never
 // pins a 64 KB buffer and a large allocation never triggers a linear
 // hunt. Requests larger than the biggest class are never pooled.
@@ -43,15 +43,17 @@ func RecycleClass(c int) int {
 // the largest class, thousands of the smallest.
 const depotClassBytes = 1 << 20
 
-// Depot is the node-shared buffer tier: one per process hosting PEs of
-// a network machine, behind each PE's private pool. Buffers cross
-// goroutines there — a PE's send is written out by a link writer, an
-// inbound message is read by a link reader and dispatched on a PE — so
-// a buffer released on one side would otherwise be garbage on its way
-// back to the other. The depot closes that loop: a PE's pool spills
-// into it when a class is full and draws from it on a miss, link
-// writers return sent buffers to it, and link readers read inbound
-// messages straight into buffers drawn from it.
+// Depot is the shared buffer tier behind each PE's private pool
+// (Substrate.Depot): one per process hosting PEs of a network machine,
+// one per simulated machine. A buffer released on one side of a
+// transfer would otherwise be garbage on its way back to the other: a
+// receiver whose pool is full cannot hand it back to the sender, and
+// on a network machine buffers cross goroutines — a PE's send is
+// written out by a link writer, an inbound message is read by a link
+// reader and dispatched on a PE. The depot closes that loop: a PE's
+// pool spills into it when a class is full and draws from it on a
+// miss, link writers return sent buffers to it, and link readers read
+// inbound messages straight into buffers drawn from it.
 //
 // Each class is a mutex-guarded LIFO stack (hot buffers stay
 // cache-warm) bounded by depotClassBytes. The zero value is ready to

@@ -76,6 +76,8 @@ type Machine struct {
 	stopMu  sync.Mutex
 	stopped bool
 
+	depot Depot // the buffer tier behind every PE's pool (PE.Depot)
+
 	cd conductor // runs the PEs during Run (conductor.go)
 }
 
@@ -178,19 +180,16 @@ func FormatBlockState(label string, st BlockState) string {
 }
 
 // DescribeBlocked reports every PE's block state in one line, the
-// diagnostic attached to watchdog expiries.
-func (m *Machine) DescribeBlocked() string { return m.describeBlocked() }
-
-// describeBlocked summarizes per-PE block states for watchdog
-// diagnostics: whether each driver is asleep in a receive, its inbox
-// depth, and any suspended threads or barrier waiters.
-func (m *Machine) describeBlocked() string {
+// diagnostic attached to watchdog expiries: whether each driver is
+// asleep in a receive, its inbox depth, and any suspended threads or
+// barrier waiters.
+func (m *Machine) DescribeBlocked() string {
 	s := ""
 	for _, pe := range m.pes {
 		if s != "" {
 			s += ", "
 		}
-		s += FormatBlockState(fmt.Sprintf("pe%d", pe.id), pe.BlockState())
+		s += pe.DescribeBlocked()
 	}
 	return s
 }

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"fmt"
 	"sync/atomic"
 )
 
@@ -45,7 +46,7 @@ type PE struct {
 	received uint64
 	sentToMe atomic.Uint64 // updated by senders
 
-	// Block-state bookkeeping for deadlock diagnostics (describeBlocked
+	// Block-state bookkeeping for deadlock diagnostics (DescribeBlocked
 	// and the network layer's failure reports). The receive-wait flag
 	// lives in the inbox; the two counters are maintained by the thread
 	// (cth) and synchronization (csync) layers through the
@@ -248,3 +249,15 @@ func (pe *PE) BlockState() BlockState {
 		BarrierWaiters:   int(pe.barrierWaiters.Load()),
 	}
 }
+
+// DescribeBlocked renders BlockState in the shared diagnostic format,
+// labelled pe<id>. Safe from any goroutine.
+func (pe *PE) DescribeBlocked() string {
+	return FormatBlockState(fmt.Sprintf("pe%d", pe.id), pe.BlockState())
+}
+
+// Depot returns the machine's shared buffer tier, which internal/core
+// puts behind this PE's message pool. A buffer sent by one PE is
+// released into the receiver's pool; the depot carries the surplus
+// back to the senders, whose pools would otherwise miss on every send.
+func (pe *PE) Depot() *Depot { return &pe.m.depot }

@@ -5,7 +5,7 @@
 //
 // The layering mirrors the paper's claim that the machine interface is
 // the only machine-dependent part of the system: internal/core consumes
-// the same narrow Substrate interface whether the machine is the
+// the same machine.Substrate interface whether the machine is the
 // in-process simulated multicomputer (internal/machine) or this one, and
 // programs switch between them purely by configuration. Messages cross
 // the wire in the exact byte format the core already produces — the

@@ -95,7 +95,7 @@ var roundCounter atomic.Int64
 // machine (Config.PPN/NodeSizes; one by default) and none on a surplus
 // rank. It owns the job lifecycle — rendezvous, mesh, failure, teardown
 // — and satisfies internal/core's NetSubstrate; each hosted PE is a
-// NodePE (LocalPE), the Substrate the core drives.
+// NodePE (LocalPE), the machine.Substrate the core drives.
 type Node struct {
 	cfg   Config
 	round int
@@ -336,11 +336,8 @@ func (n *Node) ID() int {
 // local PE.
 func (n *Node) LocalPEs() int { return len(n.lpes) }
 
-// LocalPE returns the i-th local PE's substrate. The return type is any
-// for the same structural-typing reason faultnet mirrors core's
-// Substrate: this package cannot name internal/core's interface without
-// an import cycle, and core asserts the concrete value itself.
-func (n *Node) LocalPE(i int) any { return n.lpes[i] }
+// LocalPE returns the i-th local PE's substrate.
+func (n *Node) LocalPE(i int) machine.Substrate { return n.lpes[i] }
 
 // Active reports whether this process hosts any of the machine's PEs
 // (ranks beyond the node count are surplus: they hold the job together

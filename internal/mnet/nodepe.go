@@ -8,8 +8,8 @@ import (
 )
 
 // NodePE is one of the PEs a worker process hosts: the TCP machine
-// layer's only Substrate, satisfying internal/core's interface exactly
-// like the simulated machine.PE does. Each NodePE owns an MPSC inbox
+// layer's only machine.Substrate, as machine.PE is the simulated
+// machine's. Each NodePE owns an MPSC inbox
 // (machine.Inbox); messages between two PEs of the same node move
 // by pointer handoff through it — zero copies, never the wire — while
 // messages to other nodes go out on the destination node's link as
@@ -25,6 +25,8 @@ type NodePE struct {
 	threadsSusp    atomic.Int64
 	barrierWaiters atomic.Int64
 }
+
+var _ machine.Substrate = (*NodePE)(nil)
 
 // ID returns this processor's logical number (CmiMyPe).
 func (s *NodePE) ID() int { return s.pe }
@@ -140,11 +142,11 @@ func (s *NodePE) ReadLine() (string, error) {
 }
 
 // NoteThreadsSuspended adjusts the count of suspended thread objects
-// (blockStateNoter; called via core.Proc by the thread layer).
+// (called via core.Proc by the thread layer).
 func (s *NodePE) NoteThreadsSuspended(delta int) { s.threadsSusp.Add(int64(delta)) }
 
 // NoteBarrierWaiters adjusts the count of threads blocked at a barrier
-// (blockStateNoter; called via core.Proc by csync).
+// (called via core.Proc by csync).
 func (s *NodePE) NoteBarrierWaiters(delta int) { s.barrierWaiters.Add(int64(delta)) }
 
 // DescribeBlocked reports why this PE is blocked, in the machine

@@ -49,13 +49,16 @@
 #                      checker compiled in (-tags msgcheck)
 #   make fuzz-smoke    every byte-stream decoder fuzzed for a short fixed
 #                      time past its seed corpus
+#   make perfbench-smoke
+#                      vet and test the perfbench module, which go build
+#                      ./... never compiles (it is a module of its own)
 #   make ci            tier1 + race gates + overhead + lint + msgcheck + smokes
 
 GO ?= go
 
-.PHONY: ci tier1 vet build test race machine-race overhead bench bench-faults bench-collectives bench-jobs commbench-smoke net-smoke chaos-smoke collectives-smoke monitor-smoke service-smoke chaos-service-smoke profile lint msgcheck-test fuzz-smoke
+.PHONY: ci tier1 vet build test race machine-race overhead bench bench-faults bench-collectives bench-jobs commbench-smoke net-smoke chaos-smoke collectives-smoke monitor-smoke service-smoke chaos-service-smoke profile lint msgcheck-test fuzz-smoke perfbench-smoke
 
-ci: tier1 race machine-race overhead lint msgcheck-test fuzz-smoke commbench-smoke net-smoke chaos-smoke collectives-smoke monitor-smoke service-smoke chaos-service-smoke
+ci: tier1 race machine-race overhead lint msgcheck-test fuzz-smoke commbench-smoke net-smoke chaos-smoke collectives-smoke monitor-smoke service-smoke chaos-service-smoke perfbench-smoke
 
 tier1: vet build test
 
@@ -187,6 +190,12 @@ bench:
 # the nanosecond, so reruns write the identical file and any change to a
 # modeled cost or to the coalescing path shows up as a diff: such a
 # change must regenerate the file (make bench) in the same change.
+# perfbench is its own module over converse's internal packages, so an
+# internal API change that breaks it would otherwise surface only as a
+# failed benchmark run.
+perfbench-smoke:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 commbench-smoke:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) run ./cmd/commbench -o $$tmp/comm.json >/dev/null && \

@@ -63,7 +63,12 @@ type ScalePoint struct {
 	SchedCPUShare float64 `json:"sched_cpu_share"`
 	CoreCPUShare  float64 `json:"core_cpu_share"`
 	// AllocsPerMsg is heap allocations per delivered message over one
-	// fan-in burst (machine construction amortized in).
+	// fan-in burst (machine construction amortized in). It measures
+	// NetFanIn's harness shape, not the runtime: a sender sends its
+	// whole burst without yielding, so every SyncSend copy is a pool
+	// miss before PE 0 frees anything (≈1.06–1.09 on every rung). The
+	// runtime's steady-state figure is BenchmarkFanInSteadyState, whose
+	// bursts are bounded by a Barrier: 0 allocs/op.
 	AllocsPerMsg float64 `json:"allocs_per_msg"`
 	// HeapInuseBytes is the process's live heap right after the timed
 	// burst, while the machine's pools are still reachable.

@@ -2,9 +2,12 @@ package cio
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"converse/internal/core"
@@ -186,5 +189,68 @@ func TestScatterThenOrderedWriteRoundTrip(t *testing.T) {
 	}
 	if out.String() != "ABCDEFGHIJKLMNOP" {
 		t.Fatalf("round trip = %q", out.String())
+	}
+}
+
+// failAfterWriter accepts its first write and fails every later one.
+type failAfterWriter struct{ n int }
+
+func (w *failAfterWriter) Write(b []byte) (int, error) {
+	if w.n++; w.n > 1 {
+		return 0, errors.New("disk full")
+	}
+	return len(b), nil
+}
+
+// A write that fails on processor 0 must release every processor with
+// an error and the bytes written before the failure, well inside the
+// watchdog, instead of leaving them waiting for an ack.
+func TestWriteOrderedFailureReleasesAll(t *testing.T) {
+	const pes = 4
+	cm := core.NewMachine(core.Config{PEs: pes, Watchdog: 2 * time.Second})
+	totals := make([]int, pes)
+	errs := make([]error, pes)
+	err := cm.Run(func(p *core.Proc) {
+		c := Attach(p)
+		var w io.Writer
+		if p.MyPe() == 0 {
+			w = &failAfterWriter{}
+		}
+		totals[p.MyPe()], errs[p.MyPe()] = c.WriteOrdered(w, []byte("blk"))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pe := range errs {
+		if errs[pe] == nil {
+			t.Errorf("pe %d: no error after the write failed on pe 0", pe)
+		}
+		if totals[pe] != 3 {
+			t.Errorf("pe %d: total = %d, want 3 (the block written before the failure)", pe, totals[pe])
+		}
+	}
+}
+
+// A read that fails on processor 0 must release every processor with
+// an error, instead of leaving them waiting for their block.
+func TestReadScatterFailureReleasesAll(t *testing.T) {
+	const pes = 4
+	cm := core.NewMachine(core.Config{PEs: pes, Watchdog: 2 * time.Second})
+	errs := make([]error, pes)
+	err := cm.Run(func(p *core.Proc) {
+		c := Attach(p)
+		var r io.Reader
+		if p.MyPe() == 0 {
+			r = io.MultiReader(strings.NewReader("AAAA"), iotest.ErrReader(errors.New("bad sector")))
+		}
+		_, errs[p.MyPe()] = c.ReadScatter(r, 4)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pe, e := range errs {
+		if e == nil {
+			t.Errorf("pe %d: no error after the read failed on pe 0", pe)
+		}
 	}
 }

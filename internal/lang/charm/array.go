@@ -11,7 +11,7 @@ import (
 // addressable by integer index rather than by (processor, local id).
 // They are the natural next abstraction over this runtime's machinery —
 // the Charm lineage's arrays — and compose the pieces the paper
-// describes: creation broadcasts fan out like group creation, element
+// describes: creation broadcasts fan out over the spanning tree, element
 // addressing routes through a fixed index→processor map, and
 // invocations use the same two-phase prioritized dispatch as chares.
 //
@@ -53,12 +53,12 @@ func (rt *RT) RegisterArray(ctor ArrayCtor, eps ...ArrayEntry) int {
 func (rt *RT) ArrayOwner(idx int) int { return idx % rt.p.NumPes() }
 
 // CreateArray creates an n-element array of the given type: a creation
-// broadcast makes every processor construct its owned elements. Like
-// CreateGroup, invocations sent after CreateArray on the same processor
-// are safe: the creation broadcast rides the two-level spanning tree,
-// so a direct point-to-point invocation may overtake it, and any
-// invocation arriving for a not-yet-known array is parked and replayed
-// the moment its creation message lands.
+// broadcast makes every processor construct its owned elements.
+// Invocations sent after CreateArray on the same processor are safe:
+// the creation broadcast rides the two-level spanning tree, so a direct
+// point-to-point invocation may overtake it, and any invocation
+// arriving for a not-yet-known array is parked and replayed the moment
+// its creation message lands.
 func (rt *RT) CreateArray(typeID, n int, payload []byte) ArrayID {
 	if typeID < 0 || typeID >= len(rt.arrayTypes) {
 		panic(fmt.Sprintf("charm: pe %d: CreateArray of unregistered type %d", rt.p.MyPe(), typeID))
@@ -170,17 +170,12 @@ func (rt *RT) BroadcastArray(aid ArrayID, ep int, data []byte) {
 	}
 }
 
-// onArrInv is the two-phase array invocation handler.
+// onArrInv is the two-phase array invocation handler (deferred).
 func (rt *RT) onArrInv(p *core.Proc, msg []byte) {
-	pl := core.Payload(msg)
-	if core.FlagsOf(msg) == 0 {
-		prio := int32(binary.LittleEndian.Uint32(pl[12:]))
-		buf := p.GrabBuffer()
-		core.SetFlags(buf, 1)
-		rt.enqueueInvoke(buf, prio)
+	if rt.deferred(p, msg, 12) {
 		return
 	}
-	aid := ArrayID(binary.LittleEndian.Uint32(pl[0:]))
+	aid := ArrayID(binary.LittleEndian.Uint32(core.Payload(msg)[0:]))
 	if _, ok := rt.arrays[aid]; !ok {
 		// The invocation overtook its creation broadcast (creations ride
 		// the spanning tree through relay processors; invocations go

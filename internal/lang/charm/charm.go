@@ -91,14 +91,7 @@ type RT struct {
 	// quasi-dynamic load balancing (rebalance.go): the count combiner
 	countSum int
 
-	// group ("branch office") chares (group.go)
-	groupTypes           []groupType
-	groups               map[GroupID]*groupRec
-	groupPending         map[GroupID][][]byte // invocations that outran the creation broadcast
-	nextGroup            uint32
-	hGroupNew, hGroupInv int
-
-	// chare arrays (array.go)
+	// chare arrays (array.go), groups among them (group.go)
 	arrayTypes       []arrayType
 	arrays           map[ArrayID]*arrayRec
 	arrayPending     map[ArrayID][][]byte // invocations that outran the creation broadcast
@@ -133,8 +126,6 @@ func Attach(p *core.Proc, pol ldb.Policy) *RT {
 		chares:       make(map[uint32]*chareRec),
 		inMove:       make(map[uint32]*moveState),
 		forwards:     make(map[uint32]ChareID),
-		groups:       make(map[GroupID]*groupRec),
-		groupPending: make(map[GroupID][][]byte),
 		arrays:       make(map[ArrayID]*arrayRec),
 		arrayPending: make(map[ArrayID][][]byte),
 	}
@@ -146,8 +137,6 @@ func Attach(p *core.Proc, pol ldb.Policy) *RT {
 	rt.hQD = p.RegisterHandler(rt.onQD)
 	rt.hMigrate = p.RegisterHandler(rt.onMigrate)
 	rt.hMoved = p.RegisterHandler(rt.onMoved)
-	rt.hGroupNew = p.RegisterHandler(rt.onGroupNew)
-	rt.hGroupInv = p.RegisterHandler(rt.onGroupInv)
 	rt.hArrNew = p.RegisterHandler(rt.onArrNew)
 	rt.hArrInv = p.RegisterHandler(rt.onArrInv)
 	rt.countSum = p.RegisterCombiner(sumCounts)
@@ -265,19 +254,28 @@ func (rt *RT) enqueueInvoke(msg []byte, prio int32) {
 	}
 }
 
-// onInvoke handles an invocation message in two phases, per §3.3: a
-// fresh network message is grabbed and enqueued under its priority with
-// the flags word marking it as replayed; the replay actually invokes the
-// entry method.
+// deferred is phase one of §3.3's two-phase invocation: a fresh
+// network message (flags 0) is grabbed and enqueued under the priority
+// it carries at payload offset prioAt, with the flags word marking it
+// as replayed. It reports whether msg was deferred; the replay is
+// phase two, which actually invokes the entry method.
+func (rt *RT) deferred(p *core.Proc, msg []byte, prioAt int) bool {
+	if core.FlagsOf(msg) != 0 {
+		return false
+	}
+	prio := int32(binary.LittleEndian.Uint32(core.Payload(msg)[prioAt:]))
+	buf := p.GrabBuffer()
+	core.SetFlags(buf, 1)
+	rt.enqueueInvoke(buf, prio)
+	return true
+}
+
+// onInvoke handles a chare invocation message in two phases (deferred).
 func (rt *RT) onInvoke(p *core.Proc, msg []byte) {
-	pl := core.Payload(msg)
-	if core.FlagsOf(msg) == 0 {
-		prio := int32(binary.LittleEndian.Uint32(pl[16:]))
-		buf := p.GrabBuffer()
-		core.SetFlags(buf, 1)
-		rt.enqueueInvoke(buf, prio)
+	if rt.deferred(p, msg, 16) {
 		return
 	}
+	pl := core.Payload(msg)
 	rt.processed++
 	id := DecodeChareID(pl[0:])
 	typeID := int(binary.LittleEndian.Uint32(pl[8:]))

@@ -1,12 +1,5 @@
 package charm
 
-import (
-	"encoding/binary"
-	"fmt"
-
-	"converse/internal/core"
-)
-
 // Group chares (Charm's "branch office chares"): an object with one
 // branch on every processor, created collectively and invocable either
 // on a single branch or on all branches at once. The original Charm
@@ -14,11 +7,10 @@ import (
 // abstraction; services like the paper's own load-balancing and
 // quiescence modules are naturally branch-office-shaped.
 //
-// Creation: every processor registers the group type identically;
-// CreateGroup (called on one processor) broadcasts a creation message,
-// and each processor constructs its local branch with the same GroupID.
-// Invocation: SendBranch targets one processor's branch; SendGroup
-// invokes an entry on every branch.
+// A group is a chare array with one element per processor: branch i is
+// element i, which ArrayOwner places on processor i. Creation, parking
+// of invocations that outrun it, replay and two-phase dispatch are
+// therefore array.go's; this file only adapts the signatures.
 
 // GroupID names a group chare; identical on every processor.
 type GroupID uint32
@@ -29,155 +21,42 @@ type GroupCtor func(rt *RT, gid GroupID, msg []byte) any
 // GroupEntry is an invocable method of a group branch.
 type GroupEntry func(rt *RT, branch any, msg []byte)
 
-type groupType struct {
-	ctor GroupCtor
-	eps  []GroupEntry
-}
-
 // RegisterGroup adds a group chare type; like Register, call it in the
-// same order on every processor.
+// same order on every processor. Group and array types share one id
+// space.
 func (rt *RT) RegisterGroup(ctor GroupCtor, eps ...GroupEntry) int {
-	rt.groupTypes = append(rt.groupTypes, groupType{ctor: ctor, eps: eps})
-	return len(rt.groupTypes) - 1
+	aeps := make([]ArrayEntry, len(eps))
+	for i, ep := range eps {
+		aeps[i] = func(rt *RT, branch any, _ int, msg []byte) { ep(rt, branch, msg) }
+	}
+	return rt.RegisterArray(func(rt *RT, aid ArrayID, _ int, msg []byte) any {
+		return ctor(rt, GroupID(aid), msg)
+	}, aeps...)
 }
 
 // CreateGroup creates a branch of the given group type on every
 // processor and returns the new group's id. The caller's branch is
-// constructed immediately; remote branches are constructed when the
-// creation message arrives. Invocations sent after this call are safe
-// even though the creation broadcast rides the spanning tree (and so
-// may be overtaken by a direct send): an invocation for a not-yet-known
-// group is parked and replayed when its creation lands.
+// constructed immediately, the others when the creation broadcast
+// arrives; invocations sent after this call are safe (see CreateArray).
 func (rt *RT) CreateGroup(typeID int, payload []byte) GroupID {
-	if typeID < 0 || typeID >= len(rt.groupTypes) {
-		panic(fmt.Sprintf("charm: pe %d: CreateGroup of unregistered type %d", rt.p.MyPe(), typeID))
-	}
-	// Group ids must be identical machine-wide: derive from the
-	// creating processor and its counter.
-	rt.nextGroup++
-	gid := GroupID(uint32(rt.p.MyPe())<<20 | rt.nextGroup)
-	msg := core.NewMsg(rt.hGroupNew, 12+len(payload))
-	pl := core.Payload(msg)
-	binary.LittleEndian.PutUint32(pl[0:], uint32(gid))
-	binary.LittleEndian.PutUint32(pl[4:], uint32(typeID))
-	binary.LittleEndian.PutUint32(pl[8:], uint32(len(payload)))
-	copy(pl[12:], payload)
-	rt.sent += uint64(rt.p.NumPes() - 1)
-	rt.p.SyncBroadcast(msg)
-	rt.buildBranch(gid, typeID, payload)
-	return gid
-}
-
-// buildBranch constructs the local branch.
-func (rt *RT) buildBranch(gid GroupID, typeID int, payload []byte) {
-	if _, dup := rt.groups[gid]; dup {
-		panic(fmt.Sprintf("charm: pe %d: duplicate group id %d", rt.p.MyPe(), gid))
-	}
-	if tr := rt.p.Tracer(); tr != nil {
-		tr.Event(core.TraceEvent{Kind: core.EvObjectCreate, T: rt.p.TimerUs(), PE: rt.p.MyPe(), Aux: int(gid)})
-	}
-	rt.groups[gid] = &groupRec{
-		obj: rt.groupTypes[typeID].ctor(rt, gid, payload),
-		typ: typeID,
-	}
-	// Replay invocations that overtook the creation broadcast, in
-	// arrival order.
-	if pending := rt.groupPending[gid]; pending != nil {
-		delete(rt.groupPending, gid)
-		for _, m := range pending {
-			rt.invokeGroupBranch(rt.p, m)
-		}
-	}
-}
-
-type groupRec struct {
-	obj any
-	typ int
+	return GroupID(rt.CreateArray(typeID, rt.p.NumPes(), payload))
 }
 
 // Branch returns this processor's branch of the group, or nil.
-func (rt *RT) Branch(gid GroupID) any {
-	rec, ok := rt.groups[gid]
-	if !ok {
-		return nil
-	}
-	return rec.obj
-}
-
-// onGroupNew constructs the local branch from a creation broadcast.
-func (rt *RT) onGroupNew(p *core.Proc, msg []byte) {
-	rt.processed++
-	pl := core.Payload(msg)
-	gid := GroupID(binary.LittleEndian.Uint32(pl[0:]))
-	typeID := int(binary.LittleEndian.Uint32(pl[4:]))
-	n := int(binary.LittleEndian.Uint32(pl[8:]))
-	rt.buildBranch(gid, typeID, pl[12:12+n])
-}
+func (rt *RT) Branch(gid GroupID) any { return rt.Element(ArrayID(gid), rt.p.MyPe()) }
 
 // SendBranch asynchronously invokes entry ep of the group's branch on
 // processor pe.
 func (rt *RT) SendBranch(gid GroupID, pe, ep int, data []byte) {
-	rt.sent++
-	msg := rt.buildGroupInvoke(gid, ep, data)
-	if pe == rt.p.MyPe() {
-		core.SetFlags(msg, 1)
-		rt.p.Enqueue(msg)
-		return
-	}
-	rt.p.SyncSendAndFree(pe, msg)
+	rt.SendElem(ArrayID(gid), pe, ep, data)
 }
 
 // SendGroup asynchronously invokes entry ep on every branch of the
-// group, including the local one.
+// group, including the local one. It loops rather than calling
+// BroadcastArray, which needs the array known here: SendGroup works
+// before the creation broadcast has landed locally.
 func (rt *RT) SendGroup(gid GroupID, ep int, data []byte) {
 	for pe := 0; pe < rt.p.NumPes(); pe++ {
 		rt.SendBranch(gid, pe, ep, data)
 	}
-}
-
-// group invocation payload: [gid u32][ep u32][data...]
-func (rt *RT) buildGroupInvoke(gid GroupID, ep int, data []byte) []byte {
-	msg := core.NewMsg(rt.hGroupInv, 8+len(data))
-	pl := core.Payload(msg)
-	binary.LittleEndian.PutUint32(pl[0:], uint32(gid))
-	binary.LittleEndian.PutUint32(pl[4:], uint32(ep))
-	copy(pl[8:], data)
-	return msg
-}
-
-// onGroupInv is the two-phase group invocation handler (same §3.3
-// pattern as chare invocations).
-func (rt *RT) onGroupInv(p *core.Proc, msg []byte) {
-	pl := core.Payload(msg)
-	if core.FlagsOf(msg) == 0 {
-		buf := p.GrabBuffer()
-		core.SetFlags(buf, 1)
-		p.Enqueue(buf)
-		return
-	}
-	gid := GroupID(binary.LittleEndian.Uint32(pl[0:]))
-	if _, ok := rt.groups[gid]; !ok {
-		// The invocation overtook its creation broadcast (creations ride
-		// the spanning tree through relay processors; invocations go
-		// direct). Park a copy; buildBranch replays it when the creation
-		// lands.
-		rt.groupPending[gid] = append(rt.groupPending[gid], append([]byte(nil), msg...))
-		return
-	}
-	rt.invokeGroupBranch(p, msg)
-}
-
-// invokeGroupBranch delivers a phase-two group invocation to the local
-// branch.
-func (rt *RT) invokeGroupBranch(p *core.Proc, msg []byte) {
-	rt.processed++
-	pl := core.Payload(msg)
-	gid := GroupID(binary.LittleEndian.Uint32(pl[0:]))
-	ep := int(binary.LittleEndian.Uint32(pl[4:]))
-	rec := rt.groups[gid]
-	gt := rt.groupTypes[rec.typ]
-	if ep < 0 || ep >= len(gt.eps) {
-		panic(fmt.Sprintf("charm: pe %d: group type %d has no entry %d", p.MyPe(), rec.typ, ep))
-	}
-	gt.eps[ep](rt, rec.obj, pl[8:])
 }

@@ -161,8 +161,8 @@ func TestUnknownGroupInvocationParks(t *testing.T) {
 		if ran {
 			t.Error("invocation of a never-created group ran")
 		}
-		if len(rt.groupPending[GroupID(999)]) != 1 {
-			t.Errorf("parked invocations = %d, want 1", len(rt.groupPending[GroupID(999)]))
+		if len(rt.arrayPending[ArrayID(999)]) != 1 {
+			t.Errorf("parked invocations = %d, want 1", len(rt.arrayPending[ArrayID(999)]))
 		}
 	})
 	if err != nil {

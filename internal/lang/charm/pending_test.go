@@ -68,18 +68,21 @@ func TestGroupInvocationOvertakesCreation(t *testing.T) {
 			})
 		const gid = GroupID(0x99)
 
-		msg := core.NewMsg(rt.hGroupInv, 12)
+		// A group is an array with one element per processor: the
+		// invocation of this processor's branch is element MyPe's.
+		msg := core.NewMsg(rt.hArrInv, 20)
 		pl := core.Payload(msg)
 		binary.LittleEndian.PutUint32(pl[0:], uint32(gid))
-		binary.LittleEndian.PutUint32(pl[4:], 0) // ep
-		binary.LittleEndian.PutUint32(pl[8:], 5)
+		binary.LittleEndian.PutUint32(pl[4:], uint32(p.MyPe())) // idx
+		binary.LittleEndian.PutUint32(pl[8:], 0)                // ep
+		binary.LittleEndian.PutUint32(pl[16:], 5)
 		core.SetFlags(msg, 1)
-		rt.onGroupInv(p, msg)
+		rt.onArrInv(p, msg)
 		if len(got) != 0 {
 			t.Errorf("invocation ran before the group existed: %v", got)
 		}
 
-		rt.buildBranch(gid, gt, nil)
+		rt.buildElems(ArrayID(gid), gt, p.NumPes(), nil)
 		if len(got) != 1 || got[0] != 5 {
 			t.Errorf("replayed invocations = %v, want [5]", got)
 		}

@@ -150,6 +150,9 @@ func TestPanicErrorNamesPEAndStack(t *testing.T) {
 // TestGoexitLeavesNoParkedPE: a PE that calls runtime.Goexit (as
 // t.FailNow does) ends the goroutine that called Run, and Run's
 // unwinding stops every PE coroutine still parked: none outlives it.
+// PE 3 waits through the machine — empty polls yield to the others —
+// until PEs 0–2 are parked, whatever order the conductor starts them
+// in.
 func TestGoexitLeavesNoParkedPE(t *testing.T) {
 	before := runtime.NumGoroutine()
 	var unwound atomic.Int32
@@ -159,6 +162,11 @@ func TestGoexitLeavesNoParkedPE(t *testing.T) {
 		m := machine.New(machine.Config{PEs: 4})
 		m.Run(func(pe *machine.PE) {
 			if pe.ID() == 3 {
+				for i := 0; i < 3; i++ {
+					for !m.PE(i).BlockState().RecvWait {
+						pe.TryRecv()
+					}
+				}
 				runtime.Goexit()
 			}
 			defer unwound.Add(1)

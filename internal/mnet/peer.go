@@ -216,7 +216,7 @@ func (pl *peerLink) run() {
 		pl.n.noteLinkDown(pl.rank)
 		nc, peerAck, rerr := pl.reestablish()
 		if rerr != nil {
-			if errors.Is(rerr, errLinkStopped) || pl.n.closing.Load() {
+			if errors.Is(rerr, errStopped) || pl.n.closing.Load() {
 				return
 			}
 			pl.dead.Store(true)
@@ -399,42 +399,17 @@ func (pl *peerLink) writeLoop(conn net.Conn, replay []relFrame, stop <-chan stru
 		if pl.rel {
 			pl.reclaim()
 		}
+		// A full ring (sender window exhausted) accepts no new frames
+		// but keeps servicing acks, replay requests and heartbeats —
+		// blocking those would deadlock both sides of a lossy link — and
+		// wakes when an ack makes space. A nil channel's case never
+		// fires.
+		out, space := pl.out, (chan struct{})(nil)
 		if pl.ringFull() {
-			// Sender window exhausted: accept no new frames, but keep
-			// servicing acks, replay requests, and heartbeats — blocking
-			// those here would deadlock both sides of a lossy link.
-			select {
-			case <-pl.spaceCh:
-			case <-pl.ackKick:
-				if err := pl.writeCum(w, fAck); err != nil {
-					fail(err)
-					return
-				}
-				lastTx = time.Now()
-			case <-pl.nackKick:
-				if err := pl.writeCum(w, fNack); err != nil {
-					fail(err)
-					return
-				}
-				lastTx = time.Now()
-			case from := <-pl.remoteNack:
-				if err := pl.retransmit(w, from); err != nil {
-					fail(err)
-					return
-				}
-				lastTx = time.Now()
-			case <-ticker.C:
-				if err := pl.onTick(w, &lastTx, hb); err != nil {
-					fail(err)
-					return
-				}
-			case <-stop:
-				return
-			}
-			continue
+			out, space = nil, pl.spaceCh
 		}
 		select {
-		case m := <-pl.out:
+		case m := <-out:
 			for {
 				// Stage before anything can fail: under FailRetry a
 				// frame in the retransmit ring survives a dead session.
@@ -466,6 +441,7 @@ func (pl *peerLink) writeLoop(conn net.Conn, replay []relFrame, stop <-chan stru
 				return
 			}
 			lastTx = time.Now()
+		case <-space:
 		case <-pl.ackKick:
 			if err := pl.writeCum(w, fAck); err != nil {
 				fail(err)
@@ -770,8 +746,9 @@ func (pl *peerLink) readLoop(conn net.Conn, stop <-chan struct{}, errCh chan<- e
 	}
 }
 
-// errLinkStopped marks recovery abandoned because the node stopped.
-var errLinkStopped = errors.New("node stopped during link recovery")
+// errStopped marks a dial or a link recovery abandoned because the
+// node stopped.
+var errStopped = errors.New("node stopped")
 
 // reestablish obtains a replacement connection within the recovery
 // window: the dialing side redials the peer's mesh address, the
@@ -796,41 +773,33 @@ func (pl *peerLink) reestablish() (net.Conn, uint64, error) {
 	case <-t.C:
 		return nil, 0, fmt.Errorf("peer %d did not redial within %v", pl.rank, window)
 	case <-pl.n.stopCh:
-		return nil, 0, errLinkStopped
+		return nil, 0, errStopped
 	}
 }
 
 // redial reconnects to the peer's mesh listener with jittered
-// exponential backoff. Recovery starts at 1ms (the listener was up
-// moments ago) rather than dialPeer's cold-start 10ms.
+// exponential backoff, running the session-resume handshake on each new
+// connection. Recovery starts at 1ms (the listener was up moments ago)
+// rather than dialPeer's cold-start 10ms, and gives up once the next
+// attempt would fall past the recovery deadline.
 func (pl *peerLink) redial(deadline time.Time) (net.Conn, uint64, error) {
-	backoff := time.Millisecond
-	const backoffCap = 250 * time.Millisecond
-	lastErr := errors.New("recovery window exhausted before the first dial")
-	for {
-		select {
-		case <-pl.n.stopCh:
-			return nil, 0, errLinkStopped
-		default:
-		}
-		if !time.Now().Before(deadline) {
-			return nil, 0, lastErr
-		}
-		conn, err := net.DialTimeout("tcp", pl.addr, time.Until(deadline))
-		if err == nil {
-			var ack uint64
-			if ack, err = pl.resumeHello(conn); err == nil {
-				pl.n.noteReconnect()
-				return conn, ack, nil
+	var ack uint64
+	conn, err := dialRetry(pl.addr, deadline, time.Millisecond, 250*time.Millisecond, &pl.jitter, pl.n.stopCh,
+		func(conn net.Conn) (err error) {
+			ack, err = pl.resumeHello(conn)
+			return err
+		},
+		func(err error, backoff time.Duration) error {
+			if !time.Now().Add(backoff).Before(deadline) {
+				return err
 			}
-			conn.Close()
-		}
-		lastErr = err
-		time.Sleep(pl.jitter.spread(backoff))
-		if backoff *= 2; backoff > backoffCap {
-			backoff = backoffCap
-		}
+			return nil
+		})
+	if err != nil {
+		return nil, 0, err
 	}
+	pl.n.noteReconnect()
+	return conn, ack, nil
 }
 
 // resumeHello runs the session-resume handshake on a fresh connection:
@@ -946,31 +915,50 @@ func dialSeed(rank int, addr string) int64 {
 // dialPeer connects to addr with jittered exponential backoff (10ms
 // doubling to a 500ms cap) until the handshake deadline: during job
 // startup peers bind their listeners at slightly different times, so
-// early refusals are expected and retried; past the deadline the job
-// fails loudly.
+// early refusals are expected and retried (each counted as a
+// reconnect); past the deadline the job fails loudly.
 func dialPeer(n *Node, addr string, deadline time.Time) (net.Conn, error) {
-	backoff := 10 * time.Millisecond
-	const backoffCap = 500 * time.Millisecond
 	jit := jitter{seed: dialSeed(n.cfg.Rank, addr)}
-	for {
+	conn, err := dialRetry(addr, deadline, 10*time.Millisecond, 500*time.Millisecond, &jit, n.stopCh, nil,
+		func(err error, backoff time.Duration) error {
+			if time.Now().Add(backoff).After(deadline) {
+				return fmt.Errorf("handshake deadline exceeded: %w", err)
+			}
+			n.noteReconnect()
+			return nil
+		})
+	if err != nil {
+		return nil, fmt.Errorf("mnet: dialing peer %s: %w", addr, err)
+	}
+	return conn, nil
+}
+
+// dialRetry dials addr until a connection passes ready (nil accepts
+// any), sleeping a jittered exponential backoff — first, doubling up to
+// limit — between attempts; the first attempt is immediate. After each
+// failure giveUp sees the error and the coming backoff; a non-nil
+// answer ends the loop with that error. A stop during a backoff ends it
+// with errStopped: a stopped node will never want this link (its job
+// failed, and the peer may be gone for good), so it gives up at once.
+func dialRetry(addr string, deadline time.Time, first, limit time.Duration, jit *jitter, stop <-chan struct{},
+	ready func(net.Conn) error, giveUp func(err error, backoff time.Duration) error) (net.Conn, error) {
+	for backoff := first; ; backoff = min(2*backoff, limit) {
 		conn, err := net.DialTimeout("tcp", addr, time.Until(deadline))
+		if err == nil && ready != nil {
+			if err = ready(conn); err != nil {
+				conn.Close()
+			}
+		}
 		if err == nil {
 			return conn, nil
 		}
-		if time.Now().Add(backoff).After(deadline) {
-			return nil, fmt.Errorf("mnet: dialing peer %s: handshake deadline exceeded: %w", addr, err)
+		if gerr := giveUp(err, backoff); gerr != nil {
+			return nil, gerr
 		}
-		n.noteReconnect()
-		// A stopped node will never want this link: its job failed (the
-		// peer may be gone for good, refusing connects until the
-		// deadline), so give up now instead of retrying out the clock.
 		select {
-		case <-n.stopCh:
-			return nil, fmt.Errorf("mnet: dialing peer %s: node stopped: %w", addr, err)
+		case <-stop:
+			return nil, fmt.Errorf("%w: %v", errStopped, err)
 		case <-time.After(jit.spread(backoff)):
-		}
-		if backoff *= 2; backoff > backoffCap {
-			backoff = backoffCap
 		}
 	}
 }

@@ -9,8 +9,9 @@
 #                      tcp stream benchmark and the cth thread switch must
 #                      report zero allocations; plus a
 #                      footprint gate of 200 KB per tcp node bring-up
-#                      and a gate of 0.01 gateway connections per
-#                      warm service job
+#                      and a connection budget per warm gang-2 service
+#                      job: at most 0.01 gateway connections (client
+#                      and control traffic) and exactly one mesh link
 #   make bench         comm fast-path benchmarks; writes BENCH_comm.json
 #   make commbench-smoke
 #                      a full commbench run, byte-compared with
@@ -96,9 +97,10 @@ msgcheck-test:
 
 # Fuzz smoke: `go test` runs each fuzzer's seed corpus only; this runs
 # every decoder that reads bytes from a socket (the coalesced pack
-# unpacker, the mnet frame, data-payload and stream-reader decoders, and
-# the shared JSON request/reply reader), plus the gateway's journal
-# replay over torn and garbage tails, under the fuzzing engine for a
+# unpacker, the mnet frame, data-payload and stream-reader decoders, the
+# shared JSON request/reply reader, and the daemon session's control
+# envelope), plus the gateway's journal replay over torn and garbage
+# tails, under the fuzzing engine for a
 # short fixed time. A crasher fails the target and is saved under the
 # package's testdata/fuzz for replay.
 fuzz-smoke:
@@ -108,6 +110,7 @@ fuzz-smoke:
 	$(GO) test ./internal/mnet/ -run '^$$' -fuzz '^FuzzFrameReader$$' -fuzztime 10s -parallel 2
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz '^FuzzReadJSON$$' -fuzztime 10s -parallel 2
 	$(GO) test ./internal/service/ -run '^$$' -fuzz '^FuzzJournalReplay$$' -fuzztime 10s -parallel 2
+	$(GO) test ./internal/service/ -run '^$$' -fuzz '^FuzzCtrlEnvelope$$' -fuzztime 10s -parallel 2
 
 # The machine layer holds the PE inbox every in-process send crosses
 # (many producers, one consumer); gate it separately under -race so a
@@ -142,8 +145,11 @@ machine-race:
 # 20-round-trip pingpong, close — a small job's whole life) and fails
 # above 200 KB allocated per bring-up. The connection leg runs
 # BenchmarkWarmJob (submit, follow logs, status of a gang-2 job on an
-# in-process gateway with two daemons) and fails when a warm client
-# opens more than 0.01 gateway connections per job.
+# in-process gateway with two daemons) and fails when a warm job opens
+# more than 0.01 gateway connections — the ranks' control links ride the
+# daemon sessions, so this covers control traffic too — or when the
+# daemons' mesh listeners accept anything but NP-1 = 1 connection per
+# job, so a per-job listener or dial that comes back fails the gate.
 overhead:
 	@out=$$($(GO) test ./internal/core/ -run '^$$' \
 		-bench 'DispatchOff|NullTracerOverhead|MetricsEnabled|MetricsDisabled|MonitorIdle' \
@@ -174,7 +180,11 @@ overhead:
 	if [ -z "$$cpo" ] || awk -v c="$$cpo" 'BEGIN { exit !(c > 0.01) }'; then \
 		echo "FAIL: a warm job opens $${cpo:-?} gateway connections, over the 0.01 budget"; exit 1; \
 	fi; \
-	echo "connection gate: $$cpo gateway connections per warm job (budget 0.01)"
+	mpo=$$(echo "$$out" | awk '/^BenchmarkWarmJob/ { for (i = 2; i < NF; i++) if ($$(i+1) == "meshconns/op") print $$i }'); \
+	if [ -z "$$mpo" ] || awk -v c="$$mpo" 'BEGIN { exit !(c != 1) }'; then \
+		echo "FAIL: a warm gang-2 job opens $${mpo:-?} mesh connections, want exactly 1"; exit 1; \
+	fi; \
+	echo "connection gate: $$cpo gateway connections and $$mpo mesh connections per warm job (budgets 0.01 and 1)"
 
 # Full benchmark pass: the core micro-benchmarks, the steady-state
 # send benchmarks (gated at 0 allocs/op by overhead), and the commbench

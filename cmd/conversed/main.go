@@ -80,7 +80,6 @@ func main() {
 			StateDir:       *stateDir,
 			RecoveryWindow: *recovery,
 			DrainTimeout:   *drainTO,
-			Advertise:      *advertise,
 			Logf:           logf,
 		})
 		if err != nil {

@@ -70,13 +70,14 @@ func renderJobs(jobs []service.JobInfo, cl service.ClusterView) {
 	fmt.Printf("conversed: epoch %d%s, %d daemons (%s), %d/%d PEs busy, backlog %d/%d  (%s)\n\n",
 		cl.Epoch, mode, len(cl.Daemons), strings.Join(names, ", "), busy, slots,
 		cl.Backlog, cl.BacklogCap, time.Now().Format("15:04:05"))
-	fmt.Printf("%-22s %-10s %-10s %4s %9s %9s %9s %3s %-18s %-9s %s\n",
-		"JOB", "WORKLOAD", "STATE", "GANG", "QWAIT", "RUNTIME", "BYTES", "RQ", "REASON", "LIMITS", "DAEMONS")
+	fmt.Printf("%-22s %-10s %-10s %4s %9s %9s %9s %3s %-18s %-9s %-23s %s\n",
+		"JOB", "WORKLOAD", "STATE", "GANG", "QWAIT", "RUNTIME", "BYTES", "RQ", "REASON", "LIMITS",
+		"RDV/MESH/RUN/FIN(ms)", "DAEMONS")
 	for _, j := range jobs {
-		line := fmt.Sprintf("%-22s %-10s %-10s %4d %9s %9s %9s %3d %-18s %-9s %s",
+		line := fmt.Sprintf("%-22s %-10s %-10s %4d %9s %9s %9s %3d %-18s %-9s %-23s %s",
 			j.ID, j.Workload, j.State, j.Gang,
 			fmtMs(j.QueueWaitMS), fmtMs(j.RuntimeMS), fmtBytes(j.BytesMoved),
-			j.Requeues, dash(j.Reason), fmtLimits(j), strings.Join(j.Daemons, ","))
+			j.Requeues, dash(j.Reason), fmtLimits(j), fmtStages(j.Stages), strings.Join(j.Daemons, ","))
 		if j.Error != "" {
 			line += "  [" + j.Error + "]"
 		}
@@ -90,6 +91,22 @@ func dash(s string) string {
 		return "-"
 	}
 	return s
+}
+
+// fmtStages compacts a job's stage times — rendezvous, mesh-up, driver,
+// finish of its slowest rank — into one cell of milliseconds, e.g.
+// "0.21/0.08/0.55/0.04".
+func fmtStages(st *service.JobStages) string {
+	if st == nil {
+		return "-"
+	}
+	cell := func(ms float64) string {
+		if ms < 10 {
+			return fmt.Sprintf("%.2f", ms)
+		}
+		return fmt.Sprintf("%.0f", ms)
+	}
+	return cell(st.RendezvousMS) + "/" + cell(st.MeshUpMS) + "/" + cell(st.DriverMS) + "/" + cell(st.FinishMS)
 }
 
 // fmtLimits compacts a job's resource limits into one cell, e.g.

@@ -28,11 +28,12 @@ import (
 // ScalePEs is the default processor ladder for the scale profile.
 var ScalePEs = []int{8, 16, 32, 64, 128, 256}
 
-// pingPongSamples is how many ping-pong runs, each on a fresh machine,
-// every ladder point takes. One run is a shot of a few hundred
-// microseconds that a single GC pause or host preemption can multiply,
-// so a point records the samples' median and quartiles.
-const pingPongSamples = 9
+// rungSamples is how many ping-pong runs and how many fan-in bursts,
+// each on a fresh machine, every ladder point takes. One run is a shot
+// of a few hundred microseconds that a single GC pause or host
+// preemption can multiply, so a point records the samples' median and
+// quartiles.
+const rungSamples = 9
 
 // schedFrames are the scheduler-loop frames whose cumulative CPU share
 // the profile reports: the main dispatch loops and the network-drain
@@ -55,23 +56,28 @@ type ScalePoint struct {
 	PingPongOneWayP75Us float64 `json:"pingpong_one_way_p75_us"`
 	PingPongSamples     int     `json:"pingpong_samples"`
 	// Fan-in burst: every processor but 0 sends Msgs messages to 0.
-	FanInElapsedUs float64 `json:"fanin_elapsed_us"`
-	FanInMsgsPerMs float64 `json:"fanin_msgs_per_ms"`
+	// The elapsed time is the median of FanInSamples bursts, whose
+	// quartiles are P25 and P75; the rate is the median burst's.
+	FanInElapsedUs    float64 `json:"fanin_elapsed_us"`
+	FanInElapsedP25Us float64 `json:"fanin_elapsed_p25_us"`
+	FanInElapsedP75Us float64 `json:"fanin_elapsed_p75_us"`
+	FanInSamples      int     `json:"fanin_samples"`
+	FanInMsgsPerMs    float64 `json:"fanin_msgs_per_ms"`
 	// SchedCPUShare is the cumulative CPU fraction spent under the
 	// scheduler loops (schedFrames) during fan-in bursts; CoreCPUShare
 	// widens that to all of internal/core.
 	SchedCPUShare float64 `json:"sched_cpu_share"`
 	CoreCPUShare  float64 `json:"core_cpu_share"`
-	// AllocsPerMsg is heap allocations per delivered message over one
-	// fan-in burst (machine construction amortized in). It measures
+	// AllocsPerMsg is heap allocations per delivered message over the
+	// timed fan-in bursts (machine construction amortized in). It measures
 	// NetFanIn's harness shape, not the runtime: a sender sends its
 	// whole burst without yielding, so every SyncSend copy is a pool
 	// miss before PE 0 frees anything (≈1.06–1.09 on every rung). The
 	// runtime's steady-state figure is BenchmarkFanInSteadyState, whose
 	// bursts are bounded by a Barrier: 0 allocs/op.
 	AllocsPerMsg float64 `json:"allocs_per_msg"`
-	// HeapInuseBytes is the process's live heap right after the timed
-	// burst, while the machine's pools are still reachable.
+	// HeapInuseBytes is the process's live heap right after the last
+	// timed burst, while the machine's pools are still reachable.
 	HeapInuseBytes int64 `json:"heap_inuse_bytes"`
 }
 
@@ -111,13 +117,21 @@ func ScaleSweep(peList []int, opt ScaleOptions) ([]ScalePoint, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bench: scale point pes=%d: %w", pes, err)
 		}
-		logf("pes=%-4d ping-pong %7.2f us (%.2f-%.2f)   fan-in %9.0f us %8.1f msgs/ms   sched %4.1f%% core %4.1f%%   %.2f allocs/msg\n",
+		logf("pes=%-4d ping-pong %7.2f us (%.2f-%.2f)   fan-in %9.0f us (%.0f-%.0f) %8.1f msgs/ms   sched %4.1f%% core %4.1f%%   %.2f allocs/msg\n",
 			pt.PEs, pt.PingPongOneWayUs, pt.PingPongOneWayP25Us, pt.PingPongOneWayP75Us,
-			pt.FanInElapsedUs, pt.FanInMsgsPerMs,
+			pt.FanInElapsedUs, pt.FanInElapsedP25Us, pt.FanInElapsedP75Us, pt.FanInMsgsPerMs,
 			pt.SchedCPUShare*100, pt.CoreCPUShare*100, pt.AllocsPerMsg)
 		points = append(points, pt)
 	}
 	return points, nil
+}
+
+// quartiles sorts xs and returns its 25th, 50th and 75th percentiles
+// (nearest rank).
+func quartiles(xs []float64) (p25, p50, p75 float64) {
+	slices.Sort(xs)
+	rank := func(q float64) float64 { return xs[int(q*float64(len(xs)-1)+0.5)] }
+	return rank(0.25), rank(0.5), rank(0.75)
 }
 
 func scalePoint(pes int, opt ScaleOptions) (ScalePoint, error) {
@@ -125,7 +139,7 @@ func scalePoint(pes int, opt ScaleOptions) (ScalePoint, error) {
 	pt := ScalePoint{PEs: pes}
 
 	cfg.PEs = pes
-	pp := make([]float64, pingPongSamples)
+	pp := make([]float64, rungSamples)
 	for i := range pp {
 		us, err := NetPingPong(cfg, opt.Size, opt.Rounds)
 		if err != nil {
@@ -133,22 +147,28 @@ func scalePoint(pes int, opt ScaleOptions) (ScalePoint, error) {
 		}
 		pp[i] = us
 	}
-	slices.Sort(pp)
-	rank := func(q float64) float64 { return pp[int(q*float64(len(pp)-1)+0.5)] }
-	pt.PingPongOneWayP25Us, pt.PingPongOneWayUs, pt.PingPongOneWayP75Us = rank(0.25), rank(0.5), rank(0.75)
+	pt.PingPongOneWayP25Us, pt.PingPongOneWayUs, pt.PingPongOneWayP75Us = quartiles(pp)
 	pt.PingPongSamples = len(pp)
 
-	// The timed fan-in doubles as the allocation count: the Mallocs
-	// delta over machine build + burst, per delivered message.
+	// The timed fan-in bursts double as the allocation count: the
+	// Mallocs delta over machine builds + bursts, per delivered message.
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	el, tput, err := NetFanIn(cfg, opt.Msgs, opt.Size)
-	if err != nil {
-		return pt, err
+	fan := make([]float64, rungSamples)
+	for i := range fan {
+		el, _, err := NetFanIn(cfg, opt.Msgs, opt.Size)
+		if err != nil {
+			return pt, err
+		}
+		fan[i] = el
 	}
 	runtime.ReadMemStats(&after)
-	pt.FanInElapsedUs, pt.FanInMsgsPerMs = el, tput
-	pt.AllocsPerMsg = float64(after.Mallocs-before.Mallocs) / float64((pes-1)*opt.Msgs)
+	pt.FanInElapsedP25Us, pt.FanInElapsedUs, pt.FanInElapsedP75Us = quartiles(fan)
+	pt.FanInSamples = len(fan)
+	// NetFanIn's rate, at the median burst: deliveries after the first
+	// over the span.
+	pt.FanInMsgsPerMs = float64((pes-1)*opt.Msgs-1) / pt.FanInElapsedUs * 1000
+	pt.AllocsPerMsg = float64(after.Mallocs-before.Mallocs) / float64(len(fan)*(pes-1)*opt.Msgs)
 	pt.HeapInuseBytes = int64(after.HeapInuse)
 
 	// Profile captures go through a real monitor socket so the sweep

@@ -88,7 +88,7 @@ func TestRepoPlaneFactsDisjoint(t *testing.T) {
 	}
 
 	wantMin := map[string]int{
-		"converse/internal/mnet":    16, // fHello..fMonitorAddr
+		"converse/internal/mnet":    14, // fHello..fMonitorAddr, 3 and 4 retired
 		"converse/internal/ccs":     5,  // kReq..kErr
 		"converse/internal/service": 20, // kSubmit..kDrain + jk* journal records
 	}

@@ -5,13 +5,16 @@ package mnet
 // child processes of this process: cmd/converserun wraps it around
 // spawned workers, and the elastic cluster service (internal/service)
 // runs one per admitted job, with conversed daemons joining the round
-// as in-process nodes. One ControlServer coordinates one job: a fixed
-// worker count, one token, and any number of sequential rendezvous
-// rounds (a program that builds machines in sequence joins once per
-// machine, like under converserun).
+// as in-process nodes whose control links ride the daemons' sessions.
+// One ControlServer coordinates one job: a fixed worker count, one
+// token, and any number of sequential rendezvous rounds (a program that
+// builds machines in sequence joins once per machine, like under
+// converserun).
 
 import (
 	"bufio"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -22,8 +25,8 @@ import (
 )
 
 // ControlCallbacks connect a ControlServer to its owner. All callbacks
-// may be nil; they are invoked from connection-reader goroutines and
-// must be safe for concurrent use.
+// may be nil; they are invoked from the transports' reader goroutines
+// and must be safe for concurrent use.
 type ControlCallbacks struct {
 	// Console receives forwarded CmiPrintf/CmiError output.
 	Console func(rank int, isErr bool, text string)
@@ -34,20 +37,18 @@ type ControlCallbacks struct {
 	// lost control connection). The server keeps running; stopping the
 	// job is the owner's call.
 	Fail func(err error)
-	// RankLost is consulted when a rank's control connection is lost
-	// before its round released. Returning true tolerates the loss: the
-	// rank is marked dead so release barriers don't wait for it
-	// (converserun's FailRetry posture, and the service's daemon-drain
-	// path). Returning false — or a nil callback — escalates to Fail.
+	// RankLost is consulted when a rank's control link is lost before
+	// its round released. Returning true tolerates the loss: the rank is
+	// marked dead so release barriers don't wait for it (converserun's
+	// FailRetry posture, and the service's lost daemon sessions).
+	// Returning false — or a nil callback — escalates to Fail.
 	RankLost func(rank int, err error) bool
-	// Released fires when a round's release barrier completes: every
-	// active node reported done and the release was broadcast.
-	Released func(round int)
 }
 
-// ControlServer serves the worker side of one job's control
-// connections. Construct with NewControlServer, then Serve on a
-// listener owned by the caller.
+// ControlServer serves the worker side of one job's control links.
+// Construct with NewControlServer; then either Serve on a listener owned
+// by the caller, one TCP connection per rank, or attach each rank's
+// link over a transport the owner already runs (Link).
 type ControlServer struct {
 	np    int
 	ppn   int
@@ -55,13 +56,11 @@ type ControlServer struct {
 	hb    time.Duration
 	cbs   ControlCallbacks
 
-	mu      sync.Mutex
-	rounds  map[int]*round
-	conns   map[net.Conn]struct{} // live worker control connections
-	aborted bool
+	mu     sync.Mutex
+	rounds map[int]*round
 
 	// done suppresses failure reports during orderly shutdown, when
-	// connection teardown is expected rather than diagnostic.
+	// link teardown is expected rather than diagnostic.
 	done atomic.Bool
 	// connWg tracks live control-connection readers so an owner can
 	// drain final console frames before tearing down.
@@ -83,7 +82,6 @@ func NewControlServer(np, ppn int, token string, hb time.Duration, cbs ControlCa
 	return &ControlServer{
 		np: np, ppn: ppn, token: token, hb: hb, cbs: cbs,
 		rounds: map[int]*round{},
-		conns:  map[net.Conn]struct{}{},
 	}
 }
 
@@ -95,55 +93,17 @@ func (s *ControlServer) Serve(ls net.Listener) {
 		if err != nil {
 			return
 		}
-		s.mu.Lock()
-		if s.aborted {
-			s.mu.Unlock()
-			conn.Close()
-			continue
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
 		s.connWg.Add(1)
 		go func() {
 			defer s.connWg.Done()
 			s.handleConn(conn)
-			s.mu.Lock()
-			delete(s.conns, conn)
-			s.mu.Unlock()
 		}()
 	}
 }
 
-// Shutdown marks the server as winding down: subsequent connection
-// losses are expected teardown, not failures. The caller closes the
-// listener itself.
+// Shutdown marks the server as winding down: subsequent link losses are
+// expected teardown, not failures. The caller closes the listener itself.
 func (s *ControlServer) Shutdown() { s.done.Store(true) }
-
-// Abort is Shutdown plus force: it severs every live worker control
-// connection. Shutdown alone leaves workers to notice on their own,
-// which can take a full handshake timeout for a rank still blocked in
-// rendezvous — its missing peer will never say hello, and no frame
-// reaches it until the table broadcast. Closing the connection makes
-// the worker's control reader fail the node immediately ("launcher
-// connection lost"), so a doomed gang drains in milliseconds. Late
-// dialers are covered too: Serve accepts and immediately closes new
-// connections after Abort, which beats closing the listener — workers
-// retry a refused connect with backoff until their handshake deadline,
-// but an accepted-then-closed connection fails them at once. Owners
-// with workers worth preserving must use Shutdown instead.
-func (s *ControlServer) Abort() {
-	s.done.Store(true)
-	s.mu.Lock()
-	s.aborted = true
-	conns := make([]net.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-	for _, c := range conns {
-		c.Close()
-	}
-}
 
 // Drain waits up to timeout for the connection readers to finish, so
 // final console frames are delivered before the owner returns.
@@ -162,109 +122,164 @@ func (s *ControlServer) fail(err error) {
 	}
 }
 
+// RankLink is the launcher's end of one rank's control link, whatever
+// carries it: frames to the rank leave through the send function the
+// transport gave Link, the transport hands frames from the rank to
+// Deliver, and reports its own death to Lost. The TCP transport
+// (Serve) and a host's session (the conversed gateway's daemon
+// sessions) drive the same handlers.
+type RankLink struct {
+	s    *ControlServer
+	send func(kind byte, payload []byte) error
+	// Under s.mu: rank and rd are set by the link's hello; closed once
+	// the link is finished (Deliver refused a frame, or Lost), after
+	// which it takes nothing more — as a TCP link's reader stops.
+	rank   int
+	rd     *round
+	closed bool
+}
+
+// Link attaches one rank's control link whose outbound frames go
+// through send. The rank is known once its hello arrives.
+func (s *ControlServer) Link(send func(kind byte, payload []byte) error) *RankLink {
+	return &RankLink{s: s, send: send, rank: -1}
+}
+
 // handleConn serves one worker control connection. The rolling read
 // deadline is the worker-liveness detector: workers ping every
 // heartbeat interval, so heartbeatMissFactor intervals of silence mean
-// the worker is wedged. A clean close is expected only after the
-// worker's round was released.
+// the worker is wedged.
 func (s *ControlServer) handleConn(conn net.Conn) {
 	defer conn.Close()
+	l := s.Link(func(k byte, payload []byte) error { return wire.WriteFrame(conn, k, payload) })
 	r := bufio.NewReader(conn)
 	allowance := time.Duration(heartbeatMissFactor) * s.hb
-	var rd *round
-	rank := -1
 	for {
 		conn.SetReadDeadline(time.Now().Add(allowance))
 		k, payload, err := readFrame(r)
 		if err != nil {
-			if s.done.Load() {
-				return
-			}
-			s.mu.Lock()
-			released := rd != nil && rd.released
-			s.mu.Unlock()
-			if released || rank < 0 {
-				return // normal post-release close, or a stray connection
-			}
 			if isTimeout(err) {
 				err = fmt.Errorf("no ping for %v (worker wedged)", allowance)
 			}
-			if s.cbs.RankLost != nil && s.cbs.RankLost(rank, err) {
-				// Tolerated loss (converserun FailRetry, service daemon
-				// drain): mark the rank dead so barriers don't wait on it.
-				s.MarkDead(rank)
-				return
-			}
-			s.fail(fmt.Errorf("mnet: lost control connection to worker rank %d: %v", rank, err))
+			l.Lost(err)
 			return
 		}
-		switch k {
-		case fHello:
-			var h helloMsg
-			if err := wire.DecodeJSON(byte(k), payload, &h); err != nil {
-				s.fail(err)
-				return
-			}
-			if err := s.hello(conn, h); err != nil {
-				s.fail(err)
-				return
-			}
-			rank = h.Rank
-			s.mu.Lock()
-			rd = s.rounds[h.Round]
-			s.mu.Unlock()
-		case fMeshOK:
-			var m meshOKMsg
-			if err := wire.DecodeJSON(byte(k), payload, &m); err != nil {
-				s.fail(err)
-				return
-			}
-			s.meshOK(m)
-		case fDone:
-			var d doneMsg
-			if err := wire.DecodeJSON(byte(k), payload, &d); err != nil {
-				s.fail(err)
-				return
-			}
-			s.workerDone(d)
-		case fConsole:
-			var c consoleMsg
-			if err := wire.DecodeJSON(byte(k), payload, &c); err != nil {
-				s.fail(err)
-				return
-			}
-			if s.cbs.Console != nil {
-				s.cbs.Console(c.Rank, c.Err, c.Text)
-			}
-		case fFail:
-			var f failMsg
-			if wire.DecodeJSON(byte(k), payload, &f) == nil {
-				s.fail(fmt.Errorf("mnet: worker rank %d reports fatal error: %s", f.Rank, f.Text))
-			} else {
-				s.fail(fmt.Errorf("mnet: worker rank %d reports fatal error", rank))
-			}
-			return
-		case fMonitorAddr:
-			var m monitorAddrMsg
-			if err := wire.DecodeJSON(byte(k), payload, &m); err != nil {
-				s.fail(err)
-				return
-			}
-			if s.cbs.MonitorAddr != nil {
-				s.cbs.MonitorAddr(m.Rank, m.Addr)
-			}
-		case fPing:
-			// Receiving it already refreshed the deadline.
-		default:
-			s.fail(fmt.Errorf("mnet: unexpected %v frame from worker rank %d", k, rank))
+		if l.Deliver(byte(k), payload) != nil {
 			return
 		}
 	}
 }
 
+// Lost reports the death of the link's transport, or of the rank at
+// its end. It is expected after the rank's round released, during
+// shutdown, and before any hello (a stray connection); otherwise
+// RankLost decides between marking the rank dead and failing the job.
+func (l *RankLink) Lost(err error) {
+	s := l.s
+	s.mu.Lock()
+	rank, released, closed := l.rank, l.rd != nil && l.rd.released, l.closed
+	l.closed = true
+	s.mu.Unlock()
+	if closed || released || rank < 0 || s.done.Load() {
+		return
+	}
+	if s.cbs.RankLost != nil && s.cbs.RankLost(rank, err) {
+		// Tolerated loss (converserun FailRetry, a lost daemon session):
+		// mark the rank dead so barriers don't wait on it.
+		s.MarkDead(rank)
+		return
+	}
+	s.fail(fmt.Errorf("mnet: lost control connection to worker rank %d: %v", rank, err))
+}
+
+// Deliver handles one frame from the rank. A non-nil error means the
+// link is finished — a protocol violation or the rank's own fatal
+// report, already passed to the Fail callback — and the transport
+// should stop reading it.
+func (l *RankLink) Deliver(k byte, payload []byte) error {
+	err := l.deliver(k, payload)
+	if err != nil {
+		l.s.mu.Lock()
+		l.closed = true
+		l.s.mu.Unlock()
+	}
+	return err
+}
+
+func (l *RankLink) deliver(k byte, payload []byte) error {
+	s := l.s
+	s.mu.Lock()
+	closed := l.closed
+	s.mu.Unlock()
+	if closed {
+		return errLinkClosed
+	}
+	switch kind(k) {
+	case fHello:
+		var h helloMsg
+		err := wire.DecodeJSON(k, payload, &h)
+		if err == nil {
+			err = s.hello(l, h)
+		}
+		if err != nil {
+			s.fail(err)
+			return err
+		}
+	case fDone:
+		var d doneMsg
+		if err := wire.DecodeJSON(k, payload, &d); err != nil {
+			s.fail(err)
+			return err
+		}
+		s.workerDone(d)
+	case fConsole:
+		var c consoleMsg
+		if err := wire.DecodeJSON(k, payload, &c); err != nil {
+			s.fail(err)
+			return err
+		}
+		if s.cbs.Console != nil {
+			s.cbs.Console(c.Rank, c.Err, c.Text)
+		}
+	case fFail:
+		var f failMsg
+		err := fmt.Errorf("mnet: worker rank %d reports fatal error", l.rankNow())
+		if wire.DecodeJSON(k, payload, &f) == nil {
+			err = fmt.Errorf("mnet: worker rank %d reports fatal error: %s", f.Rank, f.Text)
+		}
+		s.fail(err)
+		return err
+	case fMonitorAddr:
+		var m monitorAddrMsg
+		if err := wire.DecodeJSON(k, payload, &m); err != nil {
+			s.fail(err)
+			return err
+		}
+		if s.cbs.MonitorAddr != nil {
+			s.cbs.MonitorAddr(m.Rank, m.Addr)
+		}
+	case fPing:
+		// Receiving it already refreshed the transport's deadline.
+	default:
+		err := fmt.Errorf("mnet: unexpected %v frame from worker rank %d", kind(k), l.rankNow())
+		s.fail(err)
+		return err
+	}
+	return nil
+}
+
+// errLinkClosed refuses frames on a finished link.
+var errLinkClosed = errors.New("mnet: control link closed")
+
+func (l *RankLink) rankNow() int {
+	l.s.mu.Lock()
+	defer l.s.mu.Unlock()
+	return l.rank
+}
+
 // hello registers one worker in its rendezvous round; the NP-th hello
 // completes the round's membership and broadcasts the node table.
-func (s *ControlServer) hello(conn net.Conn, h helloMsg) error {
+func (s *ControlServer) hello(l *RankLink, h helloMsg) error {
 	if h.Magic != protoMagic || h.Version != protoVersion {
 		return fmt.Errorf("mnet: worker hello with magic %q version %d (launcher speaks %q version %d; mixed binaries?)",
 			h.Magic, h.Version, protoMagic, protoVersion)
@@ -290,7 +305,7 @@ func (s *ControlServer) hello(conn net.Conn, h helloMsg) error {
 		rd = &round{
 			num: h.Round, pes: h.PEs, nodes: h.Nodes,
 			addrs:   make([]string, s.np),
-			conns:   make([]net.Conn, s.np),
+			links:   make([]*RankLink, s.np),
 			doneSet: map[int]bool{},
 		}
 		s.rounds[h.Round] = rd
@@ -299,16 +314,21 @@ func (s *ControlServer) hello(conn net.Conn, h helloMsg) error {
 		return fmt.Errorf("mnet: round %d: rank %d builds a %d-PE/%d-node machine but others build %d-PE/%d-node (drifted SPMD program?)",
 			h.Round, h.Rank, h.PEs, h.Nodes, rd.pes, rd.nodes)
 	}
-	if rd.conns[h.Rank] != nil {
+	if rd.links[h.Rank] != nil {
 		return fmt.Errorf("mnet: round %d: duplicate hello from rank %d", h.Round, h.Rank)
 	}
-	rd.conns[h.Rank] = conn
+	rd.links[h.Rank] = l
 	rd.addrs[h.Rank] = h.Addr
+	l.rank, l.rd = h.Rank, rd
 	rd.hellos++
 	if rd.hellos == s.np {
-		tbl := tableMsg{Round: rd.num, PEs: rd.pes, Addrs: rd.addrs}
-		for _, c := range rd.conns {
-			if err := wire.WriteJSON(c, byte(fTable), tbl); err != nil {
+		tbl, err := json.Marshal(tableMsg{Round: rd.num, PEs: rd.pes, Addrs: rd.addrs})
+		if err != nil {
+			return err
+		}
+		// Every write to a link happens under s.mu, which orders them.
+		for _, rl := range rd.links {
+			if err := rl.send(byte(fTable), tbl); err != nil {
 				return fmt.Errorf("mnet: broadcasting node table: %w", err)
 			}
 		}
@@ -316,79 +336,49 @@ func (s *ControlServer) hello(conn net.Conn, h helloMsg) error {
 	return nil
 }
 
-// meshOK counts mesh completions; the NP-th releases the go barrier.
-func (s *ControlServer) meshOK(m meshOKMsg) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rd := s.rounds[m.Round]
-	if rd == nil {
-		return
-	}
-	rd.meshoks++
-	if rd.meshoks == s.np {
-		for _, c := range rd.conns {
-			if c != nil {
-				wire.WriteJSON(c, byte(fGo), goMsg{Round: rd.num})
-			}
-		}
-	}
-}
-
 // workerDone records an active node's completed drivers; when all of
 // the round's node processes are done, every worker (surplus included)
 // is released.
 func (s *ControlServer) workerDone(d doneMsg) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	rd := s.rounds[d.Round]
 	if rd == nil || rd.released {
-		s.mu.Unlock()
 		return
 	}
 	if d.Rank < rd.nodes {
 		rd.doneSet[d.Rank] = true
 	}
-	released := s.maybeRelease(rd)
-	s.mu.Unlock()
-	if released && s.cbs.Released != nil {
-		s.cbs.Released(rd.num)
-	}
+	s.maybeRelease(rd)
 }
 
 // maybeRelease broadcasts the release once every active node is done.
-// Caller holds mu; reports whether the release happened on this call.
-func (s *ControlServer) maybeRelease(rd *round) bool {
+// Caller holds mu.
+func (s *ControlServer) maybeRelease(rd *round) {
 	if rd.released || len(rd.doneSet) != rd.nodes {
-		return false
+		return
 	}
 	rd.released = true
-	for _, c := range rd.conns {
-		if c != nil {
-			wire.WriteJSON(c, byte(fRelease), releaseMsg{Round: rd.num})
+	rel, _ := json.Marshal(releaseMsg{Round: rd.num})
+	for _, l := range rd.links {
+		if l != nil {
+			l.send(byte(fRelease), rel)
 		}
 	}
-	return true
 }
 
 // MarkDead treats a dead rank as done in every round: the release
 // barrier must not wait forever on a rank that can never report, or
 // every survivor would hang in Finish until the timeout.
 func (s *ControlServer) MarkDead(rank int) {
-	var released []int
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	for _, rd := range s.rounds {
 		if rd.released || rank >= rd.nodes {
 			continue
 		}
 		rd.doneSet[rank] = true
-		if s.maybeRelease(rd) {
-			released = append(released, rd.num)
-		}
-	}
-	s.mu.Unlock()
-	if s.cbs.Released != nil {
-		for _, num := range released {
-			s.cbs.Released(num)
-		}
+		s.maybeRelease(rd)
 	}
 }
 
@@ -404,8 +394,8 @@ func (s *ControlServer) Describe() string {
 		if out != "" {
 			out += "; "
 		}
-		out += fmt.Sprintf("round %d (%d PEs on %d nodes): %d/%d hellos, %d/%d meshok, %d/%d done",
-			rd.num, rd.pes, rd.nodes, rd.hellos, s.np, rd.meshoks, s.np, len(rd.doneSet), rd.nodes)
+		out += fmt.Sprintf("round %d (%d PEs on %d nodes): %d/%d hellos, %d/%d done",
+			rd.num, rd.pes, rd.nodes, rd.hellos, s.np, len(rd.doneSet), rd.nodes)
 	}
 	return out
 }

@@ -73,3 +73,7 @@ func (n *Node) CutLinkForTest(peer int) {
 // LinkRecoveriesForTest reports how many session-resuming reconnects
 // this node's links have completed.
 func (n *Node) LinkRecoveriesForTest() int64 { return int64(n.relRecovered.Load()) }
+
+// HoldAcceptsForTest makes the node's mesh listener run hold on every
+// connection it accepts, before reading the connection's peer hello.
+func (n *Node) HoldAcceptsForTest(hold func(net.Conn)) { n.mesh.hold.Store(&hold) }

@@ -64,11 +64,11 @@ type kind uint8
 
 const (
 	// worker <-> launcher (control connection)
-	fHello   kind = iota + 1 // join a rendezvous round (helloMsg)
-	fTable                   // node table for the round (tableMsg)
-	fMeshOK                  // worker's mesh is fully connected (meshOKMsg)
-	fGo                      // all meshes connected, run the driver (goMsg)
-	fDone                    // worker's driver returned (doneMsg)
+	fHello kind = iota + 1 // join a rendezvous round (helloMsg)
+	fTable                 // node table for the round (tableMsg)
+	// 3 and 4 were the mesh go-barrier, retired in protocol v5; the
+	// later kinds keep their values.
+	fDone    kind = iota + 3 // worker's driver returned (doneMsg)
 	fRelease                 // all drivers returned, tear down (releaseMsg)
 	fConsole                 // CmiPrintf/CmiError output (consoleMsg)
 	fFail                    // fatal local error, kill the job (failMsg)
@@ -93,10 +93,6 @@ func (k kind) String() string {
 		return "hello"
 	case fTable:
 		return "table"
-	case fMeshOK:
-		return "meshok"
-	case fGo:
-		return "go"
 	case fDone:
 		return "done"
 	case fRelease:

@@ -275,9 +275,8 @@ type round struct {
 	pes      int
 	nodes    int // active node processes (ranks < nodes run drivers)
 	addrs    []string
-	conns    []net.Conn
+	links    []*RankLink
 	hellos   int
-	meshoks  int
 	doneSet  map[int]bool
 	released bool
 }

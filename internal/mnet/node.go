@@ -2,6 +2,8 @@ package mnet
 
 import (
 	"bufio"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -19,7 +21,8 @@ import (
 // programs never build it by hand: JoinFromEnv reads the launcher's
 // environment. Tests construct it directly to run nodes in-process.
 type Config struct {
-	// Launcher is the control-server address (host:port).
+	// Launcher is the control-server address (host:port) Join dials. A
+	// node opened on a Host reaches its launcher through the host instead.
 	Launcher string
 	// Token is the job-unique token; mismatched connections are rejected.
 	Token string
@@ -79,8 +82,8 @@ type Config struct {
 	// failing the job, console output falls back to the local streams,
 	// and Finish — whose done/release barrier needs the launcher —
 	// degrades to a short linger (so peers' final frames flush) followed
-	// by teardown. Control loss during rendezvous still fails Join/Start:
-	// a mesh that never formed has nothing to keep running.
+	// by teardown. Control loss before the node table still fails the
+	// rendezvous: a mesh that never formed has nothing to keep running.
 	TolerateCtrlLoss bool
 }
 
@@ -111,14 +114,19 @@ type Node struct {
 	// and link readers read inbound messages into buffers drawn from it.
 	depot machine.Depot
 
-	ctrl   net.Conn
+	ctrl   ctrlLink
 	ctrlMu sync.Mutex // serializes control-frame writes
 
-	ls net.Listener // mesh listener
+	// mesh is where this node's accepted links arrive: its own listener
+	// (ownMesh, closed at teardown) or its host's shared one.
+	mesh    *MeshListener
+	ownMesh bool
+	// hosted marks a node opened on a Host: its host closes it, after
+	// reporting the rank's result, instead of Finish.
+	hosted bool
 
-	// Rendezvous state, fed by the control reader goroutine.
+	// Rendezvous state, fed by handleCtrl.
 	tableCh   chan tableMsg
-	goCh      chan goMsg
 	releaseCh chan releaseMsg
 
 	// Mesh state.
@@ -162,12 +170,79 @@ type Node struct {
 	relLinkDown  atomic.Uint64
 	relRecovered atomic.Uint64
 	relWireErr   atomic.Uint64
+
+	// Stage stamps of the round (see Stages): node table received, own
+	// links up, done reported, released.
+	tableAt, linksAt, doneAt, releasedAt time.Time
 }
 
 // Join performs the node's half of the rendezvous for one round: bind
 // the mesh listener, connect to the launcher, announce ourselves, and
 // wait for the node table. The mesh itself is wired in Start.
 func Join(cfg Config) (*Node, error) {
+	n, err := newNode(cfg)
+	if err != nil {
+		return nil, err
+	}
+	deadline := time.Now().Add(n.cfg.Handshake)
+	mesh, err := ListenMesh(cfg.Advertise, n.cfg.Handshake)
+	if err != nil {
+		return nil, err
+	}
+	n.mesh, n.ownMesh = mesh, true
+	mesh.add(n) // the listener is new: nothing else is on it
+	conn, err := dialPeer(n, cfg.Launcher, deadline)
+	if err != nil {
+		mesh.Close()
+		return nil, fmt.Errorf("mnet: connecting to launcher %s: %w", cfg.Launcher, err)
+	}
+	n.ctrl = tcpCtrl{conn}
+	go n.ctrlReadLoop(conn)
+	go n.pingLoop()
+	if err := n.rendezvous(deadline); err != nil {
+		return nil, err
+	}
+	return n, nil
+}
+
+// Host is what a process hosting many jobs' nodes — a conversed daemon
+// — lends each node in place of sockets of its own: the launcher link
+// rides the host's session and the mesh links arrive through the host's
+// listener. The host feeds the node the launcher's frames (Deliver) and
+// the death of its session (LauncherLost); the session's own liveness
+// stands in for the control pings.
+type Host struct {
+	// Send carries one control frame — its kind and payload, unchanged —
+	// to the node's launcher.
+	Send func(kind byte, payload []byte) error
+	// Mesh is the host's mesh listener; the node's hello announces it.
+	Mesh *MeshListener
+}
+
+// Open builds a node on a host without any I/O, so the host can index
+// it before Rendezvous announces it: the launcher's answer may then
+// arrive at any moment. A hosted node's Finish leaves its links up; the
+// host reports the rank's result and then Closes the node.
+func Open(cfg Config, h Host) (*Node, error) {
+	n, err := newNode(cfg)
+	if err != nil {
+		return nil, err
+	}
+	n.ctrl, n.mesh, n.hosted = hostCtrl(h.Send), h.Mesh, true
+	if err := h.Mesh.add(n); err != nil {
+		return nil, err
+	}
+	return n, nil
+}
+
+// Rendezvous is an opened node's half of the rendezvous: announce the
+// node to the launcher and wait for the round's node table.
+func (n *Node) Rendezvous() error {
+	return n.rendezvous(time.Now().Add(n.cfg.Handshake))
+}
+
+// newNode validates cfg, fills its defaults and builds the node.
+func newNode(cfg Config) (*Node, error) {
 	if cfg.Rank < 0 || cfg.Rank >= cfg.NP {
 		return nil, fmt.Errorf("mnet: rank %d outside job of %d workers", cfg.Rank, cfg.NP)
 	}
@@ -229,7 +304,6 @@ func Join(cfg Config) (*Node, error) {
 		epoch:     time.Now(),
 		topo:      topo,
 		tableCh:   make(chan tableMsg, 1),
-		goCh:      make(chan goMsg, 1),
 		releaseCh: make(chan releaseMsg, 1),
 		peers:     make([]*peerLink, cfg.NP),
 		meshReady: make(chan struct{}),
@@ -244,71 +318,48 @@ func Join(cfg Config) (*Node, error) {
 			n.lpes = append(n.lpes, &NodePE{n: n, pe: pe, inbox: machine.NewInbox()})
 		}
 	}
-	deadline := time.Now().Add(cfg.Handshake)
+	return n, nil
+}
 
-	// Loopback-only by default; with Advertise the listener accepts from
-	// any interface and the node table carries the advertised host, so
-	// peers on other machines can dial it.
-	bind := "127.0.0.1:0"
-	if cfg.Advertise != "" {
-		bind = ":0"
-	}
-	ls, err := net.Listen("tcp", bind)
-	if err != nil {
-		return nil, fmt.Errorf("mnet: binding mesh listener: %w", err)
-	}
-	n.ls = ls
-	meshAddr := ls.Addr().String()
-	if cfg.Advertise != "" {
-		_, port, perr := net.SplitHostPort(meshAddr)
-		if perr != nil {
-			ls.Close()
-			return nil, fmt.Errorf("mnet: mesh listener address %q: %w", meshAddr, perr)
-		}
-		meshAddr = net.JoinHostPort(cfg.Advertise, port)
-	}
-
-	ctrl, err := dialPeer(n, cfg.Launcher, deadline)
-	if err != nil {
-		ls.Close()
-		return nil, fmt.Errorf("mnet: connecting to launcher %s: %w", cfg.Launcher, err)
-	}
-	n.ctrl = ctrl
-	go n.ctrlReadLoop()
-	go n.pingLoop()
-	go n.acceptLoop()
-
+// rendezvous sends the node's hello and waits for the round's node
+// table until deadline.
+func (n *Node) rendezvous(deadline time.Time) error {
+	cfg := n.cfg
 	hello := helloMsg{
 		Magic: protoMagic, Version: protoVersion, Token: cfg.Token,
-		Round: n.round, Rank: cfg.Rank, PEs: cfg.PEs, Nodes: topo.NumNodes(),
-		Addr: meshAddr,
+		Round: n.round, Rank: cfg.Rank, PEs: cfg.PEs, Nodes: n.topo.NumNodes(),
+		Addr: n.mesh.Addr(),
 	}
 	if err := n.writeCtrl(fHello, hello); err != nil {
 		n.teardown()
-		return nil, fmt.Errorf("mnet: sending hello: %w", err)
+		if !errors.Is(err, ErrLauncherLost) {
+			err = fmt.Errorf("%w: %v", ErrLauncherLost, err)
+		}
+		return fmt.Errorf("mnet: rank %d: sending hello: %w", cfg.Rank, err)
 	}
 	select {
 	case tbl := <-n.tableCh:
 		if tbl.Round != n.round || len(tbl.Addrs) != cfg.NP {
 			n.teardown()
-			return nil, fmt.Errorf("mnet: node table for round %d with %d addrs, want round %d with %d",
+			return fmt.Errorf("mnet: node table for round %d with %d addrs, want round %d with %d",
 				tbl.Round, len(tbl.Addrs), n.round, cfg.NP)
 		}
+		n.tableAt = time.Now()
 		n.setTable(tbl)
 	case err := <-n.failCh:
 		n.teardown()
-		return nil, err
+		return err
 	case <-n.ctrlLost:
 		// TolerateCtrlLoss only shields a formed mesh; a launcher that
 		// dies mid-rendezvous leaves nothing worth keeping alive.
 		n.teardown()
-		return nil, fmt.Errorf("mnet: rank %d: launcher connection lost during rendezvous", cfg.Rank)
+		return fmt.Errorf("mnet: rank %d: during rendezvous: %w", cfg.Rank, ErrLauncherLost)
 	case <-time.After(time.Until(deadline)):
 		n.teardown()
-		return nil, fmt.Errorf("mnet: rank %d: no node table within %v (are all %d workers up?)",
+		return fmt.Errorf("mnet: rank %d: no node table within %v (are all %d workers up?)",
 			cfg.Rank, cfg.Handshake, cfg.NP)
 	}
-	return n, nil
+	return nil
 }
 
 // setTable records the round's node table; dialing happens in Start.
@@ -483,13 +534,26 @@ func (n *Node) noteWireErr(peer int) {
 
 // --- mesh setup ------------------------------------------------------
 
-// Start wires the full mesh and completes the go-barrier: rank i dials
-// every lower rank and accepts from every higher one, reports mesh-ok to
-// the launcher, and blocks until the launcher's go — so when Start
-// returns, every link of every node is up and the first user send cannot
-// race an accept.
+// Start wires this node's share of the full mesh: rank i dials every
+// lower rank and accepts from every higher one, and Start returns as
+// soon as its own NP-1 links are up — no launcher barrier. A peer may
+// still be accepting its link from us, and our first send is safe all
+// the same: the dialer writes its peer hello first on the stream, the
+// acceptor reads exactly that one frame off the raw connection before
+// the link reader starts, and frames sent meanwhile wait in the socket
+// (and arrivals in the inbox) until the receiving driver runs. Start
+// needs nothing more from the launcher, so a tolerated control loss
+// (TolerateCtrlLoss) does not stop it.
 func (n *Node) Start() error {
 	deadline := time.Now().Add(n.cfg.Handshake)
+	// A surplus node hosts no driver, so no traffic of its own can be
+	// lost: its link loss is expected from the start. The active ranks
+	// need only its links, not its Start, to run, and the release waits
+	// only for them, so they may finish and tear their links down
+	// before this Start has even returned.
+	if len(n.lpes) == 0 {
+		n.closing.Store(true)
+	}
 	n.peersMu.Lock()
 	addrs := n.tableAddrs
 	n.peersMu.Unlock()
@@ -519,44 +583,17 @@ func (n *Node) Start() error {
 	case <-n.meshReady:
 	case err := <-n.failCh:
 		return err
-	case <-n.ctrlLost:
-		err := fmt.Errorf("mnet: rank %d: launcher connection lost during mesh setup", n.cfg.Rank)
-		n.Fail(err)
-		return err
 	case <-time.After(time.Until(deadline)):
 		err := fmt.Errorf("mnet: rank %d: mesh incomplete after %v (%d/%d links)",
 			n.cfg.Rank, n.cfg.Handshake, n.linkCount(), n.cfg.NP-1)
 		n.Fail(err)
 		return err
 	}
-	// A surplus node hosts no driver, so no traffic of its own can be
-	// lost: from here on its link loss is expected. The release waits
-	// only for the active ranks, which may tear down their links
-	// before this node reaches Finish.
-	if len(n.lpes) == 0 {
-		n.closing.Store(true)
+	n.linksAt = time.Now()
+	if n.inj != nil {
+		n.inj.StartClock()
 	}
-	if err := n.writeCtrl(fMeshOK, meshOKMsg{Round: n.round, Rank: n.cfg.Rank}); err != nil {
-		n.Fail(err)
-		return err
-	}
-	select {
-	case <-n.goCh:
-		if n.inj != nil {
-			n.inj.StartClock()
-		}
-		return nil
-	case err := <-n.failCh:
-		return err
-	case <-n.ctrlLost:
-		err := fmt.Errorf("mnet: rank %d: launcher connection lost before go", n.cfg.Rank)
-		n.Fail(err)
-		return err
-	case <-time.After(time.Until(deadline)):
-		err := fmt.Errorf("mnet: rank %d: no go from launcher within %v", n.cfg.Rank, n.cfg.Handshake)
-		n.Fail(err)
-		return err
-	}
+	return nil
 }
 
 // register installs the link to rank j and starts its goroutines; the
@@ -594,63 +631,6 @@ func (n *Node) linkCount() int {
 	return n.meshCount
 }
 
-// acceptLoop admits mesh connections from higher-ranked peers.
-func (n *Node) acceptLoop() {
-	for {
-		conn, err := n.ls.Accept()
-		if err != nil {
-			return // listener closed during teardown
-		}
-		go n.handleAccept(conn)
-	}
-}
-
-func (n *Node) handleAccept(conn net.Conn) {
-	conn.SetReadDeadline(time.Now().Add(n.cfg.Handshake))
-	k, payload, err := readFrame(conn)
-	if err != nil || k != fPeerHello {
-		conn.Close()
-		return
-	}
-	var ph peerHelloMsg
-	if wire.DecodeJSON(byte(k), payload, &ph) != nil ||
-		ph.Token != n.cfg.Token || ph.Round != n.round {
-		conn.Close()
-		return
-	}
-	if ph.Resume {
-		// Session-resuming reconnect of an established link: answer with
-		// our cumulative ack and hand the connection to the recovering
-		// link's supervisor. Only meaningful under FailRetry, and only on
-		// links where the peer is the dialing side.
-		n.peersMu.Lock()
-		var pl *peerLink
-		if ph.From >= 0 && ph.From < len(n.peers) {
-			pl = n.peers[ph.From]
-		}
-		n.peersMu.Unlock()
-		if pl == nil || !n.rel() || pl.dialer {
-			conn.Close()
-			return
-		}
-		if wire.WriteJSON(conn, byte(fPeerHelloAck), peerHelloAckMsg{Ack: pl.rxDelivered.Load()}) != nil {
-			conn.Close()
-			return
-		}
-		conn.SetReadDeadline(time.Time{})
-		pl.offerConn(conn, ph.Ack)
-		return
-	}
-	if ph.From <= n.cfg.Rank {
-		conn.Close()
-		return
-	}
-	conn.SetReadDeadline(time.Time{})
-	if err := n.register(ph.From, conn); err != nil {
-		n.Fail(err)
-	}
-}
-
 // --- control connection ---------------------------------------------
 
 // ReportMonitor tells the launcher where this worker's introspection
@@ -674,59 +654,120 @@ func (n *Node) console(isErr bool, text string) {
 	}
 }
 
-func (n *Node) writeCtrl(k kind, msg any) error {
-	n.ctrlMu.Lock()
-	defer n.ctrlMu.Unlock()
-	return wire.WriteJSON(n.ctrl, byte(k), msg)
+// ctrlLink is a node's control link to its launcher, whatever carries
+// it: frames go out through send, and the transport's reader hands the
+// frames coming in to handleCtrl.
+type ctrlLink interface {
+	send(k kind, payload []byte) error
+	Close() error
 }
 
-// ctrlReadLoop dispatches launcher frames to the rendezvous channels.
-// Losing the control connection while the job runs means the launcher
-// died; the only sane response is to fail with it — unless the node
-// was configured to tolerate it (conversed daemons keep jobs running
-// across a gateway restart), in which case the loss is recorded for
-// Finish and the job carries on over the mesh alone.
-func (n *Node) ctrlReadLoop() {
-	r := bufio.NewReader(n.ctrl)
+// tcpCtrl is the control link over the node's own connection
+// (converserun workers, in-process test jobs).
+type tcpCtrl struct{ net.Conn }
+
+func (c tcpCtrl) send(k kind, payload []byte) error { return wire.WriteFrame(c.Conn, byte(k), payload) }
+
+// hostCtrl is the control link over a host's session (Host.Send); the
+// host owns the session, so closing the link closes nothing.
+type hostCtrl func(kind byte, payload []byte) error
+
+func (h hostCtrl) send(k kind, payload []byte) error { return h(byte(k), payload) }
+func (hostCtrl) Close() error                        { return nil }
+
+// ErrLauncherLost marks a rendezvous that died with the node's control
+// link (the launcher, or the host's session to it, went away), and
+// refuses control writes once the link is lost.
+var ErrLauncherLost = errors.New("mnet: launcher link lost")
+
+func (n *Node) writeCtrl(k kind, msg any) error {
+	b, err := json.Marshal(msg)
+	if err != nil {
+		return fmt.Errorf("mnet: encoding %v frame: %w", k, err)
+	}
+	select {
+	case <-n.ctrlLost:
+		return ErrLauncherLost
+	default:
+	}
+	n.ctrlMu.Lock()
+	defer n.ctrlMu.Unlock()
+	return n.ctrl.send(k, b)
+}
+
+// handleCtrl takes one frame from the launcher, over either transport.
+// Each round has one table and one release, so a repeat is dropped
+// rather than allowed to block the transport's reader.
+func (n *Node) handleCtrl(k kind, payload []byte) error {
+	switch k {
+	case fTable:
+		var tbl tableMsg
+		if err := wire.DecodeJSON(byte(k), payload, &tbl); err != nil {
+			return err
+		}
+		select {
+		case n.tableCh <- tbl:
+		default:
+		}
+	case fRelease:
+		var rel releaseMsg
+		if err := wire.DecodeJSON(byte(k), payload, &rel); err != nil {
+			return err
+		}
+		select {
+		case n.releaseCh <- rel:
+		default:
+		}
+	default:
+		return fmt.Errorf("mnet: rank %d: unexpected %v frame from launcher", n.cfg.Rank, k)
+	}
+	return nil
+}
+
+// Deliver hands a hosted node one frame its launcher sent it.
+func (n *Node) Deliver(k byte, payload []byte) {
+	if err := n.handleCtrl(kind(k), payload); err != nil {
+		n.Fail(err)
+	}
+}
+
+// LauncherLost tells a hosted node that its host's session to the
+// launcher died: the node's control link is lost, exactly as when a
+// control connection dies.
+func (n *Node) LauncherLost(err error) { n.ctrlFailed(err) }
+
+// ctrlReadLoop feeds the launcher's frames on the control connection
+// to handleCtrl until the connection dies.
+func (n *Node) ctrlReadLoop(conn net.Conn) {
+	r := bufio.NewReader(conn)
 	for {
 		k, payload, err := readFrame(r)
 		if err != nil {
-			if !n.torn.Load() {
-				if n.cfg.TolerateCtrlLoss {
-					n.markCtrlLost()
-				} else {
-					n.Fail(fmt.Errorf("mnet: rank %d: launcher connection lost: %v", n.cfg.Rank, err))
-				}
-			}
+			n.ctrlFailed(err)
 			return
 		}
-		switch k {
-		case fTable:
-			var tbl tableMsg
-			if err := wire.DecodeJSON(byte(k), payload, &tbl); err != nil {
-				n.Fail(err)
-				return
-			}
-			n.tableCh <- tbl
-		case fGo:
-			var g goMsg
-			if err := wire.DecodeJSON(byte(k), payload, &g); err != nil {
-				n.Fail(err)
-				return
-			}
-			n.goCh <- g
-		case fRelease:
-			var rel releaseMsg
-			if err := wire.DecodeJSON(byte(k), payload, &rel); err != nil {
-				n.Fail(err)
-				return
-			}
-			n.releaseCh <- rel
-		default:
-			n.Fail(fmt.Errorf("mnet: rank %d: unexpected %v frame from launcher", n.cfg.Rank, k))
+		if err := n.handleCtrl(k, payload); err != nil {
+			n.Fail(err)
 			return
 		}
 	}
+}
+
+// ctrlFailed handles the loss of the control link. Losing it while the
+// job runs means the launcher died; the only sane response is to fail
+// with it — unless the node was configured to tolerate it (conversed
+// daemons keep jobs running across a gateway restart), in which case
+// the loss is recorded for Finish and the job carries on over the mesh
+// alone. After teardown the loss is expected.
+func (n *Node) ctrlFailed(err error) {
+	if n.torn.Load() {
+		return
+	}
+	if n.cfg.TolerateCtrlLoss {
+		n.markCtrlLost()
+		return
+	}
+	n.Fail(fmt.Errorf("mnet: rank %d: launcher connection lost: %v", n.cfg.Rank, err))
 }
 
 // pingLoop keeps the control connection demonstrably alive so the
@@ -750,14 +791,16 @@ func (n *Node) pingLoop() {
 
 // Finish runs the termination barrier: announce that the local driver
 // returned, wait for the launcher's release (sent once every active
-// node is done), then tear down. No node closes links a peer might
-// still need.
+// node is done), then tear down — except on a hosted node, which its
+// host closes once it has reported the rank's result. No node closes
+// links a peer might still need.
 func (n *Node) Finish() error {
 	// From here on, peer link loss is expected rather than fatal: peers
 	// that receive the release first close their connections while ours
 	// is still in flight. Real peer death during the done-wait is still
 	// caught — by the launcher, which watches the processes themselves.
 	n.closing.Store(true)
+	n.doneAt = time.Now()
 	if err := n.writeCtrl(fDone, doneMsg{Round: n.round, Rank: n.cfg.Rank}); err != nil {
 		if n.cfg.TolerateCtrlLoss {
 			n.markCtrlLost()
@@ -769,6 +812,7 @@ func (n *Node) Finish() error {
 	}
 	select {
 	case <-n.releaseCh:
+		n.releasedAt = time.Now()
 		// Reliability summary: one greppable line per rank (chaos-smoke
 		// asserts on it), printed through the console relay while the
 		// control connection is still up. It must come after the release
@@ -782,7 +826,9 @@ func (n *Node) Finish() error {
 				n.cfg.Rank, n.relRetrans.Load(), n.relDupDrop.Load(), n.relCrcErr.Load(),
 				n.relLinkDown.Load(), n.relRecovered.Load(), n.relWireErr.Load(), n.inj.Stats()))
 		}
-		n.teardown()
+		if !n.hosted {
+			n.teardown()
+		}
 		return nil
 	case err := <-n.failCh:
 		n.teardown()
@@ -848,8 +894,9 @@ func (n *Node) Stop() {
 	})
 }
 
-// Close releases the node's network resources — peer links, listener,
-// control connection — without the termination barrier. Fail leaves
+// Close releases the node's network resources — peer links, its own
+// mesh listener or its place on its host's, control connection —
+// without the termination barrier. Fail leaves
 // them open (a converserun worker exits moments later anyway), so a
 // long-lived host that runs many jobs in-process (a conversed daemon)
 // must Close each node once its machine returns, or failed jobs leak
@@ -869,11 +916,40 @@ func (n *Node) teardown() {
 		}
 	}
 	n.peersMu.Unlock()
-	if n.ls != nil {
-		n.ls.Close()
+	if n.mesh != nil {
+		n.mesh.remove(n)
+		if n.ownMesh {
+			n.mesh.Close()
+		}
 	}
 	if n.ctrl != nil {
 		n.ctrl.Close()
+	}
+}
+
+// Stages is how long a node spent in each phase of its round.
+type Stages struct {
+	Rendezvous time.Duration // Join or Open to the node table
+	MeshUp     time.Duration // node table to this node's own links up
+	Driver     time.Duration // links up to done reported
+	Finish     time.Duration // done reported to released
+}
+
+// Stages reports the phases of the node's round; a phase it never
+// finished reads zero. Call it from the goroutine that ran the round,
+// once the machine has returned.
+func (n *Node) Stages() Stages {
+	span := func(from, to time.Time) time.Duration {
+		if from.IsZero() || to.IsZero() {
+			return 0
+		}
+		return to.Sub(from)
+	}
+	return Stages{
+		Rendezvous: span(n.epoch, n.tableAt),
+		MeshUp:     span(n.tableAt, n.linksAt),
+		Driver:     span(n.linksAt, n.doneAt),
+		Finish:     span(n.doneAt, n.releasedAt),
 	}
 }
 

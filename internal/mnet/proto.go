@@ -12,13 +12,16 @@ import (
 // the job immediately rather than producing wire garbage later.
 const (
 	protoMagic = "CONVERSE-MNET"
-	// protoVersion 4: every data frame carries its PE route
-	// ([u64 seq][u32 src PE][u32 dst PE][message]), flat jobs included.
-	// Version 3 added the node-aware hello (each worker reports the
+	// protoVersion 5: no mesh go-barrier — a node runs its driver as
+	// soon as its own links are up (kinds 3 and 4 are retired), and a
+	// hosted node's hello announces its host's shared mesh listener.
+	// Version 4 routed every data frame
+	// ([u64 seq][u32 src PE][u32 dst PE][message]), flat jobs included;
+	// version 3 added the node-aware hello (each worker reports the
 	// machine's node count); version 2 the checksummed frame header
 	// (CRC32C), sequenced data frames, ack/nack kinds, and the
 	// session-resume peer hello.
-	protoVersion = 4
+	protoVersion = 5
 )
 
 // Failure policies (Config.FailurePolicy, converserun -failure).
@@ -105,15 +108,6 @@ type tableMsg struct {
 	Round int      `json:"round"`
 	PEs   int      `json:"pes"`
 	Addrs []string `json:"addrs"` // mesh addresses indexed by rank
-}
-
-type meshOKMsg struct {
-	Round int `json:"round"`
-	Rank  int `json:"rank"`
-}
-
-type goMsg struct {
-	Round int `json:"round"`
 }
 
 type doneMsg struct {

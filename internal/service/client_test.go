@@ -247,7 +247,10 @@ func TestGatewayCloseCutsIdleClients(t *testing.T) {
 // BenchmarkWarmJob is one warm gang-2 job from a client's side — submit,
 // follow the logs to done, read the status — on an in-process journaling
 // gateway with two 1-slot daemons. conns/op counts the connections the
-// gateway accepts per job once the client is warm; it should be 0.
+// gateway accepts per job once the client is warm; it should be 0, as
+// the ranks' control links ride the daemons' sessions. meshconns/op
+// counts the connections the daemons' mesh listeners accept per job; it
+// should be NP-1 = 1, the job's one mesh link.
 func BenchmarkWarmJob(b *testing.B) {
 	g, err := NewGateway(GatewayConfig{
 		Addr: "127.0.0.1:0", Token: "bench", StateDir: b.TempDir(),
@@ -257,12 +260,20 @@ func BenchmarkWarmJob(b *testing.B) {
 		b.Fatalf("starting gateway: %v", err)
 	}
 	defer g.Close()
+	var ds []*Daemon
 	for i := 0; i < 2; i++ {
 		d, err := StartDaemon(DaemonConfig{Gateway: g.Addr(), Token: "bench", Name: fmt.Sprintf("d%d", i), Slots: 1})
 		if err != nil {
 			b.Fatalf("starting daemon %d: %v", i, err)
 		}
 		defer d.Stop()
+		ds = append(ds, d)
+	}
+	meshAccepted := func() (n int64) {
+		for _, d := range ds {
+			n += d.mesh.Accepted()
+		}
+		return n
 	}
 	c := &Client{Addr: g.Addr(), Token: "bench"}
 	for i := 0; i < 3; i++ {
@@ -270,7 +281,7 @@ func BenchmarkWarmJob(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	accepted := g.accepted.Load()
+	accepted, meshed := g.accepted.Load(), meshAccepted()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := runWarmJob(c, "bench", 2); err != nil {
@@ -279,4 +290,5 @@ func BenchmarkWarmJob(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(g.accepted.Load()-accepted)/float64(b.N), "conns/op")
+	b.ReportMetric(float64(meshAccepted()-meshed)/float64(b.N), "meshconns/op")
 }

@@ -1,12 +1,15 @@
 package service
 
 // The conversed daemon: one per host, registered with the gateway over
-// a persistent session. Assignments arrive as frames; each becomes an
-// in-process mnet node joined to the job's private control server plus
-// a core machine with its own handler tables, metrics registry, and
-// job tag — the per-job isolation boundary. Nothing is exec'd: the
-// daemon process is the warm node, and a job costs one goroutine set
-// and one loopback mesh, not a process spawn.
+// a persistent session, with one standing mesh listener. Assignments
+// arrive as frames; each becomes an in-process mnet node plus a core
+// machine with its own handler tables, metrics registry, and job tag —
+// the per-job isolation boundary. The node's control link to the job's
+// control server rides the session (kCtrl frames) and its mesh links
+// arrive through the daemon's listener, so a job binds nothing and
+// dials only its mesh links. Nothing is exec'd: the daemon process is
+// the warm node, and a job costs one goroutine set and its mesh links,
+// not a process spawn.
 //
 // The session is crash-tolerant from the daemon's side: losing the
 // gateway no longer kills local jobs. They keep running (their mnet
@@ -17,6 +20,8 @@ package service
 // whose original updates may have died with the old gateway's socket.
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
@@ -51,7 +56,7 @@ type DaemonConfig struct {
 	// Handshake bounds one job's rendezvous (default 10s).
 	Handshake time.Duration
 	// Advertise is the host other machines should dial to reach this
-	// daemon's job meshes (empty: loopback-only).
+	// daemon's mesh listener (empty: loopback-only).
 	Advertise string
 	// ReconnectWindow bounds how long the daemon keeps jobs alive and
 	// redials after losing the gateway before giving up and aborting
@@ -74,6 +79,12 @@ type runningJob struct {
 	mu        sync.Mutex
 	reason    string // watchdog kill tag (deadline-killed / mem-killed)
 	sentBytes uint64 // written by the runner before its final update
+
+	// Under the daemon's mu: joined marks a rank past its rendezvous,
+	// reported one whose result is buffered (its node may not have
+	// closed yet). Only a joined, unreported rank is running: one still
+	// in its rendezvous cannot outlive the session it waits on.
+	joined, reported bool
 }
 
 func (rj *runningJob) setReason(r string) {
@@ -101,6 +112,10 @@ type Daemon struct {
 	writeMu sync.Mutex
 	conn    net.Conn
 
+	// mesh is the listener every hosted rank's inbound mesh links
+	// arrive through.
+	mesh *mnet.MeshListener
+
 	mu    sync.Mutex
 	jobs  map[string]*runningJob // by job ID + attempt (see jobKey)
 	done  doneRing               // finished results not yet confirmed re-registered
@@ -110,6 +125,10 @@ type Daemon struct {
 	wg     sync.WaitGroup
 	stopCh chan struct{}
 	jitter *rand.Rand // seeded from the daemon name: reproducible backoff
+
+	// holdRendezvous, when set (tests; under mu), runs before each
+	// rank's rendezvous, after its node is indexed.
+	holdRendezvous func(assignMsg)
 }
 
 // StartDaemon registers with the gateway and begins serving
@@ -132,13 +151,19 @@ func StartDaemon(cfg DaemonConfig) (*Daemon, error) {
 	}
 	h := fnv.New64a()
 	h.Write([]byte(cfg.Name))
+	mesh, err := mnet.ListenMesh(cfg.Advertise, cfg.Handshake)
+	if err != nil {
+		return nil, err
+	}
 	d := &Daemon{
 		cfg:    cfg,
+		mesh:   mesh,
 		jobs:   map[string]*runningJob{},
 		stopCh: make(chan struct{}),
 		jitter: rand.New(rand.NewSource(int64(h.Sum64()))),
 	}
 	if err := d.dialRegister(); err != nil {
+		mesh.Close()
 		return nil, err
 	}
 	d.wg.Add(2)
@@ -223,7 +248,9 @@ func (d *Daemon) resumeState() ([]resumeEntry, int, int64, string) {
 	defer d.mu.Unlock()
 	var out []resumeEntry
 	for _, rj := range d.jobs {
-		out = append(out, resumeEntry{Job: rj.job, Attempt: rj.attempt, Rank: rj.rank, Running: true})
+		if rj.joined && !rj.reported {
+			out = append(out, resumeEntry{Job: rj.job, Attempt: rj.attempt, Rank: rj.rank, Running: true})
+		}
 	}
 	out = d.done.appendTo(out)
 	return out, d.done.n, d.epoch, d.name
@@ -282,8 +309,9 @@ func (d *Daemon) Drain() {
 }
 
 // shutdown is the idempotent half of Stop: mark dead, stop the
-// goroutines, sever the session, abort local jobs. The reconnect path
-// also lands here when the redial window expires.
+// goroutines, sever the session, abort local jobs, close the mesh
+// listener. The reconnect path also lands here when the redial window
+// expires.
 func (d *Daemon) shutdown(why string) {
 	d.mu.Lock()
 	if d.dead {
@@ -303,6 +331,7 @@ func (d *Daemon) shutdown(why string) {
 	for _, rj := range jobs {
 		rj.node.Fail(fmt.Errorf("%s", why))
 	}
+	d.mesh.Close()
 }
 
 // Wait blocks until the daemon's session ends (Stop or unrecoverable
@@ -310,13 +339,23 @@ func (d *Daemon) shutdown(why string) {
 func (d *Daemon) Wait() { d.wg.Wait() }
 
 func (d *Daemon) write(kind byte, msg any) error {
+	b, err := json.Marshal(msg)
+	if err != nil {
+		return err
+	}
+	return d.writeFrame(kind, b)
+}
+
+// writeFrame writes one frame whose payload is the concatenation of
+// parts on the current session.
+func (d *Daemon) writeFrame(kind byte, parts ...[]byte) error {
 	d.writeMu.Lock()
 	defer d.writeMu.Unlock()
 	if d.conn == nil {
 		return fmt.Errorf("service: no gateway session")
 	}
 	d.conn.SetWriteDeadline(time.Now().Add(reqTimeout))
-	return wire.WriteJSON(d.conn, kind, msg)
+	return wire.WriteFrame(d.conn, kind, parts...)
 }
 
 func (d *Daemon) pingLoop() {
@@ -336,14 +375,24 @@ func (d *Daemon) pingLoop() {
 }
 
 // sessionLoop serves gateway sessions for the daemon's lifetime:
-// serve, and on loss redial within the reconnect window. Local jobs
-// survive the gap — their mnet nodes tolerate the control loss — and
-// die only when the window closes without a gateway.
+// serve, and on loss redial within the reconnect window. The session
+// carried every local rank's control link, so its loss is each node's
+// control loss; local jobs survive the gap — their nodes tolerate it —
+// and die only when the window closes without a gateway.
 func (d *Daemon) sessionLoop() {
 	for {
-		d.serveConn()
+		err := d.serveConn()
 		if d.stopped() {
 			return
+		}
+		d.mu.Lock()
+		local := make([]*runningJob, 0, len(d.jobs))
+		for _, rj := range d.jobs {
+			local = append(local, rj)
+		}
+		d.mu.Unlock()
+		for _, rj := range local {
+			rj.node.LauncherLost(err)
 		}
 		if d.cfg.ReconnectWindow < 0 {
 			d.shutdown("service: gateway session lost")
@@ -401,71 +450,164 @@ func (d *Daemon) reconnect() bool {
 	}
 }
 
-// serveConn reads gateway frames on the current session until it dies.
-func (d *Daemon) serveConn() {
+// serveConn reads gateway frames on the current session until it dies,
+// and returns why.
+func (d *Daemon) serveConn() error {
 	conn := d.currentConn()
 	if conn == nil {
-		return
+		return fmt.Errorf("service: no gateway session")
 	}
 	for {
 		k, payload, err := wire.ReadFrame(conn)
 		if err != nil {
-			return
+			return err
 		}
 		switch k {
 		case kAssign:
 			var a assignMsg
 			if err := wire.DecodeJSON(k, payload, &a); err != nil {
 				d.cfg.Logf("bad assign frame: %v", err)
-				return
+				return err
 			}
 			d.startJob(a)
 		case kUnassign:
 			var u unassignMsg
 			if err := wire.DecodeJSON(k, payload, &u); err != nil {
 				d.cfg.Logf("bad unassign frame: %v", err)
-				return
+				return err
 			}
-			d.mu.Lock()
-			rj := d.jobs[jobKey(u.Job, u.Attempt)]
-			d.mu.Unlock()
-			if rj != nil {
+			if rj := d.job(u.Job, u.Attempt); rj != nil {
 				rj.node.Fail(fmt.Errorf("service: job aborted: %s", u.Reason))
+			}
+		case kCtrl:
+			e, frame, err := decodeCtrl(payload)
+			if err != nil {
+				d.cfg.Logf("bad control frame: %v", err)
+				return err
+			}
+			if rj := d.job(e.job, e.attempt); rj != nil && rj.rank == e.rank {
+				rj.node.Deliver(e.kind, frame)
 			}
 		default:
 			d.cfg.Logf("unexpected frame kind %d from gateway", k)
-			return
+			return fmt.Errorf("service: unexpected frame kind %d from gateway", k)
 		}
 	}
 }
 
-// startJob launches one assigned rank on a fresh in-process mnet node.
-// The join itself runs on the runner goroutine so a slow rendezvous
-// never blocks the session reader.
+// job returns the local record of one attempt's rank, nil for none.
+func (d *Daemon) job(id string, attempt int) *runningJob {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.jobs[jobKey(id, attempt)]
+}
+
+// startJob opens one assigned rank's node on the daemon's session and
+// mesh listener and indexes it before anything can answer the node's
+// hello — the table, or an unassign while it waits in the rendezvous.
+// The rank then runs on its own goroutine so a slow rendezvous never
+// blocks the session reader. Its update goes out before its node's
+// links close.
 func (d *Daemon) startJob(a assignMsg) {
+	rj := &runningJob{job: a.Job, attempt: a.Attempt, rank: a.Rank}
+	err := d.openNode(a, rj)
 	d.wg.Add(1)
 	go func() {
 		defer d.wg.Done()
-		rj := &runningJob{job: a.Job, attempt: a.Attempt, rank: a.Rank}
-		err := d.runJob(a, rj)
-		ok := err == nil
-		text := ""
-		if err != nil {
-			text = err.Error()
+		if err == nil {
+			err = d.runJob(a, rj)
 		}
-		sent := d.takeJobBytes(jobKey(a.Job, a.Attempt))
-		u := updateMsg{
-			Job: a.Job, Attempt: a.Attempt, Rank: a.Rank,
-			OK: ok, Error: text, Reason: rj.getReason(),
-			SentBytes: sent, Epoch: d.currentEpoch(),
+		if errors.Is(err, mnet.ErrLauncherLost) {
+			// The rank never started: its rendezvous died with the
+			// gateway session. That loss is the gateway's to account —
+			// its daemon-loss sweep, or a recovered gateway's recovery
+			// window — so the gang requeues instead of failing on a
+			// result this rank never earned.
+			d.cfg.Logf("%s rank %d lost with the gateway session: %v", a.Job, a.Rank, err)
+		} else {
+			d.report(a, rj, err)
 		}
-		// Buffer the result before writing it: an update written into a
-		// dying gateway's socket is lost, and the buffered copy rides the
-		// next re-register instead. The gateway's per-rank dedup makes
-		// the potential duplicate harmless.
-		d.bufferDone(u)
-		d.write(kUpdate, u)
+		if rj.node != nil {
+			// A failed run leaves the node's sockets open (Fail skips
+			// teardown; worker processes exit instead), and a hosted node
+			// keeps them past Finish until its result is out.
+			rj.node.Close()
+		}
+		d.mu.Lock()
+		delete(d.jobs, jobKey(a.Job, a.Attempt))
+		d.mu.Unlock()
 	}()
+}
+
+// report sends a rank's result to the gateway. The result is buffered
+// before it is written: an update written into a dying gateway's
+// socket is lost, and the buffered copy rides the next re-register
+// instead. The gateway's per-rank dedup makes the potential duplicate
+// harmless. From here on the rank no longer counts as running.
+func (d *Daemon) report(a assignMsg, rj *runningJob, err error) {
+	u := updateMsg{
+		Job: a.Job, Attempt: a.Attempt, Rank: a.Rank,
+		OK: err == nil, Reason: rj.getReason(),
+		SentBytes: rj.sentBytes, Epoch: d.currentEpoch(),
+	}
+	if err != nil {
+		u.Error = err.Error()
+	}
+	if rj.node != nil {
+		u.Stages = stagesOf(rj.node.Stages())
+	}
+	d.mu.Lock()
+	rj.reported = true
+	d.mu.Unlock()
+	d.bufferDone(u)
+	d.write(kUpdate, u)
+}
+
+// openNode builds the rank's node on the daemon's session and mesh
+// listener and indexes it.
+func (d *Daemon) openNode(a assignMsg, rj *runningJob) error {
+	key := jobKey(a.Job, a.Attempt)
+	node, err := mnet.Open(mnet.Config{
+		Token:     a.JobToken,
+		Rank:      a.Rank,
+		NP:        a.NP,
+		PEs:       a.PEs,
+		NodeSizes: a.NodeSizes,
+		Round:     1, // every rank of the job shares round 1 of its control server
+		Heartbeat: time.Duration(a.HeartbeatMS) * time.Millisecond,
+		Handshake: d.cfg.Handshake,
+		// The job must survive a gateway restart: losing the session
+		// detaches the node instead of failing it, and the re-register
+		// protocol reconciles the outcome.
+		TolerateCtrlLoss: true,
+	}, mnet.Host{
+		Send: func(k byte, payload []byte) error {
+			return d.writeFrame(kCtrl, ctrlEnv{kind: k, attempt: a.Attempt, rank: a.Rank, job: a.Job}.head(), payload)
+		},
+		Mesh: d.mesh,
+	})
+	if err != nil {
+		return fmt.Errorf("service: joining job %s mesh: %w", a.Job, err)
+	}
+	rj.node = node
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.dead {
+		node.Fail(fmt.Errorf("service: daemon stopping"))
+		return fmt.Errorf("service: daemon stopping")
+	}
+	d.jobs[key] = rj
+	return nil
+}
+
+// stagesOf converts a node's stage durations into the update's
+// milliseconds.
+func stagesOf(s mnet.Stages) *JobStages {
+	ms := func(d time.Duration) float64 { return float64(d) / 1e6 }
+	return &JobStages{
+		RendezvousMS: ms(s.Rendezvous), MeshUpMS: ms(s.MeshUp),
+		DriverMS: ms(s.Driver), FinishMS: ms(s.Finish),
+	}
 }
 
 // bufferDone appends one finished result to the re-register ring.
@@ -525,19 +667,6 @@ func jobKey(jobID string, attempt int) string {
 	return fmt.Sprintf("%s#%d", jobID, attempt)
 }
 
-// takeJobBytes retires one finished job's local record and returns
-// its rank's traffic count for the final update.
-func (d *Daemon) takeJobBytes(key string) uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	rj := d.jobs[key]
-	delete(d.jobs, key)
-	if rj == nil {
-		return 0
-	}
-	return rj.sentBytes
-}
-
 // startLimits arms the per-job resource watchdog: a deadline timer and
 // a heap sampler. Both kill through node.Fail with a distinct reason
 // the final update carries to the gateway. The heap sampler reads the
@@ -589,43 +718,27 @@ func (d *Daemon) startLimits(rj *runningJob, a assignMsg) (stop func()) {
 	}
 }
 
-// runJob joins the job's private rendezvous, builds the isolated
-// machine, and runs the workload to completion.
+// runJob runs the rank: the rendezvous on the job's control server, the
+// isolated machine, and the workload to completion. The node stays up
+// for the caller to report and close.
 func (d *Daemon) runJob(a assignMsg, rj *runningJob) error {
+	node := rj.node
 	wl, err := LookupWorkload(a.Workload)
 	if err != nil {
+		node.Fail(err)
 		return err
 	}
-	node, err := mnet.Join(mnet.Config{
-		Launcher:  a.Launcher,
-		Token:     a.JobToken,
-		Rank:      a.Rank,
-		NP:        a.NP,
-		PEs:       a.PEs,
-		NodeSizes: a.NodeSizes,
-		Round:     1, // every rank of the job shares round 1 of its private server
-		Heartbeat: time.Duration(a.HeartbeatMS) * time.Millisecond,
-		Handshake: d.cfg.Handshake,
-		Advertise: a.Advertise,
-		// The job must survive a gateway restart: control-server loss
-		// detaches the node instead of failing it, and the re-register
-		// protocol reconciles the outcome.
-		TolerateCtrlLoss: true,
-	})
-	if err != nil {
+	d.mu.Lock()
+	hold := d.holdRendezvous
+	d.mu.Unlock()
+	if hold != nil {
+		hold(a)
+	}
+	if err := node.Rendezvous(); err != nil {
 		return fmt.Errorf("service: joining job %s mesh: %w", a.Job, err)
 	}
-	// A failed run leaves the node's sockets open (Fail skips teardown;
-	// worker processes exit instead) — but this process lives on.
-	defer node.Close()
-	rj.node = node
 	d.mu.Lock()
-	if d.dead {
-		d.mu.Unlock()
-		node.Fail(fmt.Errorf("service: daemon stopping"))
-		return fmt.Errorf("service: daemon stopping")
-	}
-	d.jobs[jobKey(a.Job, a.Attempt)] = rj
+	rj.joined = true
 	d.mu.Unlock()
 	if a.DeadlineMS > 0 || a.MaxMemMB > 0 {
 		stop := d.startLimits(rj, a)

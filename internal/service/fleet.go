@@ -86,7 +86,7 @@ type cmdKind uint8
 
 const (
 	cLaunch  cmdKind = iota // start the attempt: control server up, one assignment per rank
-	cAbort                  // unassign the attempt's ranks, sever its control server; dead ranks left with their daemon
+	cAbort                  // unassign the attempt's ranks, stop its control server
 	cRelease                // the attempt is over: stop its watchdog, close its control server
 	cArm                    // arm a timer: the attempt's watchdog, or (no job) the recovery window
 	cFence                  // tell the registering daemon to kill a resumed rank
@@ -102,7 +102,6 @@ type cmd struct {
 	text    string        // abort and fence reason; log line format
 	args    []any         // cLog: the format's operands
 	daemons []string      // cAbort: the attempt's daemons by rank
-	dead    []int         // cAbort: ranks lost with their daemon
 }
 
 func newFleet() *fleet {
@@ -120,13 +119,13 @@ func (f *fleet) logf(format string, args ...any) {
 	f.cmds = append(f.cmds, cmd{kind: cLog, text: format, args: args})
 }
 
-// stamp is a record's time: the live event's clock reading, or the
-// journaled millisecond when replaying.
-func stamp(at time.Time, ms int64) time.Time {
+// stamp is a record's time in Unix nanoseconds: the live event's clock
+// reading, or the journaled millisecond when replaying.
+func stamp(at time.Time, ms int64) int64 {
 	if at.IsZero() {
-		return time.UnixMilli(ms)
+		return ms * 1e6
 	}
-	return at
+	return at.UnixNano()
 }
 
 // apply is the only writer of the job table. Live events and journal
@@ -164,8 +163,9 @@ func (f *fleet) apply(rec record) {
 		switch at := stamp(r.at, r.AtMS); {
 		case to == Queued:
 			// Requeued -> Queued starts a fresh attempt: stale placement
-			// must not leak into the next one.
+			// and stage times must not leak into the next one.
 			j.Daemons, j.Sizes, j.Err, j.Reason = nil, nil, "", ""
+			j.stages = JobStages{}
 		case to == Admitted:
 			j.admitted = at
 		case to.Terminal():
@@ -180,7 +180,7 @@ func (f *fleet) apply(rec record) {
 		f.jobs, f.order = map[string]*Job{}, nil
 		for _, j := range r.Jobs {
 			if j != nil && f.jobs[j.ID] == nil {
-				j.submitted = time.UnixMilli(j.SubmittedMS)
+				j.submitted = j.SubmittedMS * 1e6
 				f.add(j)
 			}
 		}
@@ -263,7 +263,7 @@ func (f *fleet) cancel(id, why string, now time.Time) error {
 	}
 	f.queue = slices.DeleteFunc(f.queue, func(q *Job) bool { return q == j })
 	if at := f.attempts[id]; at != nil {
-		f.abort(id, at, why, nil)
+		f.abort(id, at, why)
 	}
 	return nil
 }
@@ -332,10 +332,10 @@ func (f *fleet) place(j *Job, now time.Time) bool {
 
 // abort asks every participating daemon to kill the attempt's ranks;
 // their terminal updates (or their sessions' deaths) complete the
-// accounting. dead lists ranks already lost with their daemon.
-func (f *fleet) abort(id string, at *attempt, why string, dead []int) {
+// accounting.
+func (f *fleet) abort(id string, at *attempt, why string) {
 	f.cmds = append(f.cmds, cmd{kind: cAbort, job: id, seq: at.seq, text: why,
-		daemons: slices.Clone(at.daemons), dead: dead})
+		daemons: slices.Clone(at.daemons)})
 }
 
 // release drops a finished attempt and returns its held slots.
@@ -351,11 +351,16 @@ func (f *fleet) release(id string, at *attempt) {
 
 // update is one rank's terminal report from a daemon session. An update
 // stamped by a previous gateway incarnation is fenced off rather than
-// let corrupt the recovered attempt accounting.
+// let corrupt the recovered attempt accounting. The live attempt's
+// slowest rank's stage times become the job's.
 func (f *fleet) update(u updateMsg, now time.Time) {
 	if u.Epoch != f.epoch {
 		f.logf("fencing stale update for %s (epoch %d, current %d)", u.Job, u.Epoch, f.epoch)
 		return
+	}
+	if at, j := f.attempts[u.Job], f.jobs[u.Job]; at != nil && at.seq == u.Attempt && u.Stages != nil &&
+		u.Stages.total() > j.stages.total() {
+		j.stages = *u.Stages
 	}
 	f.report(u.Job, u.Attempt, u.Rank, u.OK, u.Error, u.Reason, u.SentBytes, false, now)
 	f.schedule(now)
@@ -444,7 +449,7 @@ func (f *fleet) watchdogFired(id string, seq int, detail string, now time.Time) 
 		msg += "; state: " + detail
 	}
 	f.move(f.jobs[id], Failed, msg, "", now)
-	f.abort(id, at, "watchdog expired", nil)
+	f.abort(id, at, "watchdog expired")
 }
 
 // unlaunched gives back an attempt the shell could not start (its
@@ -527,7 +532,7 @@ func (f *fleet) leave(name, cause string, now time.Time) {
 		}
 		// Abort the survivors' ranks, then account the dead daemon's
 		// ranks as lost; the survivors' own updates complete the drain.
-		f.abort(id, at, why, dead)
+		f.abort(id, at, why)
 		for _, r := range dead {
 			f.report(id, at.seq, r, false, why, "", 0, true, now)
 		}
@@ -621,7 +626,7 @@ func (f *fleet) endRecovery(now time.Time) {
 			continue
 		}
 		lost += len(missing)
-		f.abort(id, at, "gang incomplete after gateway recovery", nil)
+		f.abort(id, at, "gang incomplete after gateway recovery")
 		for _, r := range missing {
 			f.report(id, at.seq, r, false, "daemon did not re-register within the recovery window", "", 0, true, now)
 		}

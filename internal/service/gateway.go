@@ -1,6 +1,7 @@
 package service
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -45,10 +46,6 @@ type GatewayConfig struct {
 	// DrainTimeout bounds how long Drain waits for running gangs before
 	// shutting down anyway (default 10s).
 	DrainTimeout time.Duration
-	// Advertise, when non-empty, is the host daemons on other machines
-	// should dial for per-job control servers; those listeners then bind
-	// all interfaces instead of loopback.
-	Advertise string
 	// Logf receives service diagnostics (default os.Stderr).
 	Logf func(format string, args ...any)
 }
@@ -58,8 +55,8 @@ type GatewayConfig struct {
 type daemonSession struct {
 	name string
 	conn net.Conn
-	// advertise is the daemon's cross-host-reachable mesh address (empty
-	// for loopback-only clusters); echoed into its assignments.
+	// advertise is the daemon's cross-host-reachable mesh host (empty
+	// for loopback-only clusters), shown in the cluster view.
 	advertise string
 	// ready is closed once the register reply is written: the reply must
 	// be the session's first frame, so every other send waits for it.
@@ -70,21 +67,44 @@ type daemonSession struct {
 // send frames one message to the daemon; write errors surface through
 // the session reader's next read, which owns the loss handling.
 func (d *daemonSession) send(kind byte, msg any) error {
+	b, err := json.Marshal(msg)
+	if err != nil {
+		return err
+	}
+	return d.sendFrame(kind, b)
+}
+
+// sendFrame writes one frame whose payload is the concatenation of
+// parts, once the register reply has gone out.
+func (d *daemonSession) sendFrame(kind byte, parts ...[]byte) error {
 	<-d.ready
 	d.writeMu.Lock()
 	defer d.writeMu.Unlock()
 	d.conn.SetWriteDeadline(time.Now().Add(reqTimeout))
-	return wire.WriteJSON(d.conn, kind, msg)
+	return wire.WriteFrame(d.conn, kind, parts...)
 }
 
-// attemptIO is the shell's side of one attempt: the job's private
-// control server and listener (none for a recovered stand-in) and its
-// watchdog.
+// ctrlSender is the outbound half of one rank's control link over this
+// session: each mnet control frame leaves as a kCtrl frame. A nil
+// session (the daemon left before launch) refuses every frame.
+func (d *daemonSession) ctrlSender(job string, attempt, rank int) func(byte, []byte) error {
+	return func(k byte, payload []byte) error {
+		if d == nil {
+			return errDaemonGone
+		}
+		return d.sendFrame(kCtrl, ctrlEnv{kind: k, attempt: attempt, rank: rank, job: job}.head(), payload)
+	}
+}
+
+// attemptIO is the shell's side of one attempt: the job's control
+// server (none for a recovered stand-in), each rank's control link and
+// the daemon session it rides, and the attempt's watchdog.
 type attemptIO struct {
-	seq  int
-	cs   *mnet.ControlServer
-	ls   net.Listener
-	wdog *time.Timer
+	seq   int
+	cs    *mnet.ControlServer
+	links []*mnet.RankLink
+	sess  []*daemonSession
+	wdog  *time.Timer
 }
 
 // jobLog is one job's captured console output and its live followers,
@@ -307,13 +327,10 @@ func (g *Gateway) ioLocked(id string, seq int) *attemptIO {
 	return e
 }
 
-// close tears down an attempt's control server and listener.
+// close shuts an attempt's control server down.
 func (e *attemptIO) close() {
 	if e.cs != nil {
 		e.cs.Shutdown()
-	}
-	if e.ls != nil {
-		e.ls.Close()
 	}
 }
 
@@ -458,6 +475,9 @@ func (g *Gateway) serveSubmit(_ net.Conn, payload []byte) (any, error) {
 		m.Name = m.Workload
 	}
 	id := newID(m.Name)
+	// The name is the id's prefix: every job the gateway ever ran keeps
+	// both, so let them share one copy.
+	m.Name = id[:len(m.Name)]
 	err := errShuttingDown
 	g.step(func(f *fleet, now time.Time) { err = f.submit(id, m, now) })
 	if err != nil {
@@ -565,6 +585,10 @@ func (g *Gateway) follow(id string, ch chan struct{}, on bool) error {
 	delete(l.followers, ch)
 	if len(l.followers) == 0 {
 		l.followers = nil
+		if len(l.chunks) == 0 {
+			// Nothing to keep: a silent job's follow leaves no log behind.
+			delete(g.logs, id)
+		}
 	}
 	return nil
 }

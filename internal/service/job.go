@@ -91,10 +91,14 @@ type Job struct {
 	Sizes       []int    `json:"sizes,omitempty"`
 	SubmittedMS int64    `json:"submitted_ms"`
 
-	// Not journaled: full-precision stamps for the client view, and the
-	// bytes moved over every attempt.
-	submitted, admitted, finished time.Time
+	// Not journaled: full-precision stamps for the client view (Unix
+	// nanoseconds, 0 unset: every job the gateway ever ran keeps them,
+	// and a time.Time is three times the size), the bytes moved over
+	// every attempt, and the latest attempt's stage times (its slowest
+	// rank's; see JobStages).
+	submitted, admitted, finished int64
 	bytes                         uint64
+	stages                        JobStages
 }
 
 // info snapshots the client-visible view at time now.
@@ -113,15 +117,19 @@ func (j *Job) info(now time.Time) JobInfo {
 		DeadlineMS: float64(j.DeadlineMS),
 		MaxMemMB:   j.MaxMemMB,
 	}
-	if !j.admitted.IsZero() {
-		in.QueueWaitMS = float64(j.admitted.Sub(j.submitted)) / 1e6
+	if j.stages.total() > 0 {
+		st := j.stages
+		in.Stages = &st
+	}
+	if j.admitted != 0 {
+		in.QueueWaitMS = float64(j.admitted-j.submitted) / 1e6
 		end := j.finished
-		if end.IsZero() {
-			end = now
+		if end == 0 {
+			end = now.UnixNano()
 		}
-		in.RuntimeMS = float64(end.Sub(j.admitted)) / 1e6
+		in.RuntimeMS = float64(end-j.admitted) / 1e6
 	} else if j.State == Queued {
-		in.QueueWaitMS = float64(now.Sub(j.submitted)) / 1e6
+		in.QueueWaitMS = float64(now.UnixNano()-j.submitted) / 1e6
 	}
 	return in
 }

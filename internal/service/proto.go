@@ -9,12 +9,16 @@
 //
 // Topology: one Gateway process (which normally also hosts a local
 // Daemon) plus any number of Daemons, each holding a persistent
-// control session to the gateway. Per admitted job the gateway runs
-// one mnet.ControlServer — the same rendezvous protocol converserun
-// speaks — on its own ephemeral listener with a job-unique token; each
-// participating daemon joins it with an in-process mnet node and runs
-// the job's machine with isolated handler tables, metrics registry,
-// and monitor scope (core.Config.Job).
+// control session to the gateway and one standing mesh listener. Per
+// admitted job the gateway runs one mnet.ControlServer — the same
+// rendezvous protocol converserun speaks — with a job-unique token,
+// but binds nothing for it: each rank's control link rides its
+// daemon's session (kCtrl frames), and each participating daemon runs
+// the rank as an in-process mnet node whose mesh links arrive through
+// the daemon's listener, with the job's machine's handler tables,
+// metrics registry, and monitor scope isolated (core.Config.Job). A
+// warm job therefore opens one TCP connection per mesh link and
+// nothing else.
 package service
 
 import (
@@ -48,13 +52,16 @@ const (
 	kUpdate   = 113 // updateMsg (daemon -> gateway): one rank's progress
 	kDPing    = 114 // daemon liveness (daemon -> gateway)
 	kDrain    = 115 // drainMsg (daemon -> gateway): stop placing, finish & leave
+	kCtrl     = 116 // one mnet control frame of one rank, both ways (ctrlEnv)
 )
 
 // protoV is the service protocol version, checked on every request and
 // registration so drifted binaries fail with a message instead of a
-// decode error. v2 added the crash-tolerance fields: register resume
-// state and epochs, per-job limits, advertise addresses, drain.
-const protoV = 2
+// decode error. v3 carries the ranks' control links on the daemon
+// sessions (kCtrl) instead of per-job control ports, and rank updates
+// carry stage times; v2 added the crash-tolerance fields: register
+// resume state and epochs, per-job limits, advertise addresses, drain.
+const protoV = 3
 
 // Liveness and I/O budgets for the daemon session and client requests.
 const (
@@ -152,8 +159,11 @@ type JobInfo struct {
 	// (final metrics snapshots; 0 until ranks finish).
 	BytesMoved uint64 `json:"bytes_moved"`
 	// Requeues counts gang re-queues caused by daemon loss.
-	Requeues int    `json:"requeues"`
-	Error    string `json:"error,omitempty"`
+	Requeues int `json:"requeues"`
+	// Stages breaks the run into the phases its ranks report (absent
+	// until a rank of the latest attempt has reported).
+	Stages *JobStages `json:"stages,omitempty"`
+	Error  string     `json:"error,omitempty"`
 	// Reason tags how the job reached (or survived) its fate:
 	// deadline-killed, mem-killed, requeue-exhausted, recovered.
 	Reason string `json:"reason,omitempty"`
@@ -161,6 +171,21 @@ type JobInfo struct {
 	DeadlineMS float64 `json:"deadline_ms,omitempty"`
 	MaxMemMB   int     `json:"max_mem_mb,omitempty"`
 }
+
+// JobStages is one rank's run broken into phases, in milliseconds:
+// rendezvous (assignment received to the node table), mesh-up (table to
+// the rank's own mesh links up), driver (links up to done reported) and
+// finish (done to released). A job shows its slowest rank's — the rank
+// whose phases add up to most — so the four are one rank's partition of
+// its own run and sum to at most RuntimeMS.
+type JobStages struct {
+	RendezvousMS float64 `json:"rendezvous_ms"`
+	MeshUpMS     float64 `json:"mesh_up_ms"`
+	DriverMS     float64 `json:"driver_ms"`
+	FinishMS     float64 `json:"finish_ms"`
+}
+
+func (s JobStages) total() float64 { return s.RendezvousMS + s.MeshUpMS + s.DriverMS + s.FinishMS }
 
 type jobListMsg struct {
 	Jobs []JobInfo `json:"jobs"`
@@ -254,19 +279,15 @@ type assignMsg struct {
 	Attempt  int             `json:"attempt"`
 	Workload string          `json:"workload"`
 	Args     json.RawMessage `json:"args,omitempty"`
-	// Launcher/JobToken address the job's private ControlServer.
-	Launcher  string `json:"launcher"`
+	// JobToken guards the job's rendezvous and names its mesh links on
+	// the daemons' listeners.
 	JobToken  string `json:"job_token"`
 	Rank      int    `json:"rank"`
 	NP        int    `json:"np"`
 	PEs       int    `json:"pes"`
 	NodeSizes []int  `json:"node_sizes"`
-	// HeartbeatMS is the job mesh's liveness interval; the rank must
-	// ping at the control server's expected rate or be declared dead.
+	// HeartbeatMS is the job mesh's link liveness interval.
 	HeartbeatMS int64 `json:"heartbeat_ms"`
-	// Advertise echoes the daemon's registered advertise host so the
-	// rank's mesh listener announces a cross-host-reachable address.
-	Advertise string `json:"advertise,omitempty"`
 	// DeadlineMS/MaxMemMB are the job's resource limits, enforced by
 	// the daemon-side watchdog (0 = unlimited).
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
@@ -294,6 +315,8 @@ type updateMsg struct {
 	// Epoch is the gateway incarnation the daemon believes it is talking
 	// to; a recovered gateway drops updates from a stale epoch.
 	Epoch int64 `json:"epoch,omitempty"`
+	// Stages is the rank's run by phase (nil if its node never opened).
+	Stages *JobStages `json:"stages,omitempty"`
 }
 
 type dPingMsg struct {

@@ -52,7 +52,7 @@ func (g *Gateway) idleSignalLocked() chan struct{} {
 }
 
 // stop is the gateway's one teardown: no new connections, idle clients
-// cut, watchdogs stopped, control servers and listeners shut, daemon
+// cut, watchdogs stopped, control servers shut, daemon
 // sessions closed, log followers ended, every goroutine waited for, the
 // recovery timer stopped and the journal closed. keep leaves unfinished
 // jobs journaled for a successor to re-adopt or requeue (Drain);

@@ -488,8 +488,11 @@ func waitRanksJoined(t *testing.T, daemons []*Daemon, timeout time.Duration) {
 		joined := 0
 		for _, d := range daemons {
 			d.mu.Lock()
-			if len(d.jobs) > 0 {
-				joined++
+			for _, rj := range d.jobs {
+				if rj.joined {
+					joined++
+					break
+				}
 			}
 			d.mu.Unlock()
 		}

@@ -1,9 +1,10 @@
 package service
 
 // The gateway shell's daemon side: launching placed attempts (per-job
-// control servers and assignments), relaying aborts, the attempt
-// watchdog, and daemon sessions — registration, rank updates, drain
-// requests and loss all become core events here.
+// control servers, whose rank links ride the daemon sessions, and
+// assignments), relaying aborts, the attempt watchdog, and daemon
+// sessions — registration, rank updates, control frames, drain requests
+// and loss all become core events or control-link traffic here.
 
 import (
 	"errors"
@@ -16,60 +17,39 @@ import (
 	"converse/internal/wire"
 )
 
-// launch starts one placed attempt: it binds the job's control port,
-// serves the job's control server and sends one assignment per rank.
-// An attempt that cannot bind, or that was cancelled or lost a daemon
-// between placement and launch, goes back to the core unlaunched; the
-// listener is then closed and nothing is sent.
+// launch starts one placed attempt: it builds the job's control server
+// with one control link per rank over that rank's daemon session, and
+// sends one assignment per rank. An attempt that was cancelled or lost
+// a daemon between placement and launch goes back to the core
+// unlaunched, and nothing is sent.
 func (g *Gateway) launch(id string, seq int) {
-	bind := "127.0.0.1:0"
-	if g.cfg.Advertise != "" {
-		bind = ":0"
-	}
-	ls, err := net.Listen("tcp", bind)
 	var asn assignMsg
 	var to []*daemonSession
-	var cs *mnet.ControlServer
 	g.step(func(f *fleet, now time.Time) {
 		at, j := f.attempts[id], f.jobs[id]
-		switch {
-		case err != nil:
-			f.unlaunched(id, seq, fmt.Sprintf("binding job control port: %v", err), now)
-			return
-		case at == nil || at.seq != seq || j.State.Terminal() || at.lost:
+		if at == nil || at.seq != seq || j.State.Terminal() || at.lost {
 			f.unlaunched(id, seq, "", now)
 			return
-		}
-		token := newID("tok")
-		cs = g.newControlServerLocked(id, seq, len(at.sizes), slices.Max(at.sizes), token, ls)
-		launcher := ls.Addr().String()
-		if g.cfg.Advertise != "" {
-			if _, port, perr := net.SplitHostPort(launcher); perr == nil {
-				launcher = net.JoinHostPort(g.cfg.Advertise, port)
-			}
-		}
-		asn = assignMsg{
-			Job: id, Attempt: seq, Workload: j.Workload, Args: j.Args,
-			Launcher: launcher, JobToken: token, NP: len(at.sizes), PEs: j.Gang,
-			NodeSizes: append([]int(nil), at.sizes...), HeartbeatMS: g.cfg.Heartbeat.Milliseconds(),
-			DeadlineMS: j.DeadlineMS, MaxMemMB: j.MaxMemMB,
 		}
 		for _, name := range at.daemons {
 			to = append(to, g.sessionLocked(name))
 		}
-	})
-	if cs == nil {
-		if ls != nil {
-			ls.Close()
+		token := newID("tok")
+		g.newControlServerLocked(id, seq, slices.Max(at.sizes), token, to)
+		asn = assignMsg{
+			Job: id, Attempt: seq, Workload: j.Workload, Args: j.Args,
+			JobToken: token, NP: len(at.sizes), PEs: j.Gang,
+			NodeSizes: append([]int(nil), at.sizes...), HeartbeatMS: g.cfg.Heartbeat.Milliseconds(),
+			DeadlineMS: j.DeadlineMS, MaxMemMB: j.MaxMemMB,
 		}
+	})
+	if asn.Job == "" {
 		return
 	}
-	go cs.Serve(ls)
 	for rank, d := range to {
 		asn.Rank = rank
 		err := errDaemonGone
 		if d != nil {
-			asn.Advertise = d.advertise
 			err = d.send(kAssign, asn)
 		}
 		if err != nil {
@@ -81,12 +61,17 @@ func (g *Gateway) launch(id string, seq int) {
 	}
 }
 
-var errDaemonGone = errors.New("service: daemon gone")
+var (
+	errDaemonGone   = errors.New("service: daemon gone")
+	errRankReported = errors.New("service: rank reported its result")
+)
 
-// newControlServerLocked builds an attempt's control server and records
-// it with its listener in the attempt table. Caller holds mu.
-func (g *Gateway) newControlServerLocked(id string, seq, np, ppn int, token string, ls net.Listener) *mnet.ControlServer {
-	cs := mnet.NewControlServer(np, ppn, token, g.cfg.Heartbeat, mnet.ControlCallbacks{
+// newControlServerLocked builds an attempt's control server, attaches
+// each rank's control link to the session of the daemon that runs it
+// (nil: gone before launch) and records both in the attempt table.
+// Caller holds mu.
+func (g *Gateway) newControlServerLocked(id string, seq, ppn int, token string, sess []*daemonSession) {
+	cs := mnet.NewControlServer(len(sess), ppn, token, g.cfg.Heartbeat, mnet.ControlCallbacks{
 		Console: func(rank int, isErr bool, text string) { g.appendLog(id, text, isErr) },
 		Fail: func(err error) {
 			// Teardown of a drained gang relays rank failures here after
@@ -100,8 +85,10 @@ func (g *Gateway) newControlServerLocked(id string, seq, np, ppn int, token stri
 		RankLost: func(int, error) bool { return true },
 	})
 	e := g.ioLocked(id, seq)
-	e.cs, e.ls = cs, ls
-	return cs
+	e.cs, e.sess = cs, sess
+	for rank, d := range sess {
+		e.links = append(e.links, cs.Link(d.ctrlSender(id, seq, rank)))
+	}
 }
 
 // sessionLocked returns a daemon's live session, nil for none. Caller
@@ -109,27 +96,28 @@ func (g *Gateway) newControlServerLocked(id string, seq, np, ppn int, token stri
 func (g *Gateway) sessionLocked(name string) *daemonSession { return g.sessions[name] }
 
 // abortAttempt runs a cAbort: every participating daemon is told to kill
-// the job's local ranks, and the control server is severed.
+// the job's local ranks, and the control server stops reporting. A
+// daemon indexes a rank before the rank says hello, so a rank still
+// blocked in the rendezvous hears the unassign too.
 func abortAttempt(c cmd, to []*daemonSession, cs *mnet.ControlServer) {
 	for _, d := range to {
 		d.send(kUnassign, unassignMsg{Job: c.job, Attempt: c.seq, Reason: c.text})
 	}
-	// A rank still blocked in the job's rendezvous can't see the
-	// unassign — its daemon indexes the job only after Join returns —
-	// and with a gang member dead the table broadcast it is waiting for
-	// will never come. Abort severs its control connection instead, so
-	// the gang drains now rather than after the handshake timeout. The
-	// listener stays open on purpose: a rank that has not dialed yet
-	// retries a refused connect until its deadline, so the fast path
-	// for it is accept-then-close (which the aborted server does), not
-	// connection refused. The attempt's release closes the listener
-	// once the drain completes.
 	if cs != nil {
-		cs.Abort()
-		for _, r := range c.dead {
-			cs.MarkDead(r)
-		}
+		cs.Shutdown()
 	}
+}
+
+// rankLink returns the control link of one rank of the live attempt as
+// carried by session d; nil for an attempt that is over, or a session
+// that does not carry the rank.
+func (g *Gateway) rankLink(d *daemonSession, job string, attempt, rank int) *mnet.RankLink {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if a := g.io[job]; a != nil && a.seq == attempt && rank >= 0 && rank < len(a.links) && a.sess[rank] == d {
+		return a.links[rank]
+	}
+	return nil
 }
 
 // watchdogFired feeds one attempt's watchdog expiry to the core, with
@@ -203,9 +191,24 @@ func (g *Gateway) serveDaemon(conn net.Conn, payload []byte) (any, error) {
 				g.dropDaemon(d, err)
 				return nil, nil
 			}
+			// The rank's node is done with its control link, as a
+			// closed control connection would say: a rank that never
+			// reached the release no longer holds it up.
+			if l := g.rankLink(d, u.Job, u.Attempt, u.Rank); l != nil {
+				l.Lost(errRankReported)
+			}
 			g.step(func(f *fleet, now time.Time) { f.update(u, now) })
 		case kDrain:
 			g.step(func(f *fleet, _ time.Time) { f.daemonDraining(d.name) })
+		case kCtrl:
+			e, frame, err := decodeCtrl(pl)
+			if err != nil {
+				g.dropDaemon(d, err)
+				return nil, nil
+			}
+			if l := g.rankLink(d, e.job, e.attempt, e.rank); l != nil {
+				l.Deliver(e.kind, frame)
+			}
 		default:
 			g.dropDaemon(d, fmt.Errorf("service: unexpected frame kind %d from daemon", k))
 			return nil, nil
@@ -228,9 +231,24 @@ func (g *Gateway) registerLocked(d *daemonSession, name string) string {
 }
 
 // dropDaemon handles a daemon's session ending, clean or by death: the
-// core deregisters the daemon and drains the gangs it carried.
+// control links riding it are lost, as a dead control connection would
+// be, and the core deregisters the daemon and drains the gangs it
+// carried.
 func (g *Gateway) dropDaemon(d *daemonSession, cause error) {
 	d.conn.Close()
+	var lost []*mnet.RankLink
+	g.mu.Lock()
+	for _, e := range g.io {
+		for r, s := range e.sess {
+			if s == d {
+				lost = append(lost, e.links[r])
+			}
+		}
+	}
+	g.mu.Unlock()
+	for _, l := range lost {
+		l.Lost(cause)
+	}
 	g.step(func(f *fleet, now time.Time) {
 		if g.unregisterLocked(d) {
 			f.leave(d.name, cause.Error(), now)

@@ -307,10 +307,10 @@ func TestRequestHeadLeadsEncoding(t *testing.T) {
 		msg  any
 		want string
 	}{
-		{submitMsg{reqHead: h, Name: "n", Workload: "w", Gang: 2}, `{"v":2,"token":"t","name":"n","workload":"w","gang":2}`},
-		{logsMsg{reqHead: h, ID: "j", Follow: true}, `{"v":2,"token":"t","id":"j","follow":true}`},
-		{jobsMsg{reqHead: reqHead{V: protoV}}, `{"v":2}`},
-		{registerMsg{reqHead: h, Name: "d", Slots: 4}, `{"v":2,"token":"t","name":"d","slots":4}`},
+		{submitMsg{reqHead: h, Name: "n", Workload: "w", Gang: 2}, `{"v":3,"token":"t","name":"n","workload":"w","gang":2}`},
+		{logsMsg{reqHead: h, ID: "j", Follow: true}, `{"v":3,"token":"t","id":"j","follow":true}`},
+		{jobsMsg{reqHead: reqHead{V: protoV}}, `{"v":3}`},
+		{registerMsg{reqHead: h, Name: "d", Slots: 4}, `{"v":3,"token":"t","name":"d","slots":4}`},
 	} {
 		if b, err := json.Marshal(tc.msg); err != nil || string(b) != tc.want {
 			t.Errorf("%T encodes as %s (%v), want %s", tc.msg, b, err, tc.want)

@@ -43,6 +43,9 @@ type ClusterView = service.ClusterView
 // JobInfo is the client-visible record of one job.
 type JobInfo = service.JobInfo
 
+// JobStages is a job's run broken into phases by its slowest rank.
+type JobStages = service.JobStages
+
 // DaemonInfo is the client-visible record of one registered daemon.
 type DaemonInfo = service.DaemonInfo
 
